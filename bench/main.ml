@@ -96,8 +96,8 @@ let e7_model_check =
               scen)))
 
 let e9_trace =
-  let report =
-    Taos_threads.Api.run ~seed:5 (fun sync ->
+  let _, trace =
+    Taos_threads.Api.run_traced ~seed:5 (fun sync ->
         let module Sy =
           (val sync : Taos_threads.Sync_intf.SYNC
              with type thread = Threads_util.Tid.t)
@@ -125,7 +125,7 @@ let e9_trace =
         let ps = List.init 2 (fun _ -> Sy.fork producer) in
         List.iter Sy.join (cs @ ps))
   in
-  Firefly.Machine.trace report.Firefly.Interleave.machine
+  trace
 
 let e9_conformance =
   Test.make
@@ -170,10 +170,11 @@ let e2_timed_sim =
                 List.iter Sy.join ts))))
 
 (* Analyzer overhead: the same contended workload (4 threads x 25 guarded
-   increments) through the sim backend with recording off, with recording
-   on, and the pure analysis pass over an already-recorded run.  Recording
-   is host-side bookkeeping, so the on/off gap is the whole cost of
-   capture; the analyzers run post-mortem and never touch the run. *)
+   increments) through the sim backend with no access log ("recording
+   off"), with one subscribed ("recording on"), and the pure analysis pass
+   over an already-recorded run.  The log is a host-side subscriber, so
+   the on/off gap is the whole cost of capture; the analyzers run
+   post-mortem and never touch the run. *)
 let analysis_backend, analysis_instrument =
   let b = Option.get (Threads_backend.Backend.find "sim") in
   match b.Threads_backend.Backend.instrument with
@@ -193,16 +194,30 @@ let analysis_plain =
 let analysis_recorded =
   Test.make ~name:"analysis/sim mutex, recording on"
     (Staged.stage (fun () ->
-         ignore (analysis_instrument ~seed:7 analysis_workload)))
+         let log = Threads_analysis.Analysis.log () in
+         ignore
+           (analysis_instrument
+              ~observe:(Threads_analysis.Analysis.record log)
+              ~seed:7 analysis_workload)))
+
+let analysis_log = Threads_analysis.Analysis.log ()
+
+let analysis_machine =
+  snd
+    (analysis_instrument
+       ~observe:(Threads_analysis.Analysis.record analysis_log)
+       ~seed:7 analysis_workload)
+
+let analysis_accesses =
+  List.length (Threads_analysis.Analysis.accesses analysis_log)
 
 let analysis_pass =
-  let _, machine = analysis_instrument ~seed:7 analysis_workload in
   Test.make
     ~name:
-      (Printf.sprintf "analysis/analyze %d-access stream"
-         (Firefly.Machine.access_count machine))
+      (Printf.sprintf "analysis/analyze %d-access stream" analysis_accesses)
     (Staged.stage (fun () ->
-         ignore (Threads_analysis.Analysis.of_machine machine)))
+         ignore
+           (Threads_analysis.Analysis.of_run analysis_log analysis_machine)))
 
 (* Injection overhead: the same sim mutex workload under the plain
    interleaver (analysis/sim mutex, recording off), under the fault
@@ -407,9 +422,7 @@ let arm_sim_cycles =
     ("e3/drain 8 waiters with broadcast", wake_cycles ~broadcast:true);
     ("analysis/sim mutex, recording off", analysis_cycles);
     ("analysis/sim mutex, recording on", analysis_cycles);
-    (Printf.sprintf "analysis/analyze %d-access stream"
-       (let _, machine = analysis_instrument ~seed:7 analysis_workload in
-        Firefly.Machine.access_count machine),
+    (Printf.sprintf "analysis/analyze %d-access stream" analysis_accesses,
      analysis_cycles);
     ("chaos/sim mutex, empty plan", chaos_cycles chaos_empty_plan);
     ("chaos/sim mutex, delay-wakeups plan", chaos_cycles chaos_delay_plan);

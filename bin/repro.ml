@@ -143,12 +143,24 @@ let out_arg =
     & info [ "out" ] ~docv:"FILE"
         ~doc:"Write the report to $(docv) instead of stdout")
 
+(* Shared converter for count options (seeds, runs, plans, budgets,
+   jobs): a negative value gets cmdliner's diagnostic and exit 124
+   instead of reaching Array.init or a report header. *)
+let count =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < 0 ->
+      Error (`Msg (Printf.sprintf "invalid value '%s', expected a count >= 0" s))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
 (* Shared --jobs flag: 0 means "ask the runtime", 1 (the default) stays
    sequential, N > 1 spreads the run matrix over N domains.  Reports are
    byte-identical whatever the value. *)
 let jobs_arg =
   Arg.(
-    value & opt int 1
+    value & opt count 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Worker domains for the run matrix ($(b,0) = one per available \
@@ -392,8 +404,8 @@ let trace_cmd =
         exit 1
     in
     (* a workload touching every primitive *)
-    let report =
-      Taos_threads.Api.run ~seed (fun sync ->
+    let _, trace =
+      Taos_threads.Api.run_traced ~seed (fun sync ->
           let module S =
             (val sync : Taos_threads.Sync_intf.SYNC
                with type thread = Threads_util.Tid.t)
@@ -423,12 +435,11 @@ let trace_cmd =
           S.join w;
           S.join aw)
     in
-    let machine = report.Firefly.Interleave.machine in
     List.iteri
       (fun i e ->
         Printf.printf "%3d  %s\n" i (Spec_trace.event_to_string e))
-      (Firefly.Machine.trace machine);
-    let rep = Threads_model.Conformance.check iface (Firefly.Machine.trace machine) in
+      trace;
+    let rep = Threads_model.Conformance.check iface trace in
     Format.printf "---@.%a@." Threads_model.Conformance.pp_report rep;
     if not (Threads_model.Conformance.ok rep) then exit 2
   in
@@ -490,7 +501,7 @@ let conform_cmd =
            ~doc:"Workload name, or $(b,all)")
   in
   let seeds =
-    Arg.(value & opt int 5 & info [ "seeds" ] ~docv:"N"
+    Arg.(value & opt count 5 & info [ "seeds" ] ~docv:"N"
            ~doc:"Number of seeds (schedules) per workload")
   in
   let run backend workload seeds out jobs fleet =
@@ -569,7 +580,7 @@ let diff_cmd =
            ~doc:"Workload name, or $(b,all)")
   in
   let seeds =
-    Arg.(value & opt int 3 & info [ "seeds" ] ~docv:"N"
+    Arg.(value & opt count 3 & info [ "seeds" ] ~docv:"N"
            ~doc:"Number of seeds (schedules) per backend")
   in
   let run workload seeds out jobs fleet =
@@ -653,12 +664,12 @@ let chaos_cmd =
            ~doc:"Workload name, or $(b,all)")
   in
   let plans =
-    Arg.(value & opt int Threads_fault.Plan.families
+    Arg.(value & opt count Threads_fault.Plan.families
          & info [ "plans" ] ~docv:"N"
              ~doc:"Number of fault plans (ids 0..N-1; 7 cycles every family)")
   in
   let seeds =
-    Arg.(value & opt int 3 & info [ "seeds" ] ~docv:"N"
+    Arg.(value & opt count 3 & info [ "seeds" ] ~docv:"N"
            ~doc:"Number of seeds (schedules) per plan")
   in
   let run backend workload plans seeds out jobs fleet =
@@ -767,11 +778,11 @@ let explore_cmd =
              and compare their violation sets)")
   in
   let max_runs =
-    Arg.(value & opt int 1_000_000 & info [ "max-runs" ] ~docv:"N"
+    Arg.(value & opt count 1_000_000 & info [ "max-runs" ] ~docv:"N"
            ~doc:"Execution budget per search (per frozen prefix for DPOR)")
   in
   let split =
-    Arg.(value & opt int 2 & info [ "split-branches" ] ~docv:"D"
+    Arg.(value & opt count 2 & info [ "split-branches" ] ~docv:"D"
            ~doc:
              "Branch depth of the exhaustive frontier split handed to the \
               parallel workers (independent of --jobs, so results are \
@@ -841,18 +852,25 @@ let explore_cmd =
               (Ex.explore_all ~max_depth:s.Sc.max_depth ~max_runs
                  ~build:s.Sc.build s.Sc.check)
         in
-        let found =
+        let found, complete =
           match (dpor, dfs) with
-          | Some (v, _), _ -> v
-          | None, Some (v, _, _) -> v
+          | Some (v, ds), _ -> (v, ds.Ex.complete)
+          | None, Some (v, _, complete) -> (v, complete)
           | None, None -> assert false
+        in
+        let dfs_complete =
+          match dfs with Some (_, _, complete) -> complete | None -> true
         in
         (match dpor with
         | Some (_, ds) when not ds.Ex.complete ->
           fail "%s: DPOR exhausted its execution budget (%d)" s.Sc.name
             max_runs
         | _ -> ());
-        if found <> s.Sc.expect then
+        if not dfs_complete then
+          fail "%s: DFS exhausted its execution budget (%d)" s.Sc.name
+            max_runs;
+        (* an incomplete search proves nothing about the violation set *)
+        if complete && found <> s.Sc.expect then
           fail "%s: violation set mismatch\n  found:    [%s]\n  expected: [%s]"
             s.Sc.name
             (String.concat "; " found)
@@ -871,11 +889,10 @@ let explore_cmd =
         let dpor_execs =
           match dpor with Some (_, ds) -> Some ds.Ex.executions | None -> None
         in
-        (* If DFS hit its budget the observed count undercounts the true
-           tree, so this prune ratio is a conservative lower bound. *)
+        (* Only a complete DFS counts the whole tree the ratio is over. *)
         let prune =
           match (dpor_execs, dfs_execs) with
-          | Some d, Some f when f > 0 ->
+          | Some d, Some f when f > 0 && dfs_complete ->
             Some (100. *. (1. -. (float_of_int d /. float_of_int f)))
           | _ -> None
         in
@@ -883,7 +900,7 @@ let explore_cmd =
         | Some want, Some got when got < want ->
           fail "%s: DPOR pruned %.1f%%, below the required %.1f%%" s.Sc.name
             got want
-        | Some _, None ->
+        | Some _, None when mode <> `Both ->
           fail "%s: --min-prune needs --mode=both" s.Sc.name
         | _ -> ());
         let cell = function Some n -> string_of_int n | None -> "-" in
@@ -900,7 +917,7 @@ let explore_cmd =
         records :=
           Obs.Json.Obj
             ([ ("scenario", Obs.Json.String s.Sc.name);
-               ("expected_ok", Obs.Json.Bool (found = s.Sc.expect));
+               ("expected_ok", Obs.Json.Bool (complete && found = s.Sc.expect));
                ("violations",
                 Obs.Json.Arr (List.map (fun v -> Obs.Json.String v) found)) ]
             @ (match dpor with
@@ -1013,7 +1030,9 @@ let analyze_mutants filter seed ~jobs ~format ~out ~fleet =
       fleet (fun prog ->
         let telemetry = Option.map Tel.Progress.sink prog in
         Runner.Matrix.map ?telemetry ~jobs ~n:(Array.length scenarios)
-          (fun i -> An.of_machine (scenarios.(i).Mu.m_run ~seed)))
+          (fun i ->
+            let log = An.log () in
+            An.of_run log (scenarios.(i).Mu.m_run ~seed (An.record log))))
   in
   let t =
     Threads_util.Table.create
@@ -1273,15 +1292,16 @@ let profile_cmd =
         b.Bk.name wl.Wl.name;
       exit 1
     end;
-    match b.Bk.profile with
-    | None ->
+    match b.Bk.instrument with
+    | Bk.Lock_trace _ | Bk.No_instrument ->
       Printf.eprintf
         "backend %s is not profilable (no simulator machine to observe)\n"
         b.Bk.name;
       exit 1
-    | Some profiled_run ->
-      let outcome, machine = profiled_run ~seed wl in
-      let p = Pf.of_machine machine in
+    | Bk.Machine_access run ->
+      let r = Pf.recorder () in
+      let outcome, machine = run ~observe:(Pf.record r) ~seed wl in
+      let p = Pf.of_run r machine in
       let s =
         match format with
         | `Table ->
@@ -1353,7 +1373,7 @@ let progcheck_catalogue () =
     Threads_harness.Scenarios.nelson ();
     Threads_harness.Scenarios.semaphore_pingpong () ]
 
-(* The clause-level pass alone (what lint-spec used to do). *)
+(* The clause-level pass alone (check-spec --lint-only). *)
 let lint_only name iface locs =
   let findings = Lint.lint ~locs iface in
   List.iter
@@ -1706,7 +1726,7 @@ let check_spec_cmd =
   in
   let lint_only_flag =
     Arg.(value & flag & info [ "lint-only" ]
-           ~doc:"Run only the clause-level linter (the old lint-spec)")
+           ~doc:"Run only the clause-level linter")
   in
   let mutants =
     Arg.(value & flag & info [ "mutants" ]
@@ -1765,29 +1785,6 @@ let check_spec_cmd =
     Term.(
       const run $ file $ lint_only_flag $ mutants $ crosscheck $ demos
       $ format_arg $ out_arg)
-
-(* Deprecated alias: lint-spec = check-spec --lint-only. *)
-let lint_spec_cmd =
-  let file =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"FILE"
-           ~doc:
-             "Specification file in the concrete syntax; defaults to the \
-              built-in Threads interface (specs/threads.lspec)")
-  in
-  let run file =
-    Printf.eprintf
-      "note: lint-spec is deprecated; use check-spec --lint-only (or plain \
-       check-spec for the full static verifier)\n";
-    let name, src = read_spec file in
-    let iface, locs = parse_spec name src in
-    lint_only name iface locs
-  in
-  Cmd.v
-    (Cmd.info "lint-spec"
-       ~doc:
-         "Deprecated alias for $(b,check-spec --lint-only): clause-level \
-          linting of an interface specification")
-    Term.(const run $ file)
 
 (* ---- perf-trajectory regression gate ---- *)
 
@@ -1860,7 +1857,7 @@ let generate_cmd =
                  multicore)")
   in
   let runs =
-    Arg.(value & opt int 100 & info [ "runs" ] ~docv:"N"
+    Arg.(value & opt count 100 & info [ "runs" ] ~docv:"N"
            ~doc:"Number of generated scenarios")
   in
   let seed =
@@ -1901,12 +1898,12 @@ let generate_cmd =
                  seeded spec mutant and report the kill table")
   in
   let scenarios =
-    Arg.(value & opt int 12 & info [ "scenarios" ] ~docv:"N"
+    Arg.(value & opt count 12 & info [ "scenarios" ] ~docv:"N"
            ~doc:"Generated scenarios per differential in $(b,--mutants) \
                  mode")
   in
   let require =
-    Arg.(value & opt int 0 & info [ "require" ] ~docv:"K"
+    Arg.(value & opt count 0 & info [ "require" ] ~docv:"K"
            ~doc:"In $(b,--mutants) mode, exit non-zero unless at least \
                  $(docv) mutants are killed")
   in
@@ -2057,7 +2054,6 @@ let command_summaries =
     ("analyze", "dynamic race and lock-order analysis (or --mutants)");
     ("profile", "causal profiler: critical path, blockers, wait forensics");
     ("check-spec", "static spec verifier: lint + abstract model check");
-    ("lint-spec", "deprecated alias for check-spec --lint-only");
     ("bench-diff", "compare two bench records and gate perf regressions");
     ("help", "print this subcommand summary") ]
 
@@ -2096,5 +2092,5 @@ let () =
        (Cmd.group ~default info
           [ list_cmd; run_cmd; all_cmd; spec_cmd; trace_cmd; metrics_cmd;
             conform_cmd; diff_cmd; chaos_cmd; generate_cmd; explore_cmd;
-            analyze_cmd; profile_cmd; check_spec_cmd; lint_spec_cmd;
+            analyze_cmd; profile_cmd; check_spec_cmd;
             bench_diff_cmd; help_cmd ]))

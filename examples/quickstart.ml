@@ -80,8 +80,8 @@ let () =
   let items = 50 and producers = 2 and consumers = 2 in
   (* 1. Firefly simulation: deterministic, schedule-controlled. *)
   let result = ref (0, 0) in
-  let report =
-    Taos_threads.Api.run ~seed:42 (fun sync ->
+  let report, trace =
+    Taos_threads.Api.run_traced ~seed:42 (fun sync ->
         let module S =
           (val sync : Taos_threads.Sync_intf.SYNC with type thread = Tid.t)
         in
@@ -91,13 +91,12 @@ let () =
   expect "firefly simulator:" !result ~items ~producers;
   Printf.printf "  (simulated: %d instructions, %d trace events)\n"
     (Firefly.Machine.total_instructions report.Firefly.Interleave.machine)
-    (List.length (Firefly.Machine.trace report.Firefly.Interleave.machine));
+    (List.length trace);
 
-  (* ... and because the simulator logs every atomic action, we can verify
-     the whole run against the paper's formal specification: *)
+  (* ... and because the simulator publishes every atomic action, we can
+     verify the whole run against the paper's formal specification: *)
   let conf =
-    Threads_model.Conformance.check Spec_core.Threads_interface.final
-      (Firefly.Machine.trace report.Firefly.Interleave.machine)
+    Threads_model.Conformance.check Spec_core.Threads_interface.final trace
   in
   Printf.printf "  conformance vs formal spec: %s\n"
     (if Threads_model.Conformance.ok conf then "every event admitted"

@@ -20,8 +20,26 @@ let is_data_kind = function
   | None | Some M.W_data -> true
   | Some (M.W_lock | M.W_sem | M.W_eventcount | M.W_atomic) -> false
 
-let of_machine machine =
-  let accesses = M.accesses machine in
+(* The access log: a fold over the machine's [Ev_access] stream that
+   numbers accesses in stream order. *)
+type log = { mutable rev : M.access list; mutable count : int }
+
+let log () = { rev = []; count = 0 }
+
+let record log machine =
+  M.subscribe machine M.K_access (function
+    | M.Ev_access { tid; addr; kind; locks } ->
+      log.rev <-
+        { M.a_seq = log.count; a_tid = tid; a_addr = addr; a_kind = kind;
+          a_locks = locks }
+        :: log.rev;
+      log.count <- log.count + 1
+    | _ -> ())
+
+let accesses log = List.rev log.rev
+
+let of_run log machine =
+  let accesses = accesses log in
   let word_kind = M.word_kind machine in
   let word_name = M.word_name machine in
   let data_words = Hashtbl.create 32 in
@@ -40,7 +58,7 @@ let of_machine machine =
          (M.registered_words machine))
   in
   {
-    n_accesses = M.access_count machine;
+    n_accesses = log.count;
     n_data_words = Hashtbl.length data_words;
     n_exempt_words = n_exempt;
     lockset = Lockset.check ~word_kind ~word_name accesses;
@@ -73,8 +91,9 @@ type backend_result = {
 let run_backend (b : B.t) ~seed workload =
   match b.B.instrument with
   | B.Machine_access f ->
-    let outcome, machine = f ~seed workload in
-    { br_outcome = outcome; br_report = Some (of_machine machine) }
+    let log = log () in
+    let outcome, machine = f ~observe:(record log) ~seed workload in
+    { br_outcome = outcome; br_report = Some (of_run log machine) }
   | B.Lock_trace f ->
     let outcome, events = f ~seed workload in
     { br_outcome = outcome; br_report = Some (of_lock_events events) }

@@ -16,8 +16,16 @@ type report = {
   lock_name : int -> string;
 }
 
-val of_machine : Firefly.Machine.t -> report
-(** Analyze a machine whose run was recorded ({!Firefly.Machine.set_recording}). *)
+(** The access log: subscribed to a machine's {!Firefly.Machine.K_access}
+    stream with [record] before the run, it numbers accesses by [a_seq].
+    [of_run log m] analyzes the accesses [log] recorded on [m], which
+    supplies the word and lock registries. *)
+type log
+
+val log : unit -> log
+val record : log -> Firefly.Machine.t -> unit
+val accesses : log -> Firefly.Machine.access list
+val of_run : log -> Firefly.Machine.t -> report
 
 val of_lock_events : Threads_backend.Backend.lock_event list -> report
 

@@ -27,17 +27,16 @@ type scenario = {
   m_name : string;
   m_description : string;
   m_expect : expect;
-  m_run : seed:int -> M.t;
+  m_run : seed:int -> (M.t -> unit) -> M.t;
 }
 
-let sim_run ~seed body =
+let sim_run ~seed body observe =
   let report =
     Firefly.Interleave.run
       ~strategy:(Firefly.Sched.random seed)
       ~seed ~max_steps:500_000
       (fun machine ->
-        M.set_recording machine true;
-        M.set_profiling machine true;
+        observe machine;
         ignore (M.spawn_root machine body))
   in
   report.Firefly.Interleave.machine
@@ -94,15 +93,14 @@ let lock_inversion ~seed =
       S.join t1;
       S.join t2)
 
-let naive_broadcast ~seed =
+let naive_broadcast ~seed observe =
   match Threads_backend.Backend.find "naive" with
   | Some b -> (
     match (b.Threads_backend.Backend.instrument,
            Threads_backend.Workload.find "broadcast")
     with
     | Threads_backend.Backend.Machine_access f, Some wl ->
-      let _, machine = f ~seed wl in
-      machine
+      snd (f ~observe ~seed wl)
     | _ -> invalid_arg "naive backend lost its instrumentation")
   | None -> invalid_arg "naive backend not registered"
 

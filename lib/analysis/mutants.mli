@@ -17,15 +17,17 @@ type scenario = {
   m_name : string;
   m_description : string;
   m_expect : expect;
-  m_run : seed:int -> Firefly.Machine.t;
-      (** a completed recorded run (the lock-inversion scenario may end
-          deadlocked; its access stream is still analyzable) *)
+  m_run : seed:int -> (Firefly.Machine.t -> unit) -> Firefly.Machine.t;
+      (** [m_run ~seed observe] runs the scenario to the end with
+          [observe] subscribed to the machine, and returns the machine
+          (the lock-inversion scenario may end deadlocked; its access
+          stream is still analyzable) *)
 }
 
-val broken_spinlock : seed:int -> Firefly.Machine.t
-val lock_inversion : seed:int -> Firefly.Machine.t
-val naive_broadcast : seed:int -> Firefly.Machine.t
-val clean_window : seed:int -> Firefly.Machine.t
+val broken_spinlock : seed:int -> (Firefly.Machine.t -> unit) -> Firefly.Machine.t
+val lock_inversion : seed:int -> (Firefly.Machine.t -> unit) -> Firefly.Machine.t
+val naive_broadcast : seed:int -> (Firefly.Machine.t -> unit) -> Firefly.Machine.t
+val clean_window : seed:int -> (Firefly.Machine.t -> unit) -> Firefly.Machine.t
 
 val all : scenario list
 val find : string -> scenario option

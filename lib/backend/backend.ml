@@ -14,7 +14,11 @@ type outcome = {
 type lock_event = { le_tid : int; le_lock : int; le_acquire : bool }
 
 type instrument =
-  | Machine_access of (seed:int -> Workload.t -> outcome * Firefly.Machine.t)
+  | Machine_access of
+      (?observe:(Firefly.Machine.t -> unit) ->
+      seed:int ->
+      Workload.t ->
+      outcome * Firefly.Machine.t)
   | Lock_trace of (seed:int -> Workload.t -> outcome * lock_event list)
   | No_instrument
 
@@ -26,11 +30,9 @@ type t = {
   supports : Workload.feature list;
   run : seed:int -> Workload.t -> outcome;
   instrument : instrument;
-  profile : (seed:int -> Workload.t -> outcome * Firefly.Machine.t) option;
-      (** causal-profiled run (same seeds and schedules as [run]);
-          [None] for hardware backends with no machine *)
   chaos :
-    (seed:int ->
+    (?observe:(Firefly.Machine.t -> unit) ->
+    seed:int ->
     plan:Threads_fault.Plan.t ->
     Workload.t ->
     string option * Threads_fault.Engine.outcome)
@@ -47,10 +49,10 @@ let pp_verdict ppf = function
   | Deadlocked -> Format.pp_print_string ppf "deadlock"
   | Crashed msg -> Format.fprintf ppf "crashed: %s" msg
 
-(* Shared wrapper for the three drivers built on the simulator: map the
-   interleaving report (plus any thread failures) to an outcome and pull
-   the machine's event trace. *)
-let of_report observable (report : Firefly.Interleave.report) =
+(* Shared wrapper for the drivers built on the simulator: map the
+   interleaving report (plus any thread failures) and the collected spec
+   trace to an outcome. *)
+let of_report observable sink (report : Firefly.Interleave.report) =
   let verdict =
     match Firefly.Machine.failures report.machine with
     | (tid, e) :: _ ->
@@ -64,38 +66,40 @@ let of_report observable (report : Firefly.Interleave.report) =
   {
     verdict;
     observable = (match verdict with Completed -> !observable | _ -> None);
-    trace = Firefly.Machine.trace report.machine;
+    trace = Spec_trace.Sink.events sink;
     steps = Some report.steps;
   }
 
 let max_steps = 2_000_000
 
-(* Generic simulator-hosted runner: fresh machine, backend built inside a
-   root thread, optional access recording.  The instruction sequence is
-   identical with recording on or off — recording is host-side machine
-   bookkeeping, never an effect — so the [run] and [Machine_access] entry
-   points of a backend see the same schedules for the same seed. *)
-let machine_run ?strategy ?(profile = false) ~record ~seed build
-    (wl : Workload.t) =
+(* Generic simulator-hosted runner: fresh machine, the spec-trace
+   collector and [observe]'s subscribers attached, backend built inside a
+   root thread.  The instruction sequence is the same whoever subscribes
+   — subscribers are host-side, never an effect — so the [run] and
+   [Machine_access] entry points of a backend see the same schedules for
+   the same seed. *)
+let machine_run build ?(observe = ignore) ~seed (wl : Workload.t) =
   let observable = ref None in
+  let sink = Spec_trace.Sink.create () in
   let report =
-    Firefly.Interleave.run ?strategy ~seed ~max_steps (fun machine ->
-        if record then Firefly.Machine.set_recording machine true;
-        if profile then Firefly.Machine.set_profiling machine true;
+    Firefly.Interleave.run ~seed ~max_steps (fun machine ->
+        Firefly.Record.trace sink machine;
+        observe machine;
         ignore
           (Firefly.Machine.spawn_root machine (fun () ->
                observable := Some (wl.body (build ())))))
   in
-  (of_report observable report, report.Firefly.Interleave.machine)
+  (of_report observable sink report, report.Firefly.Interleave.machine)
 
 (* Chaos-engine counterpart of [machine_run]: same root-thread shape, but
    the fault engine drives the interleaving, replaying [plan]'s triggers.
    Both chaos-capable backends run under the engine's seed-derived random
    strategy, so equal (backend, workload, plan, seed) replay exactly. *)
-let chaos_run ~seed ~plan build (wl : Workload.t) =
+let chaos_run build ?(observe = ignore) ~seed ~plan (wl : Workload.t) =
   let observable = ref None in
   let outcome =
     Threads_fault.Engine.run ~seed ~plan (fun machine ->
+        observe machine;
         ignore
           (Firefly.Machine.spawn_root machine (fun () ->
                observable := Some (wl.body (build ())))))
@@ -110,16 +114,7 @@ let uniproc_build () =
   let module S = (val Taos_threads.Uniproc.make ()) in
   (module S : Sync_intf.SYNC)
 
-let sim_run ~seed wl = fst (machine_run ~record:false ~seed taos_build wl)
-
-(* The cooperative backend runs under a random strategy here (its own
-   default is round-robin) so different seeds exercise different wake
-   orders, like the other simulator-hosted backends. *)
-let uniproc_run ~seed wl =
-  fst
-    (machine_run
-       ~strategy:(Firefly.Sched.random seed)
-       ~record:false ~seed uniproc_build wl)
+let sim_run build ~seed wl = fst (machine_run build ~seed wl)
 
 (* The rejected design as a full backend: the two-layer Taos mutex,
    semaphore and alert machinery, with conditions represented by a binary
@@ -161,7 +156,6 @@ let naive_make pkg : (module Sync_intf.SYNC) =
   end)
 
 let naive_build () = naive_make (Taos_threads.Pkg.create ())
-let naive_run ~seed wl = fst (machine_run ~record:false ~seed naive_build wl)
 
 (* Hoare monitors as the mutex/condition pair (conditions bind to their
    monitor at first wait), Taos semaphores alongside; no alerting. *)
@@ -209,7 +203,6 @@ let hoare_make pkg : (module Sync_intf.SYNC) =
   end)
 
 let hoare_build () = hoare_make (Taos_threads.Pkg.create ())
-let hoare_run ~seed wl = fst (machine_run ~record:false ~seed hoare_build wl)
 
 let multicore_run ~seed:_ (wl : Workload.t) =
   let module MC = Threads_multicore.Multicore in
@@ -261,14 +254,9 @@ let all =
       real_parallelism = false;
       conforming = true;
       supports = [ Workload.Alerts; Workload.Timeouts; Workload.Interrupts ];
-      run = sim_run;
-      instrument =
-        Machine_access (fun ~seed wl -> machine_run ~record:true ~seed taos_build wl);
-      profile =
-        Some
-          (fun ~seed wl ->
-            machine_run ~profile:true ~record:false ~seed taos_build wl);
-      chaos = Some (fun ~seed ~plan wl -> chaos_run ~seed ~plan taos_build wl);
+      run = sim_run taos_build;
+      instrument = Machine_access (machine_run taos_build);
+      chaos = Some (chaos_run taos_build);
     };
     {
       name = "uniproc";
@@ -276,21 +264,9 @@ let all =
       real_parallelism = false;
       conforming = true;
       supports = [ Workload.Alerts; Workload.Timeouts; Workload.Interrupts ];
-      run = uniproc_run;
-      instrument =
-        Machine_access
-          (fun ~seed wl ->
-            machine_run
-              ~strategy:(Firefly.Sched.random seed)
-              ~record:true ~seed uniproc_build wl);
-      profile =
-        Some
-          (fun ~seed wl ->
-            machine_run
-              ~strategy:(Firefly.Sched.random seed)
-              ~profile:true ~record:false ~seed uniproc_build wl);
-      chaos =
-        Some (fun ~seed ~plan wl -> chaos_run ~seed ~plan uniproc_build wl);
+      run = sim_run uniproc_build;
+      instrument = Machine_access (machine_run uniproc_build);
+      chaos = Some (chaos_run uniproc_build);
     };
     {
       name = "naive";
@@ -298,14 +274,8 @@ let all =
       real_parallelism = false;
       conforming = false;
       supports = [ Workload.Interrupts ];
-      run = naive_run;
-      instrument =
-        Machine_access
-          (fun ~seed wl -> machine_run ~record:true ~seed naive_build wl);
-      profile =
-        Some
-          (fun ~seed wl ->
-            machine_run ~profile:true ~record:false ~seed naive_build wl);
+      run = sim_run naive_build;
+      instrument = Machine_access (machine_run naive_build);
       chaos = None;
     };
     {
@@ -314,14 +284,8 @@ let all =
       real_parallelism = false;
       conforming = false;
       supports = [ Workload.Interrupts ];
-      run = hoare_run;
-      instrument =
-        Machine_access
-          (fun ~seed wl -> machine_run ~record:true ~seed hoare_build wl);
-      profile =
-        Some
-          (fun ~seed wl ->
-            machine_run ~profile:true ~record:false ~seed hoare_build wl);
+      run = sim_run hoare_build;
+      instrument = Machine_access (machine_run hoare_build);
       chaos = None;
     };
     {
@@ -332,7 +296,6 @@ let all =
       supports = [ Workload.Alerts ];
       run = multicore_run;
       instrument = Lock_trace multicore_lock_run;
-      profile = None;
       chaos = None;
     };
   ]

@@ -31,15 +31,20 @@ type outcome = {
     lock-order analyzer (each thread's events in its program order). *)
 type lock_event = { le_tid : int; le_lock : int; le_acquire : bool }
 
-(** How a backend exposes itself to [lib/analysis].  Simulator-hosted
-    backends return the machine of a recorded run — the full access
-    stream plus word/lock registries — feeding all three dynamic
-    analyzers; hardware backends capture only lock events, feeding
-    lock-order analysis.  Instrumented runs use the same seeds and
-    schedules as [run] (recording is host-side bookkeeping, not an
-    instruction). *)
+(** How a backend exposes itself to [lib/analysis] and [lib/profile].
+    Simulator-hosted backends run the workload on a machine whose
+    recording stream [?observe] subscribes to, right after the machine is
+    created, and return that machine with its word/lock registries:
+    the access log feeds all three dynamic analyzers and the causal-edge
+    fold feeds the profiler.  Hardware backends capture only lock events,
+    feeding lock-order analysis.  Observed runs use the same seeds and
+    schedules as [run] (subscribers are host-side, not instructions). *)
 type instrument =
-  | Machine_access of (seed:int -> Workload.t -> outcome * Firefly.Machine.t)
+  | Machine_access of
+      (?observe:(Firefly.Machine.t -> unit) ->
+      seed:int ->
+      Workload.t ->
+      outcome * Firefly.Machine.t)
   | Lock_trace of (seed:int -> Workload.t -> outcome * lock_event list)
   | No_instrument
 
@@ -51,20 +56,17 @@ type t = {
   supports : Workload.feature list;
   run : seed:int -> Workload.t -> outcome;
   instrument : instrument;
-  profile : (seed:int -> Workload.t -> outcome * Firefly.Machine.t) option;
-      (** causal-profiled run for [lib/profile]: same seeds and schedules
-          as [run] (the profile stream is host-side machine bookkeeping,
-          not an instruction); [None] for hardware backends, which have
-          no machine to profile *)
   chaos :
-    (seed:int ->
+    (?observe:(Firefly.Machine.t -> unit) ->
+    seed:int ->
     plan:Threads_fault.Plan.t ->
     Workload.t ->
     string option * Threads_fault.Engine.outcome)
     option;
       (** run under the fault-injection engine ([lib/fault]) replaying
-          [plan]; returns the workload observable (if the root finished)
-          and the engine outcome.  Deterministic in (seed, plan).  [None]
+          [plan], with [?observe] subscribed to the machine; returns the
+          workload observable (if the root finished) and the engine
+          outcome.  Deterministic in (seed, plan).  [None]
           for backends the chaos driver cannot host — the baselines (not
           part of the robustness claim) and hardware backends (no
           simulated machine to perturb) *)

@@ -178,8 +178,11 @@ let chaos_one (backend : Backend.t) (workload : Workload.t) ~seed
   match backend.Backend.chaos with
   | None -> invalid_arg ("backend has no chaos driver: " ^ backend.Backend.name)
   | Some driver ->
-    let observable, outcome = driver ~seed ~plan workload in
-    let report = Conformance.check iface (M.trace outcome.Engine.machine) in
+    let sink = Spec_trace.Sink.create () in
+    let observable, outcome =
+      driver ~observe:(Firefly.Record.trace sink) ~seed ~plan workload
+    in
+    let report = Conformance.check iface (Spec_trace.Sink.events sink) in
     {
       c_seed = seed;
       c_plan = plan;

@@ -122,8 +122,9 @@ let explore_all ?(max_depth = 4000) ?(max_runs = 200_000) ~build check =
 
 (* ---- dynamic partial-order reduction (sleep sets + backtrack sets) ----
 
-   Flanagan & Godefroid's DPOR, replay-based.  The machine records a
-   footprint (list of (address, is-write)) for every step; two steps of
+   Flanagan & Godefroid's DPOR, replay-based.  The explorer folds the
+   machine's [Ev_touch] stream into a footprint (list of (address,
+   is-write)) for every step; two steps of
    different threads are dependent iff their footprints conflict
    ([Machine.footprints_conflict]).  Scheduling causality is part of the
    footprint via pseudo-addresses (every step reads its own scheduler
@@ -176,6 +177,19 @@ type dnode = {
   d_sleep : (Tid.t * (int * bool) list) list;  (* sleep set on entry *)
 }
 
+(* Subscribe a footprint fold to [m] and return a stepper: [step tid]
+   runs one step of [tid] and returns the (address, is-write) pairs it
+   touched, newest first. *)
+let footprint_stepper m =
+  let fp = ref [] in
+  Machine.subscribe m Machine.K_touch (function
+    | Machine.Ev_touch touched -> fp := touched :: !fp
+    | _ -> ());
+  fun tid ->
+    fp := [];
+    ignore (Machine.step m tid);
+    !fp
+
 let explore_dpor ?(max_depth = 4000) ?(max_runs = 1_000_000)
     ?(prefix = []) ?progress ~build check =
   let frozen = List.length prefix in
@@ -221,12 +235,11 @@ let explore_dpor ?(max_depth = 4000) ?(max_runs = 1_000_000)
     incr executions;
     let m = Machine.create () in
     build m;
-    Machine.set_footprints m true;
+    let step = footprint_stepper m in
     let sleep = ref [] in
     let replay nd =
-      ignore (Machine.step m nd.d_chosen);
+      nd.d_fp <- step nd.d_chosen;
       incr steps;
-      nd.d_fp <- Machine.last_footprint m;
       if not (List.mem_assoc nd.d_chosen nd.d_tried) then
         nd.d_tried <- (nd.d_chosen, nd.d_fp) :: nd.d_tried;
       sleep := sleep_below nd !sleep
@@ -289,9 +302,8 @@ let explore_dpor ?(max_depth = 4000) ?(max_runs = 1_000_000)
               }
             in
             push nd;
-            ignore (Machine.step m c);
+            nd.d_fp <- step c;
             incr steps;
-            nd.d_fp <- Machine.last_footprint m;
             nd.d_tried <- [ (c, nd.d_fp) ];
             sleep := sleep_below nd !sleep;
             extend ())

@@ -62,7 +62,7 @@ val dpor_stats_add : dpor_stats -> dpor_stats -> dpor_stats
 (** [explore_dpor ?max_depth ?max_runs ?prefix ~build check] — dynamic
     partial-order reduction (Flanagan & Godefroid) with sleep sets.
     Dependence between steps is computed from the machine's recorded
-    footprints ({!Machine.set_footprints}), which cover memory words,
+    footprints (the {!Machine.Ev_touch} stream), which cover memory words,
     scheduling causality and [Probe.touch]-declared package state, so
     pruned interleavings are genuinely equivalent to explored ones.
 

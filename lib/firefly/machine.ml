@@ -36,15 +36,12 @@ type wake_verdict = Deliver | Delay of int | Drop
 
 type fault = { f_seq : int; f_cycle : int; f_desc : string }
 
-(* ---- low-level access stream (dynamic analysis) ----
+(* ---- the recording stream (see machine.mli) ----
 
-   When recording is on, every shared-memory instruction — and every
-   package-level lock acquisition reported through the probes — appends
-   one [access] stamped with the issuing thread and the set of locks that
-   thread held at that instant.  Recording is host-side bookkeeping only:
-   it charges no cycles, adds no scheduling points and consumes no
-   randomness, so a recorded run is cycle- and schedule-identical to an
-   unrecorded one (the same guarantee as the Obs probes). *)
+   Spec actions, accesses, step footprints and causal edges go out as one
+   [event] to the subscribers of its [kind]; the machine keeps none of
+   them.  Publishing is host-side: no cycles, scheduling points or
+   randomness. *)
 
 type word_kind =
   | W_lock  (** TAS/clear mutual-exclusion word: spin-locks, mutex Lock-bits *)
@@ -73,17 +70,6 @@ type access = {
   a_locks : int list;  (** lock ids held (for [A_lock_acq]: before acquiring) *)
 }
 
-(* ---- causal profiling stream (lib/profile) ----
-
-   When profiling is on, the machine appends one [prof_event] per causal
-   edge: merged run segments (cycles a thread actually consumed), block
-   edges annotated with the object waited on and its owner at that
-   instant, wake edges annotated with the waker and the object handed
-   off, spawn/finish lifecycle points, and wakeup-waiting arms.  Like the
-   access stream this is host-side bookkeeping only: no cycles, no
-   scheduling points, no randomness — a profiled run is cycle- and
-   schedule-identical to an unprofiled one. *)
-
 type wait_target =
   | On_obj of int  (** mutex / condition / semaphore id *)
   | On_thread of Tid.t  (** join *)
@@ -104,6 +90,19 @@ type prof_event = {
   pr_tid : Tid.t;  (** subject thread (the woken one for wake edges) *)
   pr_kind : prof_kind;
 }
+
+type event =
+  | Ev_spec of Trace.event
+  | Ev_access of {
+      tid : Tid.t;
+      addr : int;
+      kind : access_kind;
+      locks : int list;
+    }
+  | Ev_touch of (int * bool)
+  | Ev_prof of { tid : Tid.t; t : int; kind : prof_kind }
+
+type kind = K_spec | K_access | K_touch | K_prof
 
 (* A memory operation bundled with trace emission; see Ops.mem_emit. *)
 type mem_op =
@@ -187,19 +186,12 @@ type t = {
   mutable mem_used : int;
   mutable threads : thread array;  (* index = tid *)
   mutable nthreads : int;
-  sink : Trace.Sink.t;  (* the backend-neutral linearization record *)
   counters : (string, int) Hashtbl.t;
   obs : Obs.Instrument.t;
   mutable total_instr : int;
   mutable total_cycles : int;
-  mutable recording : bool;
-  mutable accs : access list;  (* newest first; [accesses] reverses *)
-  mutable acc_count : int;
   words : (int, word_kind * string) Hashtbl.t;  (* addr -> classification *)
   lock_names : (int, string) Hashtbl.t;  (* lock id -> name, for reports *)
-  mutable profiling : bool;
-  mutable prof : prof_event list;  (* newest first; [prof_events] reverses *)
-  mutable prof_count : int;
   owners : (int, Tid.t) Hashtbl.t;  (* lock id -> current holder *)
   pending_block : (Tid.t, wait_target) Hashtbl.t;
       (* set by Probe.will_block, consumed at the next deschedule *)
@@ -220,11 +212,11 @@ type t = {
   mutable neg_ids : int;
       (* per-machine negative trace-id allocator (Hoare condition ids):
          machine-local so runs on parallel domains stay byte-identical *)
-  mutable track_footprint : bool;
-  mutable footprint : (int * bool) list;
-      (* (addr, is_write) pairs touched by the step in progress; newest
-         first.  Pseudo-addresses encode scheduler state (see [fp_sched]);
-         the DPOR explorer reads this as its dependence relation. *)
+  (* subscribers per kind, in subscription order; [] = unobserved *)
+  mutable on_spec : (event -> unit) list;
+  mutable on_access : (event -> unit) list;
+  mutable on_touch : (event -> unit) list;
+  mutable on_prof : (event -> unit) list;
 }
 
 (* The machine whose thread is currently inside [step], with that thread's
@@ -240,6 +232,14 @@ let current_key : (t * Tid.t) option Domain.DLS.key =
 
 let current () = Domain.DLS.get current_key
 let set_current v = Domain.DLS.set current_key v
+
+(* Every emission site matches its kind's list before building the event,
+   so an unobserved kind costs one test and no allocation. *)
+let rec publish subs ev =
+  match subs with [] -> () | f :: rest -> f ev; publish rest ev
+
+let emit_spec m ev =
+  match m.on_spec with [] -> () | subs -> publish subs (Ev_spec ev)
 
 (* ---- step footprints (DPOR dependence stream) ----
 
@@ -262,7 +262,7 @@ let fp_spawn = -0x3000_0002
 let fp_obj id = -0x2000_0000 - id
 
 let fp m addr ~w =
-  if m.track_footprint then m.footprint <- (addr, w) :: m.footprint
+  match m.on_touch with [] -> () | subs -> publish subs (Ev_touch (addr, w))
 
 let dummy_thread =
   {
@@ -287,19 +287,12 @@ let create ?(seed = 0) ?(cost = Cost.default) () =
     mem_used = 0;
     threads = Array.make 16 dummy_thread;
     nthreads = 0;
-    sink = Trace.Sink.create ();
     counters = Hashtbl.create 16;
     obs = Obs.Instrument.create ();
     total_instr = 0;
     total_cycles = 0;
-    recording = false;
-    accs = [];
-    acc_count = 0;
     words = Hashtbl.create 16;
     lock_names = Hashtbl.create 16;
-    profiling = false;
-    prof = [];
-    prof_count = 0;
     owners = Hashtbl.create 16;
     pending_block = Hashtbl.create 8;
     pending_wake = Hashtbl.create 8;
@@ -313,9 +306,18 @@ let create ?(seed = 0) ?(cost = Cost.default) () =
     faults = [];
     fault_count = 0;
     neg_ids = 0;
-    track_footprint = false;
-    footprint = [];
+    on_spec = [];
+    on_access = [];
+    on_touch = [];
+    on_prof = [];
   }
+
+let subscribe m kind f =
+  match kind with
+  | K_spec -> m.on_spec <- m.on_spec @ [ f ]
+  | K_access -> m.on_access <- m.on_access @ [ f ]
+  | K_touch -> m.on_touch <- m.on_touch @ [ f ]
+  | K_prof -> m.on_prof <- m.on_prof @ [ f ]
 
 let thread m tid =
   if tid < 0 || tid >= m.nthreads then
@@ -396,42 +398,21 @@ let alloc m n =
   base
 
 let record m tid addr kind =
-  if m.recording then begin
-    m.accs <-
-      {
-        a_seq = m.acc_count;
-        a_tid = tid;
-        a_addr = addr;
-        a_kind = kind;
-        a_locks = m.threads.(tid).held;
-      }
-      :: m.accs;
-    m.acc_count <- m.acc_count + 1
-  end
+  match m.on_access with
+  | [] -> ()
+  | subs ->
+    publish subs (Ev_access { tid; addr; kind; locks = m.threads.(tid).held })
 
 let rec remove_first x = function
   | [] -> []
   | y :: rest -> if x = y then rest else y :: remove_first x rest
 
-(* ---- profiling-stream recorders (host-side, zero simulated cost) ---- *)
+(* ---- causal edges (host-side, zero simulated cost) ---- *)
 
-let prof_push m tid ~t kind =
-  if m.profiling then begin
-    m.prof <- { pr_seq = m.prof_count; pr_t = t; pr_tid = tid; pr_kind = kind }
-      :: m.prof;
-    m.prof_count <- m.prof_count + 1
-  end
+let profiled m = match m.on_prof with [] -> false | _ :: _ -> true
 
-(* Run segments merge with the immediately preceding segment of the same
-   thread when they abut, so a burst of consecutive steps costs one entry.
-   Zero-cost steps add nothing. *)
-let prof_run m tid ~t0 ~t1 =
-  if m.profiling && t1 > t0 then
-    match m.prof with
-    | ({ pr_tid; pr_kind = Pr_run e; _ } as h) :: rest
-      when pr_tid = tid && e = t0 ->
-      m.prof <- { h with pr_kind = Pr_run t1 } :: rest
-    | _ -> prof_push m tid ~t:t0 (Pr_run t1)
+(* Callers test [profiled] first: building the kind may allocate. *)
+let prof_push m tid ~t kind = publish m.on_prof (Ev_prof { tid; t; kind })
 
 (* The blocking thread's pending annotation (set by Probe.will_block),
    resolved to (target, owner at this instant).  Always consumed, even on
@@ -477,7 +458,8 @@ let wake m tid =
   | Blocked ->
     t.status <- Runnable;
     t.epoch <- t.epoch + 1;
-    prof_push m tid ~t:m.total_cycles (Pr_wake (prof_waker m, wake_obj ()));
+    if profiled m then
+      prof_push m tid ~t:m.total_cycles (Pr_wake (prof_waker m, wake_obj ()));
     Obs.Instrument.incr m.obs "machine.wakes" 1;
     ignore
       (Obs.Instrument.span_end m.obs ~track:tid "blocked" ~now:m.total_cycles)
@@ -489,8 +471,9 @@ let wake m tid =
        spin-lock); the cooperative backend relies on it. *)
     t.wakeup_pending <- true;
     t.epoch <- t.epoch + 1;
-    prof_push m tid ~t:m.total_cycles
-      (Pr_wake_pending (prof_waker m, wake_obj ()));
+    if profiled m then
+      prof_push m tid ~t:m.total_cycles
+        (Pr_wake_pending (prof_waker m, wake_obj ()));
     Obs.Instrument.incr m.obs "machine.wakeup_waiting_arms" 1
   | Finished | Failed _ ->
     failwith (Printf.sprintf "Machine.ready: t%d already finished" tid)
@@ -499,7 +482,7 @@ let finish m t st =
   t.status <- st;
   t.paused <- Gone;
   fp m (fp_sched t.tid) ~w:true;
-  prof_push m t.tid ~t:m.total_cycles Pr_finish;
+  if profiled m then prof_push m t.tid ~t:m.total_cycles Pr_finish;
   (* Record the join edge at the moment it takes effect: each joiner's
      subsequent execution happens after everything [t] did. *)
   List.iter
@@ -604,7 +587,7 @@ let execute_effect (type a) m t (eff : a Effect.t)
     fp m fp_spawn ~w:true;
     fp m (fp_sched tid) ~w:true;
     record m t.tid (-1) (A_spawn tid);
-    prof_push m t.tid ~t:m.total_cycles (Pr_spawn tid);
+    if profiled m then prof_push m t.tid ~t:m.total_cycles (Pr_spawn tid);
     resume m t k tid;
     0
   | E_join target ->
@@ -623,8 +606,9 @@ let execute_effect (type a) m t (eff : a Effect.t)
       tgt.joiners <- t.tid :: tgt.joiners;
       t.status <- Blocked;
       ignore (prof_take_block_reason m t.tid);
-      prof_push m t.tid ~t:m.total_cycles
-        (Pr_block (On_thread target, Some target));
+      if profiled m then
+        prof_push m t.tid ~t:m.total_cycles
+          (Pr_block (On_thread target, Some target));
       Obs.Instrument.incr m.obs "machine.blocks" 1;
       Obs.Instrument.span_begin m.obs ~track:t.tid ~cat:"sched" "blocked"
         ~now:m.total_cycles;
@@ -671,7 +655,8 @@ let execute_effect (type a) m t (eff : a Effect.t)
       t.status <- Blocked;
       t.paused <- Resume_unit k;
       let cost = charge ~instr:true c.write in
-      prof_push m t.tid ~t:m.total_cycles (Pr_block (target, owner));
+      if profiled m then
+        prof_push m t.tid ~t:m.total_cycles (Pr_block (target, owner));
       Obs.Instrument.incr m.obs "machine.blocks" 1;
       Obs.Instrument.span_begin m.obs ~track:t.tid ~cat:"sched" "blocked"
         ~now:m.total_cycles;
@@ -694,7 +679,7 @@ let execute_effect (type a) m t (eff : a Effect.t)
     resume m t k ();
     0
   | E_emit ev ->
-    Trace.Sink.emit m.sink ev;
+    emit_spec m ev;
     resume m t k ();
     0
   | E_tick n ->
@@ -746,9 +731,7 @@ let execute_effect (type a) m t (eff : a Effect.t)
     (* The thunk runs inside this step, atomically with the memory
        operation; it may update package bookkeeping but must not perform
        machine effects. *)
-    (match thunk result with
-    | Some ev -> Trace.Sink.emit m.sink ev
-    | None -> ());
+    (match thunk result with Some ev -> emit_spec m ev | None -> ());
     resume m t k result;
     cost
   | _ -> failwith "Machine: unknown effect"
@@ -759,7 +742,7 @@ let step m tid =
     failwith (Printf.sprintf "Machine.step: t%d is not runnable" tid);
   let saved = current () in
   set_current (Some (m, tid));
-  if m.track_footprint then m.footprint <- [ (fp_sched tid, false) ];
+  fp m (fp_sched tid) ~w:false;
   Fun.protect
     ~finally:(fun () -> set_current saved)
     (fun () ->
@@ -780,15 +763,9 @@ let step m tid =
         | Gone ->
           failwith (Printf.sprintf "Machine.step: t%d has no continuation" tid)
       in
-      prof_run m tid ~t0 ~t1:m.total_cycles;
+      (* one run segment per step; the profiler merges abutting ones *)
+      if profiled m then prof_push m tid ~t:t0 (Pr_run m.total_cycles);
       cost)
-
-let trace m = Trace.Sink.events m.sink
-let sink m = m.sink
-
-let counters m =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) m.counters []
-  |> List.sort compare
 
 let counter m name =
   Option.value (Hashtbl.find_opt m.counters name) ~default:0
@@ -809,24 +786,7 @@ let failures m =
   go (m.nthreads - 1) []
 
 let all_tids m = List.init m.nthreads (fun i -> i)
-let cost_model m = m.cost
 let obs m = m.obs
-
-(* ---- access-stream accessors ---- *)
-
-let set_recording m b = m.recording <- b
-let recording m = m.recording
-let accesses m = List.rev m.accs
-let access_count m = m.acc_count
-
-(* ---- step-footprint accessors (DPOR dependence) ---- *)
-
-let set_footprints m b =
-  m.track_footprint <- b;
-  if not b then m.footprint <- []
-
-let footprints m = m.track_footprint
-let last_footprint m = m.footprint
 
 (* Two footprints conflict iff they share an address and at least one
    side writes it — the machine-level dependence relation the explorer's
@@ -836,11 +796,6 @@ let footprints_conflict f1 f2 =
     (fun (a1, w1) ->
       List.exists (fun (a2, w2) -> a1 = a2 && (w1 || w2)) f2)
     f1
-
-(* ---- profiling-stream accessors ---- *)
-
-let set_profiling m b = m.profiling <- b
-let profiling m = m.profiling
 
 (* ---- timers (driver side) ----
 
@@ -938,10 +893,6 @@ let was_killed m tid = Hashtbl.mem m.killed tid
 let set_chaos_active m b = m.chaos_active <- b
 let chaos_hooks m = List.rev m.chaos_hooks
 let faults m = List.rev m.faults
-let fault_count m = m.fault_count
-let prof_events m = List.rev m.prof
-let prof_event_count m = m.prof_count
-let owner_of m obj = Hashtbl.find_opt m.owners obj
 let word_kind m a = Option.map fst (Hashtbl.find_opt m.words a)
 
 let word_name m a =
@@ -973,7 +924,7 @@ module Probe = struct
      single instruction (e.g. Hoare's monitor handoff: Release + Acquire). *)
   let emit ev =
     match current () with
-    | Some (m, _) -> Trace.Sink.emit m.sink ev
+    | Some (m, _) -> emit_spec m ev
     | None -> ()
 
   (* The stepping thread's id, without the E_self effect (and so without a
@@ -1000,7 +951,7 @@ module Probe = struct
      rather than machine words call this inside their atomic thunks so
      the explorer sees the conflict; object ids are mapped into their own
      pseudo-address range and can never alias a machine word.  No-op
-     unless footprint tracking is on. *)
+     unless footprints are observed. *)
   let touch ?(write = true) id =
     match current () with
     | Some (m, _) -> fp m (fp_obj id) ~w:write
@@ -1045,8 +996,8 @@ module Probe = struct
      Classification and lock-held tracking for the analyzers in
      lib/analysis.  Like every probe these are plain function calls: no
      effect, no cycle, no scheduling point.  The held-lock list is
-     maintained even when recording is off (it is a handful of conses per
-     lock operation), so recording can be enabled at any time. *)
+     maintained even with no access subscriber (it is a handful of conses
+     per lock operation): owners feed the causal edges too. *)
 
   (* Classify a memory word so the analyzers know its protocol role.
      Unregistered words are treated as ordinary data. *)
@@ -1162,12 +1113,12 @@ module Probe = struct
   let will_block obj =
     match current () with
     | Some (m, tid) ->
-      if m.profiling then Hashtbl.replace m.pending_block tid (On_obj obj)
+      if profiled m then Hashtbl.replace m.pending_block tid (On_obj obj)
     | None -> ()
 
   let handoff ~obj target =
     match current () with
     | Some (m, _) ->
-      if m.profiling then Hashtbl.replace m.pending_wake target obj
+      if profiled m then Hashtbl.replace m.pending_wake target obj
     | None -> ()
 end

@@ -49,15 +49,19 @@ type wake_verdict =
 (** One injected fault (or notable consequence), cycle-stamped. *)
 type fault = { f_seq : int; f_cycle : int; f_desc : string }
 
-(** {1 Low-level access stream (dynamic analysis)}
+(** {1 The recording stream}
 
-    With {!set_recording} on, the machine appends one {!access} per
-    shared-memory instruction — and one per package-level lock event
-    reported through {!Probe.lock_acquired}/{!Probe.lock_released} —
-    stamped with the issuing thread and the lock ids it held.  Recording
-    is host-side bookkeeping only (no cycles, no scheduling points, no
-    randomness), so a recorded run is cycle- and schedule-identical to an
-    unrecorded one.  [lib/analysis] consumes this stream. *)
+    A run is observed through one stream of {!event}s.  A consumer
+    {!subscribe}s to one {!kind} and folds it itself: the spec-trace
+    collector ({!Record.trace}), the access log of [lib/analysis], the
+    causal-profile fold of [lib/profile] and the per-step footprints of
+    {!Explore.explore_dpor}.  The machine keeps none of it.  Each emission
+    site first tests whether its kind has a subscriber, so a kind nobody
+    observes costs that test and allocates nothing.  Publishing charges
+    no cycles, adds no scheduling points and draws no randomness, so an
+    observed run is cycle- and schedule-identical to an unobserved one.
+    The {!obs} registry and the fault log are always-on aggregates, not
+    part of the stream. *)
 
 (** Protocol role of a registered memory word (see
     {!Probe.register_word}).  The analyzers exempt synchronization words
@@ -82,6 +86,8 @@ type access_kind =
   | A_spawn of Threads_util.Tid.t
   | A_join of Threads_util.Tid.t
 
+(** One access as the access log keeps it: an {!Ev_access} numbered in
+    stream order. *)
 type access = {
   a_seq : int;
   a_tid : Threads_util.Tid.t;
@@ -89,16 +95,6 @@ type access = {
   a_kind : access_kind;
   a_locks : int list;  (** lock ids held (for [A_lock_acq]: before acquiring) *)
 }
-
-(** {1 Causal profiling stream (lib/profile)}
-
-    With {!set_profiling} on, the machine appends one {!prof_event} per
-    causal edge: merged run segments (cycles a thread consumed), block
-    edges annotated by {!Probe.will_block} with the object waited on and
-    its owner at that instant, wake edges annotated by {!Probe.handoff}
-    with the waker and the object handed over, spawn/finish lifecycle
-    points, and wakeup-waiting arms.  Host-side bookkeeping only: a
-    profiled run is cycle- and schedule-identical to an unprofiled one. *)
 
 (** What a blocked thread is waiting for. *)
 type wait_target =
@@ -108,7 +104,7 @@ type wait_target =
 
 type prof_kind =
   | Pr_run of int
-      (** merged run segment: the thread consumed cycles [pr_t, arg] *)
+      (** run segment: the thread consumed cycles [pr_t, arg] *)
   | Pr_spawn of Threads_util.Tid.t  (** [pr_tid] spawned the child *)
   | Pr_block of wait_target * Threads_util.Tid.t option
       (** blocked on [target]; owner of the object at that instant *)
@@ -118,12 +114,38 @@ type prof_kind =
       (** wakeup-waiting arm: the target was still runnable *)
   | Pr_finish
 
+(** One causal edge as the profile fold keeps it: an {!Ev_prof} numbered
+    in stream order, with abutting run segments of a thread merged. *)
 type prof_event = {
   pr_seq : int;  (** global order, dense from 0 *)
   pr_t : int;  (** cycle timestamp (segment start for [Pr_run]) *)
   pr_tid : Threads_util.Tid.t;  (** subject thread (the woken one for wakes) *)
   pr_kind : prof_kind;
 }
+
+type event =
+  | Ev_spec of Spec_trace.event  (** a spec action at its linearization point *)
+  | Ev_access of {
+      tid : Threads_util.Tid.t;
+      addr : int;  (** word address or lock id; [-1] for spawn/join *)
+      kind : access_kind;
+      locks : int list;  (** lock ids [tid] held at that instant *)
+    }  (** a shared-memory instruction or a {!Probe} lock event *)
+  | Ev_touch of (int * bool)
+      (** [(address, is_write)] touched by the step in progress: first its
+          own scheduler slot (read), then memory words, pseudo-addresses
+          for scheduler interactions (waking, spawning, finishing or
+          joining a thread writes the target's slot) and {!Probe.touch}
+          declarations.  Steps whose footprints do not conflict
+          ({!footprints_conflict}) commute. *)
+  | Ev_prof of { tid : Threads_util.Tid.t; t : int; kind : prof_kind }
+      (** a causal edge, with [tid] and [t] as in {!prof_event}: one run
+          segment per step (possibly empty), block edges annotated by
+          {!Probe.will_block}, wake edges annotated by {!Probe.handoff},
+          spawn/finish points and wakeup-waiting arms *)
+
+(** One kind per {!event} constructor. *)
+type kind = K_spec | K_access | K_touch | K_prof
 
 (** Memory operation for {!Ops.mem_emit}.  [M_none] is a plain store-class
     instruction with no memory visible effect (used when the action commits
@@ -176,7 +198,8 @@ module Ops : sig
       a finished thread is a simulation error ([Failure]). *)
   val ready : Threads_util.Tid.t -> unit
 
-  (** [emit ev] appends a trace event at the current instant (zero cost). *)
+  (** [emit ev] publishes spec action [ev] ({!Ev_spec}) at the current
+      instant (zero cost). *)
   val emit : Spec_trace.event -> unit
 
   (** [tick n] consumes [n] cycles of pure computation (one instruction). *)
@@ -197,7 +220,7 @@ module Ops : sig
 
   (** [mem_emit op thunk] performs memory operation [op] and, atomically in
       the same instruction, calls [thunk result]; if it returns an event it
-      is appended to the trace at that instant.  This is how the Threads
+      is published ({!Ev_spec}) at that instant.  This is how the Threads
       package linearizes its visible atomic actions: the event cannot be
       separated from the memory operation that commits the action.  The
       thunk may update package-level bookkeeping but must not perform
@@ -211,16 +234,17 @@ end
     scheduling point, charges no cycles, consumes no randomness, and is
     therefore invisible to the simulation — an instrumented run is
     cycle-identical to an uninstrumented one.  Probes record into the
-    stepping machine's {!obs} registry and may be called from anywhere in
-    thread code, including inside {!Ops.mem_emit} thunks (where [now]
-    already includes the charged cost of the enclosing instruction).
-    Outside a simulated thread every probe is a no-op. *)
+    stepping machine's {!obs} registry or publish on its recording
+    stream, and may be called from anywhere in thread code, including
+    inside {!Ops.mem_emit} thunks (where [now] already includes the
+    charged cost of the enclosing instruction).  Outside a simulated
+    thread every probe is a no-op. *)
 
 module Probe : sig
   (** Current simulated time: the machine's running total-cycle clock. *)
   val now : unit -> int
 
-  (** [emit ev] appends a trace event at the current instant without
+  (** [emit ev] publishes spec action [ev] at the current instant without
       performing an effect.  For {!Ops.mem_emit} thunks whose single
       instruction linearizes more than one visible action (e.g. a monitor
       handoff: Release and the successor's Acquire commit together). *)
@@ -241,8 +265,8 @@ module Probe : sig
   (** [touch ?write id] declares a host-level access to shared package
       state (cooperative queues, monitor holder fields) for the DPOR
       dependence stream.  Object ids live in their own pseudo-address
-      range and never alias machine words.  No-op unless footprint
-      tracking is on ({!set_footprints}). *)
+      range and never alias machine words.  Publishes an {!Ev_touch};
+      no-op unless footprints are observed. *)
   val touch : ?write:bool -> int -> unit
 
   (** [counter name n] adds [n]; [counter name 0] materializes the counter
@@ -277,20 +301,18 @@ module Probe : sig
   val register_lock : int -> string -> unit
 
   (** [lock_acquired ?tid id] marks lock [id] as held by [tid] (default:
-      the stepping thread) and records an [A_lock_acq].  [?tid] covers
-      grants made on another thread's behalf, e.g. Hoare's signal handing
-      the monitor to the resumed waiter.  Held-lock tracking works even
-      with recording off. *)
+      the stepping thread) and publishes an [A_lock_acq] access.  [?tid]
+      covers grants made on another thread's behalf, e.g. Hoare's signal
+      handing the monitor to the resumed waiter.  Held-lock tracking works
+      whether or not accesses are observed. *)
   val lock_acquired : ?tid:Threads_util.Tid.t -> int -> unit
 
   val lock_released : ?tid:Threads_util.Tid.t -> int -> unit
 
-  (** [lock_attempted id] records a contended acquisition about to block,
+  (** [lock_attempted id] publishes a contended acquisition about to block,
       so the lock-order graph sees the attempted edge even when the
       acquisition never succeeds (the classic deadlock). *)
   val lock_attempted : int -> unit
-
-  (** {2 Causal-profiling probes (lib/profile)} *)
 
   (** {2 Timer probes (timed waits)}
 
@@ -325,15 +347,18 @@ module Probe : sig
   (** Record a package-level injected fault in the machine's fault log. *)
   val inject_fault : string -> unit
 
+  (** {2 Causal-profiling probes (lib/profile)} *)
+
   (** [will_block obj] annotates the caller's imminent deschedule with the
       synchronization object it waits on; the machine resolves the
-      object's owner when the block commits.  No-op unless profiling. *)
+      object's owner when the block commits.  No-op unless causal edges
+      are observed ({!K_prof}). *)
   val will_block : int -> unit
 
   (** [handoff ~obj target] annotates the next wake of [target] with the
       object whose ownership is handed over — call just before the
       [Ops.ready] in Release / Signal / Broadcast / V and in alert
-      cancellations.  No-op unless profiling. *)
+      cancellations.  No-op unless causal edges are observed. *)
   val handoff : obj:int -> Threads_util.Tid.t -> unit
 end
 
@@ -380,14 +405,12 @@ val step : t -> Threads_util.Tid.t -> int
 
 (** {1 Observation} *)
 
-val trace : t -> Spec_trace.event list
-(** in emission order *)
+(** [subscribe m kind f] calls [f] on every event of [kind] that [m]
+    publishes from now on, in stream order, after any earlier subscriber
+    of that kind.  Subscribe right after {!create}, before any thread
+    runs, to see the whole run. *)
+val subscribe : t -> kind -> (event -> unit) -> unit
 
-(** The machine's underlying event sink ({!Spec_trace.Sink}); [trace] is
-    its current contents. *)
-val sink : t -> Spec_trace.Sink.t
-
-val counters : t -> (string * int) list
 val counter : t -> string -> int
 
 (** [instructions m t] — instructions executed by thread [t]. *)
@@ -400,7 +423,6 @@ val total_cycles : t -> int
 val failures : t -> (Threads_util.Tid.t * exn) list
 
 val all_tids : t -> Threads_util.Tid.t list
-val cost_model : t -> Cost.t
 
 (** The machine's instrument registry (counters / histograms / gauges /
     spans recorded by {!Probe} calls and by the machine itself:
@@ -410,53 +432,9 @@ val cost_model : t -> Cost.t
     {!Obs.Chrome_trace}. *)
 val obs : t -> Obs.Instrument.t
 
-(** {1 Access stream (driver side)} *)
-
-(** Enable/disable access recording.  Off by default; usually switched on
-    right after {!create}, before any thread runs. *)
-val set_recording : t -> bool -> unit
-
-val recording : t -> bool
-
-(** Recorded accesses in execution order (empty unless recording). *)
-val accesses : t -> access list
-
-val access_count : t -> int
-
-(** {1 Step footprints (DPOR dependence, driver side)}
-
-    With {!set_footprints} on, each {!step} records the set of
-    [(address, is_write)] pairs it touched: real memory addresses for
-    loads/stores/interlocked operations, pseudo-addresses for scheduler
-    interactions (every step reads its own scheduler slot; waking,
-    spawning, finishing or joining a thread writes the target's slot),
-    and {!Probe.touch} declarations for host-level package state.  Two
-    steps commute whenever their footprints do not conflict — the
-    dependence relation {!Explore.explore_dpor} keys its sleep sets on.
-    Off by default and charge-free when off. *)
-
-val set_footprints : t -> bool -> unit
-val footprints : t -> bool
-
-(** Footprint of the most recently executed step (newest access first). *)
-val last_footprint : t -> (int * bool) list
-
 (** [footprints_conflict f1 f2] — do the footprints share an address with
     at least one write? *)
 val footprints_conflict : (int * bool) list -> (int * bool) list -> bool
-
-(** {1 Profiling stream (driver side)} *)
-
-(** Enable/disable causal-profile recording.  Off by default; switch on
-    right after {!create}, before any thread runs. *)
-val set_profiling : t -> bool -> unit
-
-val profiling : t -> bool
-
-(** Recorded profile events in [pr_seq] order (empty unless profiling). *)
-val prof_events : t -> prof_event list
-
-val prof_event_count : t -> int
 
 (** {1 Timers (driver side)}
 
@@ -520,12 +498,6 @@ val chaos_hooks : t -> (string * (int -> unit)) list
 
 (** The fault log, in injection order. *)
 val faults : t -> fault list
-
-val fault_count : t -> int
-
-(** Current holder of lock/object [id], per
-    {!Probe.lock_acquired}/{!Probe.lock_released} bookkeeping. *)
-val owner_of : t -> int -> Threads_util.Tid.t option
 
 (** Classification of word [a], if registered ([None] = ordinary data). *)
 val word_kind : t -> int -> word_kind option

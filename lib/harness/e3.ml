@@ -12,10 +12,12 @@ module Table = Threads_util.Table
 module Ops = Firefly.Machine.Ops
 
 (* Build M waiters parked on a condition, then run [finale] and return the
-   machine. *)
+   machine with the run's spec trace. *)
 let with_parked m_waiters ~finale =
+  let sink = Spec_trace.Sink.create () in
   let report =
     Firefly.Interleave.run ~seed:11 (fun machine ->
+        Firefly.Record.trace sink machine;
         ignore
           (Firefly.Machine.spawn_root machine (fun () ->
                let pkg = Taos_threads.Pkg.create () in
@@ -37,11 +39,11 @@ let with_parked m_waiters ~finale =
                finale m c;
                List.iter Ops.join ws)))
   in
-  report.Firefly.Interleave.machine
+  (report.Firefly.Interleave.machine, Spec_trace.Sink.events sink)
 
 let signaller_cost m_waiters ~broadcast =
   let calls = ref 0 in
-  let machine =
+  let machine, trace =
     with_parked m_waiters ~finale:(fun _m c ->
         if broadcast then begin
           incr calls;
@@ -62,7 +64,7 @@ let signaller_cost m_waiters ~broadcast =
             drain ()
           end)
   in
-  (!calls, machine)
+  (!calls, machine, trace)
 
 let run () =
   let t =
@@ -72,15 +74,15 @@ let run () =
   let representative = ref None in
   List.iter
     (fun m ->
-      let sig_calls, sig_machine = signaller_cost m ~broadcast:false in
-      let bc_calls, bc_machine = signaller_cost m ~broadcast:true in
+      let sig_calls, sig_machine, sig_trace =
+        signaller_cost m ~broadcast:false
+      in
+      let bc_calls, _, bc_trace = signaller_cost m ~broadcast:true in
       if m = 8 then representative := Some sig_machine;
       (* wakeups = removals recorded in Signal/Broadcast trace events *)
-      let wakeups machine proc =
+      let wakeups trace proc =
         let evs =
-          List.filter
-            (fun (e : Spec_trace.event) -> e.proc = proc)
-            (Firefly.Machine.trace machine)
+          List.filter (fun (e : Spec_trace.event) -> e.proc = proc) trace
         in
         let total =
           List.fold_left
@@ -96,8 +98,8 @@ let run () =
           Table.cell_int m;
           Table.cell_int sig_calls;
           Table.cell_int bc_calls;
-          Table.cell_float (wakeups sig_machine "Signal");
-          Table.cell_float (wakeups bc_machine "Broadcast");
+          Table.cell_float (wakeups sig_trace "Signal");
+          Table.cell_float (wakeups bc_trace "Broadcast");
         ])
     [ 1; 2; 4; 8; 16; 32; 64 ];
   Table.print t;

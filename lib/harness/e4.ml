@@ -24,8 +24,8 @@ let run () =
   in
   let nonconforming = ref 0 in
   for seed = 0 to seeds - 1 do
-    let report =
-      Taos_threads.Api.run ~seed (fun sync ->
+    let _, trace =
+      Taos_threads.Api.run_traced ~seed (fun sync ->
           let module S =
             (val sync : Taos_threads.Sync_intf.SYNC
                with type thread = Threads_util.Tid.t)
@@ -52,16 +52,15 @@ let run () =
           S.broadcast c;
           List.iter S.join ws)
     in
-    let machine = report.Firefly.Interleave.machine in
     List.iter
       (fun (e : Spec_trace.event) ->
         if e.proc = "Signal" then bump (List.length e.removed))
-      (Firefly.Machine.trace machine);
+      trace;
     if
       not
         (Threads_model.Conformance.ok
            (Threads_model.Conformance.check
-              Spec_core.Threads_interface.final (Firefly.Machine.trace machine)))
+              Spec_core.Threads_interface.final trace))
     then incr nonconforming
   done;
   let t =

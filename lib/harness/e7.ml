@@ -72,8 +72,8 @@ let run_b () =
   let rejected_by_must_raise = ref 0 in
   let rejected_by_final = ref 0 in
   for seed = 0 to seeds - 1 do
-    let report =
-      Taos_threads.Api.run ~seed (fun sync ->
+    let _, trace =
+      Taos_threads.Api.run_traced ~seed (fun sync ->
           let module S =
             (val sync : Taos_threads.Sync_intf.SYNC
                with type thread = Threads_util.Tid.t)
@@ -95,18 +95,16 @@ let run_b () =
           (try S.join w with Taos_threads.Sync_intf.Alerted -> ());
           ignore (S.test_alert ()))
     in
-    let machine = report.Firefly.Interleave.machine in
     if
       not
         (Threads_model.Conformance.ok
-           (Threads_model.Conformance.check Threads_interface.final
-              (Firefly.Machine.trace machine)))
+           (Threads_model.Conformance.check Threads_interface.final trace))
     then incr rejected_by_final;
     if
       not
         (Threads_model.Conformance.ok
            (Threads_model.Conformance.check
-              Threads_interface.must_raise (Firefly.Machine.trace machine)))
+              Threads_interface.must_raise trace))
     then incr rejected_by_must_raise
   done;
   let t =

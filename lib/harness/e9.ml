@@ -41,8 +41,8 @@ let checker_scaling () =
   Table.print t
 
 let conformance_throughput () =
-  let report =
-    Taos_threads.Api.run ~seed:5 (fun sync ->
+  let _, trace =
+    Taos_threads.Api.run_traced ~seed:5 (fun sync ->
         let module S =
           (val sync : Taos_threads.Sync_intf.SYNC
              with type thread = Threads_util.Tid.t)
@@ -70,8 +70,6 @@ let conformance_throughput () =
         let ps = List.init 3 (fun _ -> S.fork producer) in
         List.iter S.join (cs @ ps))
   in
-  let machine = report.Firefly.Interleave.machine in
-  let trace = Firefly.Machine.trace machine in
   let t0 = Unix.gettimeofday () in
   let rep =
     Threads_model.Conformance.check Spec_core.Threads_interface.final trace

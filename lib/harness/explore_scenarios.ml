@@ -41,6 +41,20 @@ let verdict_check label (outcome : Firefly.Explore.outcome) =
   | Firefly.Interleave.Step_limit -> Some (label ^ ": step limit hit")
   | Firefly.Interleave.Completed -> None
 
+(* The spec trace of the replay in progress on this domain.  [traced]
+   wraps a scenario's build to subscribe a fresh collector, and
+   [conformance_check] reads it back.  The explorers run each replay's
+   build and check back to back on one domain, also when the tree is
+   split over several, so the slot always holds the checked machine. *)
+let replay_trace : (M.t * Spec_trace.Sink.t) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let traced build machine =
+  let sink = Spec_trace.Sink.create () in
+  Firefly.Record.trace sink machine;
+  Domain.DLS.set replay_trace (Some (machine, sink));
+  build machine
+
 (* Replay the run's spec trace through the conformance checker; distinct
    error messages (deterministic: object ids and thread ids are
    machine-local) joined in sorted order form the canonical string. *)
@@ -48,9 +62,12 @@ let conformance_check label (outcome : Firefly.Explore.outcome) =
   match verdict_check label outcome with
   | Some _ as v -> v
   | None -> (
-    let report =
-      Threads_model.Conformance.check iface (M.trace outcome.machine)
+    let trace =
+      match Domain.DLS.get replay_trace with
+      | Some (m, sink) when m == outcome.machine -> Spec_trace.Sink.events sink
+      | _ -> invalid_arg "conformance_check: scenario build is not [traced]"
     in
+    let report = Threads_model.Conformance.check iface trace in
     match report.Threads_model.Conformance.errors with
     | [] -> None
     | errs ->
@@ -210,7 +227,8 @@ let naive_broadcast =
    report the failed WHEN — on every schedule in which the signal finds a
    waiter (E8's deliberate non-conformance). *)
 let hoare_signal =
-  let build machine =
+  let build =
+    traced @@ fun machine ->
     ignore
       (M.spawn_root machine (fun () ->
            let mon = Taos_threads.Hoare.monitor () in

@@ -11,9 +11,35 @@ type t = {
   name_of : int -> string;
 }
 
-let of_machine m =
+(* The profile fold over the machine's [Ev_prof] stream: edges numbered
+   in stream order, newest first.  A run segment merges into the
+   immediately preceding edge when that is a segment of the same thread
+   ending where it starts, so a burst of consecutive steps costs one
+   entry; zero-cycle segments add nothing. *)
+type recorder = { mutable rev : M.prof_event list; mutable count : int }
+
+let recorder () = { rev = []; count = 0 }
+
+let record r machine =
+  let push tid t kind =
+    r.rev <- { M.pr_seq = r.count; pr_t = t; pr_tid = tid; pr_kind = kind }
+      :: r.rev;
+    r.count <- r.count + 1
+  in
+  M.subscribe machine M.K_prof (function
+    | M.Ev_prof { tid; t = t0; kind = M.Pr_run t1 as kind } -> (
+      if t1 > t0 then
+        match r.rev with
+        | ({ pr_tid; pr_kind = M.Pr_run e; _ } as h) :: rest
+          when pr_tid = tid && e = t0 ->
+          r.rev <- { h with pr_kind = kind } :: rest
+        | _ -> push tid t0 kind)
+    | M.Ev_prof { tid; t; kind } -> push tid t kind
+    | _ -> ())
+
+let of_run r m =
   let makespan = M.total_cycles m in
-  let events = M.prof_events m in
+  let events = List.rev r.rev in
   let snap = Obs.Instrument.snapshot (M.obs m) in
   let spin_spans =
     List.filter_map
@@ -24,7 +50,7 @@ let of_machine m =
   let timeline = Timeline.build ~makespan ~spin_spans events in
   {
     makespan;
-    event_count = M.prof_event_count m;
+    event_count = r.count;
     timeline;
     critpath = Critpath.build ~makespan timeline events;
     waitfor = Waitfor.build events;

@@ -1,5 +1,5 @@
-(** Causal profiler facade: build a profile from a machine after a
-    profiled run ({!Firefly.Machine.set_profiling}) and render it.
+(** Causal profiler facade: fold a run's causal edges into a profile
+    and render it.
 
     All renderings are deterministic for a fixed seed: tables sort by
     (cycles, name), folded stacks sort lexicographically, and the
@@ -15,7 +15,16 @@ type t = {
   name_of : int -> string;  (** object id -> display name *)
 }
 
-val of_machine : Firefly.Machine.t -> t
+(** The profile fold: subscribed to a machine's {!Firefly.Machine.K_prof}
+    stream with [record] before the run, it numbers edges by [pr_seq] and
+    merges abutting run segments of a thread.  [of_run r m] profiles the
+    run [r] recorded on [m]. *)
+type recorder
+
+val recorder : unit -> recorder
+val record : recorder -> Firefly.Machine.t -> unit
+val of_run : recorder -> Firefly.Machine.t -> t
+
 
 (** "critical path by object" rows: (object, cycles, steps), sorted by
     cycles descending then name. *)

@@ -1,5 +1,5 @@
 (** Per-thread state timelines reconstructed from the machine's causal
-    profile stream ({!Firefly.Machine.prof_events}).
+    profile fold ({!Profile.record}).
 
     Each thread's lifetime is tiled by four states: [Running] (consuming
     cycles), [Spin] (running inside a spin-lock acquire), [Sched]

@@ -52,5 +52,14 @@ let run ?fast_path ?seed ?strategy ?max_steps ?cost body =
   Firefly.Interleave.run ?max_steps ?strategy ?seed ?cost
     (build ?fast_path body)
 
+let run_traced ?fast_path ?seed body =
+  let sink = Spec_trace.Sink.create () in
+  let report =
+    Firefly.Interleave.run ?seed (fun machine ->
+        Firefly.Record.trace sink machine;
+        build ?fast_path body machine)
+  in
+  (report, Spec_trace.Sink.events sink)
+
 let run_timed ~processors ?fast_path ?seed ?cost ?max_cycles body =
   Firefly.Timed.run ~processors ?seed ?cost ?max_cycles (build ?fast_path body)

@@ -30,6 +30,15 @@ val run :
   (sync -> unit) ->
   Firefly.Interleave.report
 
+(** [run_traced body] — {!run} with the spec-trace collector
+    ({!Firefly.Record.trace}) subscribed to the machine; returns the
+    report and the run's linearized actions, in order. *)
+val run_traced :
+  ?fast_path:bool ->
+  ?seed:int ->
+  (sync -> unit) ->
+  Firefly.Interleave.report * Spec_trace.event list
+
 (** [run_timed ~processors body] — same, driven by the cycle-accurate
     timed driver. *)
 val run_timed :

@@ -60,7 +60,4 @@ module Sink = struct
     if not (Atomic.compare_and_set t old (ev :: old)) then emit t ev
 
   let events t = List.rev (Atomic.get t)
-  let length t = List.length (Atomic.get t)
-
-  let clear t = Atomic.set t []
 end

@@ -50,8 +50,9 @@ val make :
 val pp_event : Format.formatter -> event -> unit
 val event_to_string : event -> string
 
-(** An append-only event collector.  The simulator owns one per machine;
-    the multicore backend appends from many domains at once (each append
+(** An append-only event collector.  Simulator runs subscribe one to the
+    machine's spec actions ([Firefly.Record.trace]); the multicore
+    backend appends from many domains at once (each append
     happens under the emitting object's linearizing lock, so the recorded
     order is a valid linearization). *)
 module Sink : sig
@@ -62,7 +63,4 @@ module Sink : sig
 
   (** Events in emission order. *)
   val events : t -> event list
-
-  val length : t -> int
-  val clear : t -> unit
 end

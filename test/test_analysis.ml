@@ -25,8 +25,13 @@ let seeds n = List.init n (fun i -> 100 + (7 * i))
 
 (* --- mutants --- *)
 
+(* Analyze a mutant run with a fresh access log subscribed. *)
+let analyze run =
+  let log = An.log () in
+  An.of_run log (run (An.record log))
+
 let check_scenario (s : Mu.scenario) seed =
-  let r = An.of_machine (s.Mu.m_run ~seed) in
+  let r = analyze (s.Mu.m_run ~seed) in
   let ctx what =
     Printf.sprintf "%s (seed %d): %s" s.Mu.m_name seed what
   in
@@ -55,7 +60,7 @@ let test_mutants () =
 let test_mutant_reports_actionable () =
   (* The messages must name the word, the threads and the access kinds —
      enough to act on without re-running. *)
-  let r = An.of_machine (Mu.broken_spinlock ~seed:3) in
+  let r = analyze (Mu.broken_spinlock ~seed:3) in
   (match r.An.hb with
   | race :: _ ->
     let msg = Format.asprintf "%a" Threads_analysis.Hb.pp_race race in
@@ -69,7 +74,7 @@ let test_mutant_reports_actionable () =
           (contains msg part))
       [ "mutant-counter"; "unordered" ]
   | [] -> Alcotest.fail "broken spinlock not flagged");
-  let r = An.of_machine (Mu.lock_inversion ~seed:3) in
+  let r = analyze (Mu.lock_inversion ~seed:3) in
   match An.cycles r with
   | cycle :: _ ->
     Alcotest.(check int) "binary deadlock cycle" 2 (List.length cycle);
@@ -99,8 +104,9 @@ let test_clean_backends () =
           if Bk.supports b wl then
             List.iter
               (fun seed ->
-                let _, machine = f ~seed wl in
-                let r = An.of_machine machine in
+                let log = An.log () in
+                let _, machine = f ~observe:(An.record log) ~seed wl in
+                let r = An.of_run log machine in
                 Alcotest.(check (list string))
                   (Printf.sprintf "%s/%s seed %d silent" bname wl.Wl.name seed)
                   [] (An.findings r))
@@ -127,10 +133,111 @@ let test_multicore_lock_order () =
 
 (* --- recording identity --- *)
 
+(* What one run under the seeded random schedule shows with the stream
+   consumers of [kinds] subscribed to its machine: what must not depend
+   on who observes (cycles, schedule, per-thread instructions), and what
+   each subscribed consumer folded. *)
+type observed = {
+  o_cycles : int;
+  o_schedule : Threads_util.Tid.t list;
+  o_instructions : int list;
+  o_trace : string list option;
+  o_accesses : M.access list option;
+  o_profile : string option;
+  o_footprints : (int * bool) list option;
+}
+
+let sync_of = function
+  | "sim" ->
+    fun () ->
+      (module (val Taos_threads.Api.make (Taos_threads.Pkg.create ()))
+      : Taos_threads.Sync_intf.SYNC)
+  | "uniproc" ->
+    fun () ->
+      (module (val Taos_threads.Uniproc.make ()) : Taos_threads.Sync_intf.SYNC)
+  | b -> Alcotest.failf "no package build for backend %s" b
+
+let observed_run ~seed bname (wl : Wl.t) kinds =
+  let module P = Threads_profile.Profile in
+  let sink = Spec_trace.Sink.create () and log = An.log () in
+  let prof = P.recorder () and footprints = ref [] in
+  let m = M.create ~seed () in
+  List.iter
+    (function
+      | M.K_spec -> Firefly.Record.trace sink m
+      | M.K_access -> An.record log m
+      | M.K_prof -> P.record prof m
+      | M.K_touch ->
+        M.subscribe m M.K_touch (function
+          | M.Ev_touch touched -> footprints := touched :: !footprints
+          | _ -> ()))
+    kinds;
+  let sync = sync_of bname in
+  ignore (M.spawn_root m (fun () -> ignore (wl.Wl.body (sync ()))));
+  let strategy = Firefly.Sched.random seed in
+  let rec drive acc =
+    match M.runnable m with
+    | [] -> List.rev acc
+    | rs ->
+      let tid = Firefly.Sched.choose strategy m rs in
+      ignore (M.step m tid);
+      drive (tid :: acc)
+  in
+  let schedule = drive [] in
+  let folded k f = if List.mem k kinds then Some (f ()) else None in
+  {
+    o_cycles = M.total_cycles m;
+    o_schedule = schedule;
+    o_instructions = List.map (M.instructions m) (M.all_tids m);
+    o_trace =
+      folded M.K_spec (fun () ->
+          List.map Spec_trace.event_to_string (Spec_trace.Sink.events sink));
+    o_accesses = folded M.K_access (fun () -> An.accesses log);
+    o_profile = folded M.K_prof (fun () -> P.render (P.of_run prof m));
+    o_footprints = folded M.K_touch (fun () -> List.rev !footprints);
+  }
+
+(* All four consumers on one machine against each consumer alone and
+   against no subscriber at all: the run is identical, and so is what
+   each consumer folds. *)
+let check_consumers_agree ~seed bname (wl : Wl.t) =
+  let ctx what =
+    Printf.sprintf "%s/%s seed %d: %s" bname wl.Wl.name seed what
+  in
+  let run = observed_run ~seed bname wl in
+  let none = run [] in
+  let all = run [ M.K_spec; M.K_access; M.K_touch; M.K_prof ] in
+  let alone =
+    List.map (fun k -> run [ k ]) [ M.K_spec; M.K_access; M.K_touch; M.K_prof ]
+  in
+  List.iteri
+    (fun i o ->
+      let ctx what = ctx (Printf.sprintf "run %d: %s" i what) in
+      Alcotest.(check int) (ctx "cycles") none.o_cycles o.o_cycles;
+      Alcotest.(check (list int)) (ctx "schedule") none.o_schedule o.o_schedule;
+      Alcotest.(check (list int))
+        (ctx "instructions") none.o_instructions o.o_instructions)
+    (all :: alone);
+  let pick f = List.find_map f alone in
+  let nonempty = function Some (_ :: _) -> true | _ -> false in
+  Alcotest.(check bool) (ctx "consumers saw events") true
+    (nonempty all.o_trace && nonempty all.o_accesses
+    && nonempty all.o_footprints && all.o_profile <> None);
+  Alcotest.(check (option (list string)))
+    (ctx "same trace") (pick (fun o -> o.o_trace)) all.o_trace;
+  Alcotest.(check bool)
+    (ctx "same accesses") true
+    (pick (fun o -> o.o_accesses) = all.o_accesses);
+  Alcotest.(check (option string))
+    (ctx "same profile") (pick (fun o -> o.o_profile)) all.o_profile;
+  Alcotest.(check bool)
+    (ctx "same footprints") true
+    (pick (fun o -> o.o_footprints) = all.o_footprints)
+
 let test_recording_identity () =
   (* Instrumented and plain runs of the same (backend, workload, seed)
      must agree on step count, observable and the full linearized trace:
-     recording is host-side bookkeeping, never an instruction. *)
+     stream subscribers are host-side, never an instruction. *)
   List.iter
     (fun bname ->
       let b, f = instrumented bname in
@@ -139,12 +246,13 @@ let test_recording_identity () =
           List.iter
             (fun seed ->
               let plain = b.Bk.run ~seed wl in
-              let rec_outcome, machine = f ~seed wl in
+              let log = An.log () in
+              let rec_outcome, _ = f ~observe:(An.record log) ~seed wl in
               let ctx what =
                 Printf.sprintf "%s/%s seed %d: %s" bname wl.Wl.name seed what
               in
-              Alcotest.(check bool) (ctx "recording was on") true
-                (M.recording machine && M.access_count machine > 0);
+              Alcotest.(check bool) (ctx "accesses were recorded") true
+                (An.accesses log <> []);
               Alcotest.(check (option int))
                 (ctx "same step count") plain.Bk.steps rec_outcome.Bk.steps;
               Alcotest.(check (option string))
@@ -156,6 +264,13 @@ let test_recording_identity () =
                 (List.map Spec_trace.event_to_string rec_outcome.Bk.trace))
             (seeds 5))
         [ Option.get (Wl.find "mutex"); Option.get (Wl.find "condvar") ])
+    [ "sim"; "uniproc" ];
+  List.iter
+    (fun bname ->
+      List.iter
+        (fun seed ->
+          check_consumers_agree ~seed bname (Option.get (Wl.find "mutex")))
+        (seeds 3))
     [ "sim"; "uniproc" ]
 
 (* --- held-lock bookkeeping --- *)
@@ -165,11 +280,14 @@ let test_held_locks_balanced () =
      completed run no access should have been recorded, on any backend,
      with a held set that was never released (the last accesses of each
      thread run outside all critical sections in these workloads). *)
-  let _, machine = (snd (instrumented "sim")) ~seed:11 (Option.get (Wl.find "mutex")) in
+  let log = An.log () in
+  ignore
+    ((snd (instrumented "sim")) ~observe:(An.record log) ~seed:11
+       (Option.get (Wl.find "mutex")));
   let per_thread = Hashtbl.create 8 in
   List.iter
     (fun (a : M.access) -> Hashtbl.replace per_thread a.a_tid a.a_locks)
-    (M.accesses machine);
+    (An.accesses log);
   Hashtbl.iter
     (fun tid locks ->
       Alcotest.(check (list int))

@@ -11,14 +11,14 @@ type runner = {
   run :
     seed:int ->
     (Taos_threads.Api.sync -> unit) ->
-    Firefly.Interleave.report;
+    Firefly.Interleave.report * Spec_trace.event list;
   conformance : bool;  (* both emit events, so always true today *)
 }
 
 let sim_runner =
   {
     rname = "sim";
-    run = (fun ~seed body -> Taos_threads.Api.run ~seed body);
+    run = (fun ~seed body -> Taos_threads.Api.run_traced ~seed body);
     conformance = true;
   }
 
@@ -27,8 +27,16 @@ let uniproc_runner =
     rname = "uniproc";
     run =
       (fun ~seed body ->
-        Taos_threads.Uniproc.run ~seed ~strategy:(Firefly.Sched.random seed)
-          body);
+        let sink = Spec_trace.Sink.create () in
+        let r =
+          Firefly.Interleave.run ~seed ~strategy:(Firefly.Sched.random seed)
+            (fun machine ->
+              Firefly.Record.trace sink machine;
+              ignore
+                (Firefly.Machine.spawn_root machine (fun () ->
+                     body (Taos_threads.Uniproc.make ()))))
+        in
+        (r, Spec_trace.Sink.events sink));
     conformance = true;
   }
 
@@ -48,10 +56,9 @@ let check_report ?(allow_deadlock = false) name (r : Firefly.Interleave.report) 
     Alcotest.fail
       (Printf.sprintf "%s: t%d failed with %s" name tid (Printexc.to_string e))
 
-let check_conformance name (r : Firefly.Interleave.report) =
+let check_conformance name trace =
   let rep =
-    Threads_model.Conformance.check Spec_core.Threads_interface.final
-      (Firefly.Machine.trace r.machine)
+    Threads_model.Conformance.check Spec_core.Threads_interface.final trace
   in
   if not (Threads_model.Conformance.ok rep) then
     Alcotest.fail
@@ -66,10 +73,10 @@ let seeds = 25
 
 let sweep ?allow_deadlock runner name body =
   for seed = 0 to seeds - 1 do
-    let r = runner.run ~seed body in
+    let r, trace = runner.run ~seed body in
     check_report ?allow_deadlock (Printf.sprintf "%s seed %d" name seed) r;
     if runner.conformance then
-      check_conformance (Printf.sprintf "%s seed %d" name seed) r
+      check_conformance (Printf.sprintf "%s seed %d" name seed) trace
   done
 
 let as_sync sync =

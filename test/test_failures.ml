@@ -36,8 +36,8 @@ let test_wait_without_holding () =
   (* Calling Wait with REQUIRES false: the spec allows anything; our
      implementation neither crashes the machine nor corrupts other
      threads, and the conformance checker pins the blame on the caller. *)
-  let r =
-    Taos_threads.Api.run ~seed:2 (fun sync ->
+  let _, trace =
+    Taos_threads.Api.run_traced ~seed:2 (fun sync ->
         let module S =
           (val sync : Taos_threads.Sync_intf.SYNC with type thread = Tid.t)
         in
@@ -63,7 +63,7 @@ let test_wait_without_holding () =
      matters is attribution *)
   let rep =
     Threads_model.Conformance.check Spec_core.Threads_interface.final
-      (Firefly.Machine.trace r.Firefly.Interleave.machine)
+      trace
   in
   Alcotest.(check bool) "caller blamed" true
     (List.exists
@@ -74,8 +74,8 @@ let test_wait_without_holding () =
 let test_double_release_harmless_at_impl_level () =
   (* Release without holding: REQUIRES is violated (caller bug) but the
      implementation must not crash the machine. *)
-  let r =
-    Taos_threads.Api.run ~seed:3 (fun sync ->
+  let r, trace =
+    Taos_threads.Api.run_traced ~seed:3 (fun sync ->
         let module S =
           (val sync : Taos_threads.Sync_intf.SYNC with type thread = Tid.t)
         in
@@ -90,7 +90,7 @@ let test_double_release_harmless_at_impl_level () =
   | _ -> Alcotest.fail "machine wedged");
   let rep =
     Threads_model.Conformance.check Spec_core.Threads_interface.final
-      (Firefly.Machine.trace r.Firefly.Interleave.machine)
+      trace
   in
   Alcotest.(check int) "two caller violations" 2
     (List.length rep.Threads_model.Conformance.requires_violations)
@@ -98,8 +98,8 @@ let test_double_release_harmless_at_impl_level () =
 let test_exception_during_wait_predicate () =
   (* An exception thrown between Wait returns: with_lock still releases,
      and other waiters are not poisoned. *)
-  let r =
-    Taos_threads.Api.run ~seed:4 (fun sync ->
+  let r, trace =
+    Taos_threads.Api.run_traced ~seed:4 (fun sync ->
         let module S =
           (val sync : Taos_threads.Sync_intf.SYNC with type thread = Tid.t)
         in
@@ -134,7 +134,7 @@ let test_exception_during_wait_predicate () =
   Alcotest.(check bool) "conforms" true
     (Threads_model.Conformance.ok
        (Threads_model.Conformance.check
-          Spec_core.Threads_interface.final (Firefly.Machine.trace r.Firefly.Interleave.machine)))
+          Spec_core.Threads_interface.final trace))
 
 let suite =
   ( "failure-injection",

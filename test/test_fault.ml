@@ -42,8 +42,10 @@ let chaos_backends = [ "sim"; "uniproc" ]
    Backend.machine_run does it. *)
 let sim_run ~deliver_filter ~seed (wl : Wl.t) =
   let observable = ref None in
+  let sink = Spec_trace.Sink.create () in
   let report =
     Firefly.Interleave.run ~seed ~max_steps:2_000_000 (fun m ->
+        Firefly.Record.trace sink m;
         if deliver_filter then
           M.set_wake_filter m (Some (fun _ -> M.Deliver));
         ignore
@@ -53,7 +55,7 @@ let sim_run ~deliver_filter ~seed (wl : Wl.t) =
                in
                observable := Some (wl.Wl.body (module S)))))
   in
-  (report, !observable)
+  (report, Spec_trace.Sink.events sink, !observable)
 
 let disabled_is_identical () =
   List.iter
@@ -61,8 +63,12 @@ let disabled_is_identical () =
       let wl = workload wname in
       List.iter
         (fun seed ->
-          let plain, obs_plain = sim_run ~deliver_filter:false ~seed wl in
-          let hooked, obs_hooked = sim_run ~deliver_filter:true ~seed wl in
+          let plain, trace_plain, obs_plain =
+            sim_run ~deliver_filter:false ~seed wl
+          in
+          let hooked, trace_hooked, obs_hooked =
+            sim_run ~deliver_filter:true ~seed wl
+          in
           let label fmt = Printf.sprintf "%s seed %d: %s" wname seed fmt in
           Alcotest.(check int)
             (label "steps")
@@ -74,8 +80,7 @@ let disabled_is_identical () =
           Alcotest.(check bool)
             (label "trace identical")
             true
-            (M.trace plain.Firefly.Interleave.machine
-            = M.trace hooked.Firefly.Interleave.machine);
+            (trace_plain = trace_hooked);
           Alcotest.(check (option string)) (label "observable") obs_plain
             obs_hooked)
         [ 0; 3; 11 ])

@@ -161,8 +161,10 @@ let test_mem_emit_atomicity () =
   (* Two threads each do mem_emit(tas); exactly one event must be emitted,
      by the winner, regardless of schedule. *)
   for seed = 0 to 50 do
-    let r =
+    let sink = Spec_trace.Sink.create () in
+    let _ =
       Firefly.Interleave.run ~seed (fun machine ->
+          Firefly.Record.trace sink machine;
           ignore
             (M.spawn_root machine (fun () ->
                  let a = Ops.alloc 1 in
@@ -183,7 +185,7 @@ let test_mem_emit_atomicity () =
                  Ops.join t1;
                  Ops.join t2)))
     in
-    let events = M.trace r.Firefly.Interleave.machine in
+    let events = Spec_trace.Sink.events sink in
     Alcotest.(check int)
       (Printf.sprintf "one winner (seed %d)" seed)
       1 (List.length events)
@@ -191,8 +193,10 @@ let test_mem_emit_atomicity () =
 
 let test_determinism () =
   let run seed =
-    let r =
+    let sink = Spec_trace.Sink.create () in
+    let _ =
       Firefly.Interleave.run ~seed (fun machine ->
+          Firefly.Record.trace sink machine;
           ignore
             (M.spawn_root machine (fun () ->
                  let a = Ops.alloc 1 in
@@ -209,7 +213,7 @@ let test_determinism () =
     in
     List.map
       (fun (e : Spec_trace.event) -> e.self)
-      (M.trace r.Firefly.Interleave.machine)
+      (Spec_trace.Sink.events sink)
   in
   Alcotest.(check (list int)) "same seed, same trace" (run 9) (run 9);
   Alcotest.(check bool) "steps reproducible" true (run 3 = run 3)

@@ -9,8 +9,9 @@
      manufactures a deadlock that is not there), and the lock-inversion
      mutant produces a genuine cycle snapshot on some schedule.
    - Profiling is free: a profiled run is cycle- and schedule-identical
-     to the unprofiled run of the same seed (the acceptance criterion
-     that makes the profiler causal rather than observational). *)
+     to the unprofiled run of the same seed, also with every other
+     stream consumer on the same machine (the acceptance criterion that
+     makes the profiler causal rather than observational). *)
 
 module Bk = Threads_backend.Backend
 module Wl = Threads_backend.Workload
@@ -27,10 +28,19 @@ let workload name =
   | Some w -> w
   | None -> Alcotest.failf "workload %s not registered" name
 
+(* Profile a run with a fresh recorder subscribed. *)
+let profile run =
+  let r = P.recorder () in
+  P.of_run r (run (P.record r))
+
+(* A profiled run of [wl] on [b]: the outcome and the run's profile. *)
 let profiled b ~seed wl =
-  match b.Bk.profile with
-  | Some f -> f ~seed wl
-  | None -> Alcotest.failf "backend %s has no profile capability" b.Bk.name
+  match b.Bk.instrument with
+  | Bk.Machine_access f ->
+    let r = P.recorder () in
+    let outcome, machine = f ~observe:(P.record r) ~seed wl in
+    (outcome, P.of_run r machine)
+  | _ -> Alcotest.failf "backend %s has no machine to profile" b.Bk.name
 
 (* ---------------------------------------------------------------- *)
 
@@ -43,8 +53,7 @@ let test_critpath_tiles_makespan () =
           let wl = workload wname in
           if Bk.supports b wl then
             for seed = 1 to 3 do
-              let _, machine = profiled b ~seed wl in
-              let p = P.of_machine machine in
+              let _, p = profiled b ~seed wl in
               Alcotest.(check int)
                 (Printf.sprintf "%s/%s seed %d: critpath total = makespan"
                    bname wname seed)
@@ -66,15 +75,16 @@ let test_critpath_tiles_makespan () =
     [ "sim"; "uniproc"; "naive"; "hoare" ]
 
 let test_serial_critpath () =
-  let report =
-    Firefly.Interleave.run ~seed:1 (fun machine ->
-        M.set_profiling machine true;
-        ignore
-          (M.spawn_root machine (fun () ->
-               M.Ops.tick 50;
-               M.Ops.tick 25)))
+  let p =
+    profile (fun observe ->
+        (Firefly.Interleave.run ~seed:1 (fun machine ->
+             observe machine;
+             ignore
+               (M.spawn_root machine (fun () ->
+                    M.Ops.tick 50;
+                    M.Ops.tick 25))))
+          .Firefly.Interleave.machine)
   in
-  let p = P.of_machine report.Firefly.Interleave.machine in
   Alcotest.(check int) "serial: total = makespan" p.P.makespan
     p.P.critpath.Threads_profile.Critpath.total;
   let run, _spin, sched, blocked =
@@ -95,13 +105,12 @@ let test_waitfor_acyclic_clean () =
       let b = backend bname in
       let wl = workload "mutex" in
       for seed = 1 to 10 do
-        let outcome, machine = profiled b ~seed wl in
+        let outcome, p = profiled b ~seed wl in
         (match outcome.Bk.verdict with
         | Bk.Completed -> ()
         | v ->
           Alcotest.failf "%s/mutex seed %d: expected completion, got %a"
             bname seed Bk.pp_verdict v);
-        let p = P.of_machine machine in
         Alcotest.(check int)
           (Printf.sprintf "%s/mutex seed %d: no wait-for cycles" bname seed)
           0
@@ -124,8 +133,7 @@ let test_lock_inversion_cycle () =
   let found = ref None in
   let seed = ref 1 in
   while !found = None && !seed <= 50 do
-    let machine = mutant.Threads_analysis.Mutants.m_run ~seed:!seed in
-    let p = P.of_machine machine in
+    let p = profile (mutant.Threads_analysis.Mutants.m_run ~seed:!seed) in
     (match p.P.waitfor.Threads_profile.Waitfor.cycles with
     | c :: _ -> found := Some (!seed, c)
     | [] -> ());
@@ -156,7 +164,7 @@ let test_profiling_is_free () =
           let wl = workload wname in
           if Bk.supports b wl then begin
             let plain = b.Bk.run ~seed:5 wl in
-            let prof, machine = profiled b ~seed:5 wl in
+            let prof, p = profiled b ~seed:5 wl in
             Alcotest.(check bool)
               (Printf.sprintf "%s/%s: same verdict" bname wname)
               true
@@ -170,17 +178,24 @@ let test_profiling_is_free () =
             Alcotest.(check bool)
               (Printf.sprintf "%s/%s: profile stream non-empty" bname wname)
               true
-              (M.prof_event_count machine > 0)
+              (p.P.event_count > 0)
           end)
         [ "mutex"; "condvar"; "broadcast" ])
-    [ "sim"; "uniproc"; "hoare" ]
+    [ "sim"; "uniproc"; "hoare" ];
+  (* the profile fold beside every other stream consumer on one machine *)
+  List.iter
+    (fun bname ->
+      List.iter
+        (fun wname ->
+          Test_analysis.check_consumers_agree ~seed:5 bname (workload wname))
+        [ "condvar"; "broadcast" ])
+    [ "sim"; "uniproc" ]
 
 let test_render_deterministic () =
   let b = backend "sim" in
   let wl = workload "mutex" in
   let once () =
-    let _, machine = profiled b ~seed:1 wl in
-    let p = P.of_machine machine in
+    let _, p = profiled b ~seed:1 wl in
     (P.render p, P.folded p, Obs.Json.to_string (P.to_json p))
   in
   let r1, f1, j1 = once () in
@@ -207,8 +222,7 @@ let test_render_deterministic () =
   let j = Obs.Json.of_string j1 in
   (match Obs.Json.member (Obs.Json.member j "critical_path") "total" with
   | Obs.Json.Int n ->
-    let _, machine = profiled b ~seed:1 wl in
-    let p = P.of_machine machine in
+    let _, p = profiled b ~seed:1 wl in
     Alcotest.(check int) "json total = makespan" p.P.makespan n
   | _ -> Alcotest.fail "critical_path.total missing")
 

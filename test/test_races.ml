@@ -4,10 +4,9 @@
 module Tid = Threads_util.Tid
 module Ops = Firefly.Machine.Ops
 
-let conforms machine =
+let conforms trace =
   Threads_model.Conformance.ok
-    (Threads_model.Conformance.check Spec_core.Threads_interface.final
-       (Firefly.Machine.trace machine))
+    (Threads_model.Conformance.check Spec_core.Threads_interface.final trace)
 
 (* The window race: sweep seeds until a Signal removes >1 thread, and check
    every such run still conforms.  (Paper: "possible though unlikely".) *)
@@ -15,8 +14,8 @@ let test_multi_unblock_exists_and_conforms () =
   let found = ref false in
   let seed = ref 0 in
   while (not !found) && !seed < 2000 do
-    let report =
-      Taos_threads.Api.run ~seed:!seed (fun sync ->
+    let _, trace =
+      Taos_threads.Api.run_traced ~seed:!seed (fun sync ->
           let module S =
             (val sync : Taos_threads.Sync_intf.SYNC with type thread = Tid.t)
           in
@@ -39,16 +38,15 @@ let test_multi_unblock_exists_and_conforms () =
           S.broadcast c;
           List.iter S.join ws)
     in
-    let machine = report.Firefly.Interleave.machine in
     let multi =
       List.exists
         (fun (e : Spec_trace.event) ->
           e.proc = "Signal" && List.length e.removed > 1)
-        (Firefly.Machine.trace machine)
+        trace
     in
     if multi then begin
       found := true;
-      Alcotest.(check bool) "multi-unblock run conforms" true (conforms machine)
+      Alcotest.(check bool) "multi-unblock run conforms" true (conforms trace)
     end;
     incr seed
   done;
@@ -97,7 +95,11 @@ let test_mutex_systematic () =
 
 (* Same bounded exploration for Wait/Signal: no lost wakeups. *)
 let test_condvar_systematic () =
+  (* each replay subscribes a fresh collector; its check reads it *)
+  let sink = ref (Spec_trace.Sink.create ()) in
   let build machine =
+    sink := Spec_trace.Sink.create ();
+    Firefly.Record.trace !sink machine;
     ignore
       (Firefly.Machine.spawn_root machine (fun () ->
            let pkg = Taos_threads.Pkg.create () in
@@ -120,7 +122,7 @@ let test_condvar_systematic () =
       ~max_runs:30_000 ~build (fun outcome ->
         match outcome.Firefly.Explore.verdict with
         | Firefly.Interleave.Completed ->
-          if conforms outcome.Firefly.Explore.machine then None
+          if conforms (Spec_trace.Sink.events !sink) then None
           else Some "non-conforming trace"
         | Firefly.Interleave.Deadlock _ -> Some "lost wakeup"
         | Firefly.Interleave.Step_limit -> None)
@@ -215,8 +217,8 @@ let test_hoare_guarantee () =
    unchanged, only the cost moves. *)
 let test_no_fast_path_conforms () =
   for seed = 0 to 20 do
-    let r =
-      Taos_threads.Api.run ~fast_path:false ~seed (fun sync ->
+    let r, trace =
+      Taos_threads.Api.run_traced ~fast_path:false ~seed (fun sync ->
           let module S =
             (val sync : Taos_threads.Sync_intf.SYNC with type thread = Tid.t)
           in
@@ -241,7 +243,7 @@ let test_no_fast_path_conforms () =
     Alcotest.(check bool)
       (Printf.sprintf "conforms (seed %d)" seed)
       true
-      (conforms r.Firefly.Interleave.machine)
+      (conforms trace)
   done
 
 (* Interrupt-context V: never lost across seeds. *)

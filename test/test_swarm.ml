@@ -88,8 +88,8 @@ let prop_pc_sim =
          producers... instead: total = lcm-free, producers produce
          total/producers with remainder to the first producer *)
       let total = consumers * items_per_consumer in
-      let report =
-        Taos_threads.Api.run ~seed (fun sync ->
+      let report, trace =
+        Taos_threads.Api.run_traced ~seed (fun sync ->
             let module S =
               (val sync : Taos_threads.Sync_intf.SYNC with type thread = Tid.t)
             in
@@ -134,7 +134,7 @@ let prop_pc_sim =
       | _ -> failwith "did not complete");
       Threads_model.Conformance.ok
         (Threads_model.Conformance.check
-           Spec_core.Threads_interface.final (Firefly.Machine.trace report.Firefly.Interleave.machine)))
+           Spec_core.Threads_interface.final trace))
 
 let suite =
   let q = QCheck_alcotest.to_alcotest in

@@ -113,8 +113,11 @@ let test_interrupt_preempts_timed () =
 let test_timed_threads_package () =
   (* The full package running under the timed driver with priorities:
      conformance is schedule-independent. *)
+  let sink = Spec_trace.Sink.create () in
   let report =
-    Taos_threads.Api.run_timed ~processors:3 ~seed:5 (fun sync ->
+    Firefly.Timed.run ~processors:3 ~seed:5 @@ fun machine ->
+    Firefly.Record.trace sink machine;
+    Taos_threads.Api.build (fun sync ->
         let module S =
           (val sync : Taos_threads.Sync_intf.SYNC
              with type thread = Threads_util.Tid.t)
@@ -145,13 +148,14 @@ let test_timed_threads_package () =
         S.join p;
         S.join c1;
         S.join c2)
+      machine
   in
   (match report.Firefly.Timed.verdict with
   | Firefly.Timed.Completed -> ()
   | _ -> Alcotest.fail "timed package run incomplete");
   let rep =
     Threads_model.Conformance.check Spec_core.Threads_interface.final
-      (Firefly.Machine.trace report.Firefly.Timed.machine)
+      (Spec_trace.Sink.events sink)
   in
   Alcotest.(check bool) "conforms under timed driver" true
     (Threads_model.Conformance.ok rep)
@@ -172,8 +176,11 @@ let suite =
 
 let test_timed_determinism () =
   let run () =
+    let sink = Spec_trace.Sink.create () in
     let report =
-      Taos_threads.Api.run_timed ~processors:3 ~seed:11 (fun sync ->
+      Firefly.Timed.run ~processors:3 ~seed:11 @@ fun machine ->
+    Firefly.Record.trace sink machine;
+    Taos_threads.Api.build (fun sync ->
           let module S =
             (val sync : Taos_threads.Sync_intf.SYNC
                with type thread = Threads_util.Tid.t)
@@ -188,11 +195,12 @@ let test_timed_determinism () =
           in
           let ts = List.init 4 (fun _ -> S.fork worker) in
           List.iter S.join ts)
+        machine
     in
     ( report.Firefly.Timed.sim_cycles,
       report.Firefly.Timed.context_switches,
       report.Firefly.Timed.steps,
-      List.length (Firefly.Machine.trace report.Firefly.Timed.machine) )
+      List.length (Spec_trace.Sink.events sink) )
   in
   Alcotest.(check bool) "same seed, identical timed run" true (run () = run ())
 
