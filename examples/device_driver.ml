@@ -85,7 +85,8 @@ let () =
       (List.length !delivered)
       (String.concat ", " (List.rev_map string_of_int !delivered))
   | Firefly.Interleave.Deadlock _ -> print_endline "DEADLOCK (lost interrupt?)"
-  | Firefly.Interleave.Step_limit -> print_endline "STEP LIMIT");
+  | Firefly.Interleave.Step_limit -> print_endline "STEP LIMIT"
+  | Firefly.Interleave.Livelock _ -> print_endline "LIVELOCK");
 
   (* The forbidden alternative: protecting the device registers with a
      mutex from interrupt context.  The machine faults the interrupt

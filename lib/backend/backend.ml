@@ -61,7 +61,8 @@ let of_report observable sink (report : Firefly.Interleave.report) =
       match report.verdict with
       | Firefly.Interleave.Completed -> Completed
       | Firefly.Interleave.Deadlock _ -> Deadlocked
-      | Firefly.Interleave.Step_limit -> Crashed "step limit")
+      | Firefly.Interleave.Step_limit -> Crashed "step limit"
+      | Firefly.Interleave.Livelock _ -> Crashed "livelock")
   in
   {
     verdict;

@@ -1,10 +1,42 @@
 module Tid = Threads_util.Tid
 
-type verdict = Completed | Deadlock of Tid.t list | Step_limit
+type verdict =
+  | Completed
+  | Deadlock of Tid.t list
+  | Step_limit
+  | Livelock of { spinner : Tid.t; word : int; holder : Tid.t; at_step : int }
 
 type report = { verdict : verdict; steps : int; machine : Machine.t }
 
-let run ?(max_steps = 1_000_000) ?strategy ?(seed = 0) ?cost build =
+(* The await reduction for declared spins.  While the runnable set stays
+   the same, the strategy only ever picks among its candidates; if each of
+   them is in a declared spin on a word that is 1 and held by a thread
+   outside that set, every future step is a failed TAS (or its counter
+   bump) that changes nothing — and with no timer armed and no delayed
+   wakeup pending, nothing else can change the runnable set either. *)
+let certificate m strategy spinner ~at_step =
+  match Machine.spin_word m spinner with
+  | None -> None
+  | Some _ when Machine.timers_pending m || Machine.delayed_pending m -> None
+  | Some word -> (
+    let cands = Sched.candidates strategy m (Machine.runnable m) in
+    let stuck tid =
+      match Machine.spin_word m tid with
+      | None -> false
+      | Some w -> (
+        Machine.word_value m w = 1
+        &&
+        match Machine.word_owner m w with
+        | Some holder -> not (List.mem holder cands)
+        | None -> false)
+    in
+    match Machine.word_owner m word with
+    | Some holder when List.for_all stuck cands ->
+      Some (Livelock { spinner; word; holder; at_step })
+    | _ -> None)
+
+let run ?(max_steps = 1_000_000) ?(certify = false) ?strategy ?(seed = 0)
+    ?cost build =
   let strategy =
     match strategy with Some s -> s | None -> Sched.random seed
   in
@@ -27,11 +59,15 @@ let run ?(max_steps = 1_000_000) ?strategy ?(seed = 0) ?cost build =
                (fun tid -> Machine.status m tid = Machine.Blocked)
                (Machine.all_tids m))
         else Completed
-      | rs ->
+      | rs -> (
         let tid = Sched.choose strategy m rs in
         ignore (Machine.step m tid);
         incr steps;
-        loop ()
+        match
+          if certify then certificate m strategy tid ~at_step:!steps else None
+        with
+        | Some v -> v
+        | None -> loop ())
     end
   in
   let verdict = loop () in

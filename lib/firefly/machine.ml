@@ -177,6 +177,9 @@ type thread = {
   mutable cycles : int;
   mutable joiners : Tid.t list;
   mutable held : int list;  (* lock ids held, most recently acquired first *)
+  mutable spin : int;
+      (* word this thread declared it spins on ([Probe.spin_on]), -1 when
+         it is not in a declared spin *)
 }
 
 type t = {
@@ -277,13 +280,14 @@ let dummy_thread =
     cycles = 0;
     joiners = [];
     held = [];
+    spin = -1;
   }
 
 let create ?(seed = 0) ?(cost = Cost.default) () =
   {
     cost;
     rng = Threads_util.Rng.create seed;
-    mem = Array.make 1024 0;
+    mem = Array.make 64 0;
     mem_used = 0;
     threads = Array.make 16 dummy_thread;
     nthreads = 0;
@@ -344,6 +348,7 @@ let add_thread m ?(priority = 0) ?(interrupt = false) f =
       cycles = 0;
       joiners = [];
       held = [];
+      spin = -1;
     };
   m.nthreads <- tid + 1;
   tid
@@ -786,6 +791,13 @@ let failures m =
   go (m.nthreads - 1) []
 
 let all_tids m = List.init m.nthreads (fun i -> i)
+
+let spin_word m tid =
+  match (thread m tid).spin with -1 -> None | w -> Some w
+
+let word_value m a = m.mem.(a)
+let word_owner m a = Hashtbl.find_opt m.owners a
+
 let obs m = m.obs
 
 (* Two footprints conflict iff they share an address and at least one
@@ -1039,6 +1051,19 @@ module Probe = struct
       | Some owner when owner = tid -> Hashtbl.remove m.owners id
       | _ -> ());
       record m tid id A_lock_rel
+    | None -> ()
+
+  (* The spin contract: a spin-lock whose TAS failed declares the word it
+     spins on; it clears the declaration once a TAS succeeds.  Host-side
+     only, so it costs no cycle and adds no scheduling point. *)
+  let spin_on w =
+    match current () with
+    | Some (m, tid) -> m.threads.(tid).spin <- w
+    | None -> ()
+
+  let spin_end () =
+    match current () with
+    | Some (m, tid) -> m.threads.(tid).spin <- -1
     | None -> ()
 
   (* A contended acquisition about to block: gives the lock-order graph

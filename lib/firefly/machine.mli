@@ -309,6 +309,17 @@ module Probe : sig
 
   val lock_released : ?tid:Threads_util.Tid.t -> int -> unit
 
+  (** [spin_on w] declares that the stepping thread spins on word [w]: its
+      TAS on [w] failed, and until a TAS succeeds it only retries that TAS
+      with unchanged local state.  [spin_end ()] clears the declaration.
+      Host-side only: no cycle, no scheduling point.  The declaration is
+      a promise {!Interleave.run}'s livelock certificate relies on, so a
+      loop whose state changes between retries (backoff) must not make
+      it. *)
+  val spin_on : int -> unit
+
+  val spin_end : unit -> unit
+
   (** [lock_attempted id] publishes a contended acquisition about to block,
       so the lock-order graph sees the attempted edge even when the
       acquisition never succeeds (the classic deadlock). *)
@@ -423,6 +434,21 @@ val total_cycles : t -> int
 val failures : t -> (Threads_util.Tid.t * exn) list
 
 val all_tids : t -> Threads_util.Tid.t list
+
+(** {2 Spin declarations (read-only)}
+
+    What a livelock certificate reads: the word a thread declared it spins
+    on ({!Probe.spin_on}), the word's current value and the lock's owner
+    as kept by {!Probe.lock_acquired} / {!Probe.lock_released}. *)
+
+(** [spin_word m tid] — the word [tid] is in a declared spin on, if any. *)
+val spin_word : t -> Threads_util.Tid.t -> int option
+
+(** [word_value m a] — the value of memory word [a], read host-side. *)
+val word_value : t -> int -> int
+
+(** [word_owner m id] — the current holder of lock [id], if known. *)
+val word_owner : t -> int -> Threads_util.Tid.t option
 
 (** The machine's instrument registry (counters / histograms / gauges /
     spans recorded by {!Probe} calls and by the machine itself:

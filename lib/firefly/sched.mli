@@ -22,3 +22,15 @@ val replay : Threads_util.Tid.t list -> t -> t
 
 (** [choose strategy machine runnable] picks from a non-empty list. *)
 val choose : t -> Machine.t -> Threads_util.Tid.t list -> Threads_util.Tid.t
+
+(** [candidates strategy machine runnable] — every thread [strategy] can
+    pick, now or at any later step, while the runnable set stays
+    [runnable].  It may over-approximate but never leave out a thread
+    [choose] could return, whatever the strategy's internal state
+    (random draws, round-robin position, replay prefix): a livelock
+    certificate reasons about exactly these threads.  [random],
+    [round_robin] and [replay] return [runnable]; [prefer_interrupts]
+    returns the runnable interrupt threads when there are any.  Calling
+    it does not advance the strategy. *)
+val candidates :
+  t -> Machine.t -> Threads_util.Tid.t list -> Threads_util.Tid.t list

@@ -26,14 +26,16 @@ let interrupts_per_run = 5
    interrupts while holding the spin-lock, that mode can livelock — the
    very reason the real Nub raises the interrupt priority level around
    spin-lock sections.  The default mode models the interrupt running on
-   another processor. *)
-let pv_run ?(prefer = false) ~seed () =
+   another processor.  [~certify:true] ends a livelocked run with a
+   certified [Livelock] verdict instead of running it out to the step
+   bound. *)
+let pv_run ?(certify = false) ?(prefer = false) ~seed () =
   let strategy =
     if prefer then Firefly.Sched.prefer_interrupts (Firefly.Sched.random seed)
     else Firefly.Sched.random seed
   in
   let report =
-    Firefly.Interleave.run ~seed ~max_steps:200_000 ~strategy
+    Firefly.Interleave.run ~seed ~max_steps:200_000 ~certify ~strategy
       (fun machine ->
         ignore
           (Firefly.Machine.spawn_root machine (fun () ->
@@ -70,54 +72,72 @@ let pv_run ?(prefer = false) ~seed () =
   in
   report
 
+(* An interrupt routine that tries to Acquire a mutex held by the thread
+   it preempted: the machine faults it the moment it must block.  When it
+   dies holding the Nub spin-lock, the worker spins on that lock forever —
+   the same livelock as the preempting mode, with a dead holder. *)
+let anti_pattern_run ?(certify = false) ~seed () =
+  Firefly.Interleave.run ~seed ~certify (fun machine ->
+      ignore
+        (Firefly.Machine.spawn_root machine (fun () ->
+             let pkg = Taos_threads.Pkg.create () in
+             let m = Taos_threads.Mutex.create pkg in
+             let worker () =
+               Taos_threads.Mutex.with_lock m (fun () -> Ops.tick 50)
+             in
+             let w = Ops.spawn worker in
+             (* interrupt-context thread doing the forbidden thing *)
+             ignore
+               (Firefly.Machine.spawn_root machine ~interrupt:true (fun () ->
+                    Taos_threads.Mutex.with_lock m (fun () -> ())));
+             Ops.join w)))
+
+let anti_pattern_runs = 200
+
+(* Faulted runs, and the seeds of runs that hit the step bound uncertified. *)
 let anti_pattern () =
-  (* An interrupt routine that tries to Acquire a mutex held by the thread
-     it preempted: the machine faults it the moment it must block. *)
-  let failures = ref 0 in
-  let runs = 200 in
-  for seed = 0 to runs - 1 do
-    let report =
-      Firefly.Interleave.run ~seed (fun machine ->
-          ignore
-            (Firefly.Machine.spawn_root machine (fun () ->
-                 let pkg = Taos_threads.Pkg.create () in
-                 let m = Taos_threads.Mutex.create pkg in
-                 let worker () =
-                   Taos_threads.Mutex.with_lock m (fun () -> Ops.tick 50)
-                 in
-                 let w = Ops.spawn worker in
-                 (* interrupt-context thread doing the forbidden thing *)
-                 ignore
-                   (Firefly.Machine.spawn_root machine ~interrupt:true
-                      (fun () ->
-                        Taos_threads.Mutex.with_lock m (fun () -> ())));
-                 Ops.join w)))
-    in
-    let faulted =
+  let failures = ref 0 and step_limited = ref [] in
+  for seed = 0 to anti_pattern_runs - 1 do
+    let report = anti_pattern_run ~certify:true ~seed () in
+    let machine = report.Firefly.Interleave.machine in
+    if
       List.exists
-        (fun (tid, _) -> Firefly.Machine.is_interrupt report.Firefly.Interleave.machine tid)
-        (Firefly.Machine.failures report.Firefly.Interleave.machine)
-    in
-    if faulted then incr failures
+        (fun (tid, _) -> Firefly.Machine.is_interrupt machine tid)
+        (Firefly.Machine.failures machine)
+    then incr failures;
+    if report.Firefly.Interleave.verdict = Firefly.Interleave.Step_limit then
+      step_limited := seed :: !step_limited
   done;
-  (!failures, runs)
+  (!failures, List.rev !step_limited)
+
+(* A run that ends in [Step_limit] despite [certify] is a livelock the
+   certificate could not prove (or a run that is merely long): report it
+   on its own line rather than counting it as livelocked. *)
+let print_step_limited label = function
+  | [] -> ()
+  | seeds ->
+    Printf.printf "%s: %d run(s) hit the step bound uncertified, seeds %s\n"
+      label (List.length seeds)
+      (String.concat ", " (List.map string_of_int seeds))
 
 let run () =
   let sweep ~prefer =
     let lost = ref 0 and livelocked = ref 0 and faulted = ref 0 in
+    let step_limited = ref [] in
     for seed = 0 to seeds - 1 do
-      let report = pv_run ~prefer ~seed () in
+      let report = pv_run ~certify:true ~prefer ~seed () in
       match report.Firefly.Interleave.verdict with
       | Firefly.Interleave.Completed ->
         if Firefly.Machine.failures report.Firefly.Interleave.machine <> []
         then incr faulted
       | Firefly.Interleave.Deadlock _ -> incr lost
-      | Firefly.Interleave.Step_limit -> incr livelocked
+      | Firefly.Interleave.Livelock _ -> incr livelocked
+      | Firefly.Interleave.Step_limit -> step_limited := seed :: !step_limited
     done;
-    (!lost, !livelocked, !faulted)
+    (!lost, !livelocked, !faulted, List.rev !step_limited)
   in
-  let lost, livelocked, faulted = sweep ~prefer:false in
-  let p_lost, p_livelocked, p_faulted = sweep ~prefer:true in
+  let lost, livelocked, faulted, limited = sweep ~prefer:false in
+  let p_lost, p_livelocked, p_faulted, p_limited = sweep ~prefer:true in
   let t =
     Table.create
       ~title:
@@ -134,21 +154,24 @@ let run () =
     [ "preempts the CPU (no IPL masking)"; Table.cell_int p_lost;
       Table.cell_int p_livelocked; Table.cell_int p_faulted ];
   Table.print t;
+  print_step_limited "other processor (random)" limited;
+  print_step_limited "preempts the CPU" p_limited;
   print_endline
     "The livelocks in the preempting mode are the interrupt spinning on\n\
      the Nub spin-lock held by the thread it preempted - the reason the\n\
      real Nub raises the interrupt priority level around its spin-lock\n\
      sections.  No V is ever lost in either mode.";
-  let faulted, runs = anti_pattern () in
+  let faulted, step_limited = anti_pattern () in
   let t2 =
     Table.create ~title:"E10b: mutex inside an interrupt routine (forbidden)"
       ~aligns:[ Table.Left; Table.Right ]
       [ "metric"; "value" ]
   in
-  Table.add_row t2 [ "runs"; Table.cell_int runs ];
+  Table.add_row t2 [ "runs"; Table.cell_int anti_pattern_runs ];
   Table.add_row t2
     [ "interrupt routine faulted trying to block"; Table.cell_int faulted ];
   Table.print t2;
+  print_step_limited "E10b" step_limited;
   print_endline
     "Shape check: P/V never loses a device interrupt; an interrupt routine\n\
      that reaches for a mutex faults whenever the mutex is contended —\n\

@@ -43,7 +43,7 @@ let naive_run ~seed ~waiters:k =
   | Firefly.Interleave.Deadlock blocked ->
     (* main + stranded waiters are blocked; don't count main *)
     max 0 (List.length blocked - 1)
-  | Firefly.Interleave.Step_limit -> -1
+  | Firefly.Interleave.Step_limit | Firefly.Interleave.Livelock _ -> -1
 
 let eventcount_run ~seed ~waiters:k =
   let report =
@@ -69,7 +69,7 @@ let eventcount_run ~seed ~waiters:k =
   match report.Firefly.Interleave.verdict with
   | Firefly.Interleave.Completed -> 0
   | Firefly.Interleave.Deadlock blocked -> max 0 (List.length blocked - 1)
-  | Firefly.Interleave.Step_limit -> -1
+  | Firefly.Interleave.Step_limit | Firefly.Interleave.Livelock _ -> -1
 
 let sweep run ~waiters =
   let runs_with_stranding = ref 0 and total_stranded = ref 0 in
@@ -131,7 +131,9 @@ let exhaustive_naive () =
     (fun outcome ->
       match outcome.Firefly.Explore.verdict with
       | Firefly.Interleave.Deadlock _ -> Some "stranded waiter found"
-      | Firefly.Interleave.Completed | Firefly.Interleave.Step_limit -> None)
+      | Firefly.Interleave.Completed | Firefly.Interleave.Step_limit
+      | Firefly.Interleave.Livelock _ ->
+        None)
 
 let run () =
   let t =

@@ -39,6 +39,10 @@ let verdict_check label (outcome : Firefly.Explore.outcome) =
          (String.concat ","
             (List.map string_of_int (List.sort compare blocked))))
   | Firefly.Interleave.Step_limit -> Some (label ^ ": step limit hit")
+  | Firefly.Interleave.Livelock { spinner; word; holder; _ } ->
+    Some
+      (Printf.sprintf "%s: livelock t%d spins on @%d held by t%d" label
+         spinner word holder)
   | Firefly.Interleave.Completed -> None
 
 (* The spec trace of the replay in progress on this domain.  [traced]

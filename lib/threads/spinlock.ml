@@ -16,7 +16,14 @@ let backoff_cap = 64
    whose Nub subroutine took the spin-lock: per-object spin-iteration and
    spin-cycle counters, plus a "spin <obj>" span when at least one TAS
    failed.  The probe calls are not machine effects, so the instruction
-   sequence (and hence the schedule) is exactly that of the bare loop. *)
+   sequence (and hence the schedule) is exactly that of the bare loop.
+
+   The spin contract: after a failed TAS the bare loop declares
+   [Probe.spin_on l.bit] — from here on it only retries the TAS, with its
+   local state unchanged — and a successful TAS clears the declaration.
+   That is what lets [Interleave.run ~certify:true] prove a livelock
+   instead of running it out.  The backoff loop changes its state and
+   charges ticks between retries, so it never declares. *)
 let acquire ?obs l =
   let t0 = Probe.now () in
   let rec go ~spun ~backoff =
@@ -29,17 +36,22 @@ let acquire ?obs l =
         Ops.tick backoff;
         go ~spun:true ~backoff:(min (backoff * 2) backoff_cap)
       end
-      else go ~spun:true ~backoff
+      else begin
+        Probe.spin_on l.bit;
+        go ~spun:true ~backoff
+      end
     end
     else begin
       Probe.lock_acquired l.bit;
-      if spun then
+      if spun then begin
+        Probe.spin_end ();
         match obs with
         | Some n ->
           let t1 = Probe.now () in
           Probe.counter (n ^ ".spin_cycles") (t1 - t0);
           Probe.span_add ~cat:"spin" ("spin " ^ n) ~t0 ~t1
         | None -> ()
+      end
     end
   in
   go ~spun:false ~backoff:backoff_start

@@ -17,7 +17,10 @@ val create : ?name:string -> unit -> t
     set to an object name (e.g. ["mutex#2"]), contended acquisitions are
     additionally recorded in the instrument registry as
     ["<obs>.spin_iters"] / ["<obs>.spin_cycles"] counters and a
-    ["spin <obs>"] span (zero simulated cost). *)
+    ["spin <obs>"] span (zero simulated cost).  After a failed TAS the
+    bare loop declares {!Firefly.Machine.Probe.spin_on} on the lock bit
+    and clears it once the bit is won; the backoff loop of chaos runs
+    never declares. *)
 val acquire : ?obs:string -> t -> unit
 
 val release : t -> unit

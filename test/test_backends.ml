@@ -49,7 +49,8 @@ let check_report ?(allow_deadlock = false) name (r : Firefly.Interleave.report) 
         (Printf.sprintf "%s: deadlock of %s" name
            (String.concat "," (List.map Tid.to_string ts)))
   | Firefly.Interleave.Step_limit ->
-    Alcotest.fail (name ^ ": step limit"));
+    Alcotest.fail (name ^ ": step limit")
+  | Firefly.Interleave.Livelock _ -> Alcotest.fail (name ^ ": livelock"));
   match Firefly.Machine.failures r.machine with
   | [] -> ()
   | (tid, e) :: _ ->

@@ -11,7 +11,9 @@ let run_rr ?(max_steps = 100_000) build =
 let completed (r : Firefly.Interleave.report) =
   match r.verdict with
   | Firefly.Interleave.Completed -> true
-  | Firefly.Interleave.Deadlock _ | Firefly.Interleave.Step_limit -> false
+  | Firefly.Interleave.Deadlock _ | Firefly.Interleave.Step_limit
+  | Firefly.Interleave.Livelock _ ->
+    false
 
 let no_failures (r : Firefly.Interleave.report) =
   M.failures r.machine = []
@@ -343,6 +345,103 @@ let test_sequencer_fifo () =
   Alcotest.(check bool) "completed" true (completed r);
   Alcotest.(check (list int)) "FIFO order" [ 0; 1; 2; 3 ] (List.rev !served)
 
+(* ---- livelock certificates ---- *)
+
+module E10 = Threads_harness.E10
+
+let is_livelock (r : Firefly.Interleave.report) =
+  match r.verdict with Firefly.Interleave.Livelock _ -> true | _ -> false
+
+let certified_seeds run ~upto =
+  List.filter (fun seed -> is_livelock (run ~seed)) (List.init upto Fun.id)
+
+(* A certificate never over-claims: certified seeds, rerun without it
+   under their old bounds, run out to [Step_limit]. *)
+let test_certificate_replays_to_step_limit () =
+  let preempting =
+    certified_seeds ~upto:E10.seeds (fun ~seed ->
+        E10.pv_run ~certify:true ~prefer:true ~seed ())
+  in
+  let faulted =
+    certified_seeds ~upto:E10.anti_pattern_runs (fun ~seed ->
+        E10.anti_pattern_run ~certify:true ~seed ())
+  in
+  Alcotest.(check int) "preempting mode: 225 certified" 225
+    (List.length preempting);
+  Alcotest.(check int) "E10b: 11 certified" 11 (List.length faulted);
+  let step_limit (r : Firefly.Interleave.report) =
+    r.verdict = Firefly.Interleave.Step_limit
+  in
+  List.iter
+    (fun seed ->
+      Alcotest.(check bool)
+        (Printf.sprintf "preempting seed %d runs to 200k" seed)
+        true
+        (step_limit (E10.pv_run ~prefer:true ~seed ())))
+    (List.filteri (fun i _ -> i < 8) preempting);
+  List.iter
+    (fun seed ->
+      Alcotest.(check bool)
+        (Printf.sprintf "E10b seed %d runs to 1M" seed)
+        true
+        (step_limit (E10.anti_pattern_run ~seed ())))
+    (List.filteri (fun i _ -> i < 2) faulted)
+
+(* Where nothing livelocks, certifying changes nothing: no verdict, step,
+   cycle or instruction moves. *)
+let test_certificate_is_inert () =
+  for seed = 0 to E10.seeds - 1 do
+    let plain = E10.pv_run ~seed () in
+    let cert = E10.pv_run ~certify:true ~seed () in
+    let same what f =
+      if f plain <> f cert then
+        Alcotest.failf "seed %d: %s differs with certify" seed what
+    in
+    if is_livelock cert then Alcotest.failf "seed %d: certified" seed;
+    same "verdict" (fun r -> r.Firefly.Interleave.verdict);
+    same "steps" (fun r -> r.Firefly.Interleave.steps);
+    same "total_cycles" (fun r -> M.total_cycles r.Firefly.Interleave.machine);
+    same "instructions" (fun r ->
+        M.total_instructions r.Firefly.Interleave.machine)
+  done
+
+(* The root holds a spin-lock and joins a thread that spins on it. *)
+let spin_on_held ~chaos ~certify =
+  let spinner = ref (-1) and word = ref (-1) in
+  let r =
+    Firefly.Interleave.run ~max_steps:500 ~certify
+      ~strategy:(Firefly.Sched.round_robin ()) (fun machine ->
+        M.set_chaos_active machine chaos;
+        ignore
+          (M.spawn_root machine (fun () ->
+               let l = Taos_threads.Spinlock.create () in
+               word := Taos_threads.Spinlock.addr l;
+               Taos_threads.Spinlock.acquire l;
+               spinner :=
+                 Ops.spawn (fun () -> Taos_threads.Spinlock.acquire l);
+               Ops.join !spinner)))
+  in
+  (r, !spinner, !word)
+
+let test_spin_declaration () =
+  let r, spinner, word = spin_on_held ~chaos:false ~certify:false in
+  Alcotest.(check bool) "uncertified: step limit" true
+    (r.verdict = Firefly.Interleave.Step_limit);
+  Alcotest.(check (option int)) "declared spin" (Some word)
+    (M.spin_word r.machine spinner);
+  let r, spinner, word = spin_on_held ~chaos:false ~certify:true in
+  (match r.verdict with
+  | Firefly.Interleave.Livelock l ->
+    Alcotest.(check (list int)) "witness (spinner, word, holder)"
+      [ spinner; word; 0 ] [ l.spinner; l.word; l.holder ];
+    Alcotest.(check int) "at_step" r.steps l.at_step
+  | _ -> Alcotest.fail "expected Livelock");
+  let r, spinner, _ = spin_on_held ~chaos:true ~certify:true in
+  Alcotest.(check bool) "backoff: step limit" true
+    (r.verdict = Firefly.Interleave.Step_limit);
+  Alcotest.(check (option int)) "backoff declares no spin" None
+    (M.spin_word r.machine spinner)
+
 let suite =
   ( "machine",
     [
@@ -368,4 +467,10 @@ let suite =
       Alcotest.test_case "eventcount + sequencer" `Quick
         test_eventcount_sequencer;
       Alcotest.test_case "sequencer FIFO lock" `Quick test_sequencer_fifo;
+      Alcotest.test_case "certified livelocks replay to step limit" `Quick
+        test_certificate_replays_to_step_limit;
+      Alcotest.test_case "certificate inert without livelock" `Quick
+        test_certificate_is_inert;
+      Alcotest.test_case "spin declaration and witness" `Quick
+        test_spin_declaration;
     ] )

@@ -87,7 +87,7 @@ let test_mutex_systematic () =
           else if !total <> 4 then Some "lost update"
           else None
         | Firefly.Interleave.Deadlock _ -> Some "deadlock"
-        | Firefly.Interleave.Step_limit -> None)
+        | Firefly.Interleave.Step_limit | Firefly.Interleave.Livelock _ -> None)
   in
   Alcotest.(check (option string)) "no violation in bounded space" None err;
   Alcotest.(check bool) "nontrivial exploration" true
@@ -125,7 +125,7 @@ let test_condvar_systematic () =
           if conforms (Spec_trace.Sink.events !sink) then None
           else Some "non-conforming trace"
         | Firefly.Interleave.Deadlock _ -> Some "lost wakeup"
-        | Firefly.Interleave.Step_limit -> None)
+        | Firefly.Interleave.Step_limit | Firefly.Interleave.Livelock _ -> None)
   in
   Alcotest.(check (option string)) "no lost wakeup, all traces conform" None
     err
@@ -169,7 +169,9 @@ let test_naive_strands_systematically () =
       ~max_runs:50_000 ~build (fun outcome ->
         match outcome.Firefly.Explore.verdict with
         | Firefly.Interleave.Deadlock _ -> Some "stranded"
-        | Firefly.Interleave.Completed | Firefly.Interleave.Step_limit -> None)
+        | Firefly.Interleave.Completed | Firefly.Interleave.Step_limit
+        | Firefly.Interleave.Livelock _ ->
+          None)
   in
   Alcotest.(check (option string)) "naive broadcast strands" (Some "stranded")
     err
