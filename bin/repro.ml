@@ -143,17 +143,24 @@ let out_arg =
     & info [ "out" ] ~docv:"FILE"
         ~doc:"Write the report to $(docv) instead of stdout")
 
-(* Shared converter for count options (seeds, runs, plans, budgets,
-   jobs): a negative value gets cmdliner's diagnostic and exit 124
-   instead of reaching Array.init or a report header. *)
-let count =
+(* Shared converters for count options (seeds, runs, plans, budgets,
+   jobs): a value below the floor gets cmdliner's diagnostic and exit 124
+   instead of reaching Array.init or a report header.  [count] admits 0
+   where it means something (all cores, no requirement); [positive]
+   guards matrix sizes, where 0 would pass having checked nothing. *)
+let count_from lo =
   let parse s =
     match Arg.conv_parser Arg.int s with
-    | Ok n when n < 0 ->
-      Error (`Msg (Printf.sprintf "invalid value '%s', expected a count >= 0" s))
+    | Ok n when n < lo ->
+      Error
+        (`Msg
+          (Printf.sprintf "invalid value '%s', expected a count >= %d" s lo))
     | r -> r
   in
   Arg.conv (parse, Arg.conv_printer Arg.int)
+
+let count = count_from 0
+let positive = count_from 1
 
 (* Shared --jobs flag: 0 means "ask the runtime", 1 (the default) stays
    sequential, N > 1 spreads the run matrix over N domains.  Reports are
@@ -501,7 +508,7 @@ let conform_cmd =
            ~doc:"Workload name, or $(b,all)")
   in
   let seeds =
-    Arg.(value & opt count 5 & info [ "seeds" ] ~docv:"N"
+    Arg.(value & opt positive 5 & info [ "seeds" ] ~docv:"N"
            ~doc:"Number of seeds (schedules) per workload")
   in
   let run backend workload seeds out jobs fleet =
@@ -580,7 +587,7 @@ let diff_cmd =
            ~doc:"Workload name, or $(b,all)")
   in
   let seeds =
-    Arg.(value & opt count 3 & info [ "seeds" ] ~docv:"N"
+    Arg.(value & opt positive 3 & info [ "seeds" ] ~docv:"N"
            ~doc:"Number of seeds (schedules) per backend")
   in
   let run workload seeds out jobs fleet =
@@ -664,12 +671,12 @@ let chaos_cmd =
            ~doc:"Workload name, or $(b,all)")
   in
   let plans =
-    Arg.(value & opt count Threads_fault.Plan.families
+    Arg.(value & opt positive Threads_fault.Plan.families
          & info [ "plans" ] ~docv:"N"
              ~doc:"Number of fault plans (ids 0..N-1; 7 cycles every family)")
   in
   let seeds =
-    Arg.(value & opt count 3 & info [ "seeds" ] ~docv:"N"
+    Arg.(value & opt positive 3 & info [ "seeds" ] ~docv:"N"
            ~doc:"Number of seeds (schedules) per plan")
   in
   let run backend workload plans seeds out jobs fleet =
@@ -1786,66 +1793,6 @@ let check_spec_cmd =
       const run $ file $ lint_only_flag $ mutants $ crosscheck $ demos
       $ format_arg $ out_arg)
 
-(* ---- perf-trajectory regression gate ---- *)
-
-let bench_diff_cmd =
-  let old_file =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"OLD"
-           ~doc:
-             "Baseline bench record: a $(b,results/BENCH.json)-shaped \
-              document, or a $(b,.jsonl) trajectory history (its last \
-              record is used)")
-  in
-  let new_file =
-    Arg.(required & pos 1 (some string) None & info [] ~docv:"NEW"
-           ~doc:"Candidate bench record (same shapes as $(b,OLD))")
-  in
-  let gate =
-    Arg.(value & opt float 0. & info [ "gate" ] ~docv:"PCT"
-           ~doc:
-             "Hard gate on the deterministic metrics (per-arm sim_cycles \
-              and DPOR executions): any increase beyond $(docv) percent \
-              fails the diff.  Default 0 — deterministic costs may never \
-              silently grow")
-  in
-  let host_gate =
-    Arg.(value & opt float 25. & info [ "host-gate" ] ~docv:"PCT"
-           ~doc:
-             "Advisory threshold for host wall-clock drift; host timing \
-              is machine noise and never fails the diff")
-  in
-  let run old_file new_file gate host_gate format out =
-    let load path =
-      try Tel.Bench_diff.load_file path with
-      | Sys_error e ->
-        Printf.eprintf "cannot read %s: %s\n" path e;
-        exit 1
-      | Obs.Json.Parse_error e ->
-        Printf.eprintf "%s: %s\n" path e;
-        exit 1
-    in
-    let old_ = load old_file and new_ = load new_file in
-    let r = Tel.Bench_diff.compare_json ~gate ~host_gate ~old_ ~new_ () in
-    (match format with
-    | `Table -> write_out ~out (Tel.Bench_diff.render r)
-    | `Json ->
-      write_out ~out
-        (Obs.Json.to_string (Tel.Bench_diff.to_json r) ^ "\n"));
-    if not (Tel.Bench_diff.ok r) then exit 1
-  in
-  Cmd.v
-    (Cmd.info "bench-diff"
-       ~doc:
-         "Compare two bench result records (or trajectory histories) and \
-          gate performance regressions.  Deterministic metrics — per-arm \
-          simulated cycles and the DPOR execution counts — fail the diff \
-          when they grow beyond $(b,--gate) percent; host wall-clock is \
-          reported as an advisory only.  Non-zero exit on any \
-          deterministic regression")
-    Term.(
-      const run $ old_file $ new_file $ gate $ host_gate $ format_arg
-      $ out_arg)
-
 (* ---- generative chaos engine ---- *)
 
 module Gen = Threads_gen
@@ -1857,7 +1804,7 @@ let generate_cmd =
                  multicore)")
   in
   let runs =
-    Arg.(value & opt count 100 & info [ "runs" ] ~docv:"N"
+    Arg.(value & opt positive 100 & info [ "runs" ] ~docv:"N"
            ~doc:"Number of generated scenarios")
   in
   let seed =
@@ -2054,7 +2001,6 @@ let command_summaries =
     ("analyze", "dynamic race and lock-order analysis (or --mutants)");
     ("profile", "causal profiler: critical path, blockers, wait forensics");
     ("check-spec", "static spec verifier: lint + abstract model check");
-    ("bench-diff", "compare two bench records and gate perf regressions");
     ("help", "print this subcommand summary") ]
 
 let print_command_summaries () =
@@ -2092,5 +2038,4 @@ let () =
        (Cmd.group ~default info
           [ list_cmd; run_cmd; all_cmd; spec_cmd; trace_cmd; metrics_cmd;
             conform_cmd; diff_cmd; chaos_cmd; generate_cmd; explore_cmd;
-            analyze_cmd; profile_cmd; check_spec_cmd;
-            bench_diff_cmd; help_cmd ]))
+            analyze_cmd; profile_cmd; check_spec_cmd; help_cmd ]))

@@ -44,88 +44,20 @@ let pp_result ppf r =
 type node = { state : State.t; phases : Program.phase array }
 
 let node_key node =
-  let buf = Buffer.create 64 in
-  List.iter
-    (fun obj ->
-      Buffer.add_string buf
-        (Printf.sprintf "%d=%s;" obj.Spec_obj.oid
-           (Value.to_string (State.get node.state obj))))
-    (State.objects node.state);
-  Array.iter
-    (fun p ->
-      Buffer.add_string buf
-        (match p with
-        | Program.Idle s -> Printf.sprintf "I%d," s
-        | Program.Mid (s, k) -> Printf.sprintf "M%d.%d," s k
-        | Program.Done -> "D,"))
-    node.phases;
-  Buffer.contents buf
+  Buffer.contents (Frontend.key_buffer node.state node.phases)
 
 let run ?(max_states = 2_000_000) iface (scenario : Program.t) =
-  let objects =
-    (* Positional ids: node keys and any printed state depend only on the
-       scenario, not on process history or the executing domain. *)
-    List.mapi
-      (fun i (name, sort) -> (name, Spec_obj.make ~oid:(i + 1) name sort))
-      scenario.objects
-  in
-  let init_state =
-    List.fold_left
-      (fun st (name, obj) ->
-        let v =
-          match List.assoc_opt name scenario.initials with
-          | Some v -> v
-          | None -> Value.initial obj.Spec_obj.sort
-        in
-        State.add obj v st)
-      State.empty objects
-  in
+  let fe = Frontend.make iface scenario in
   let nprogs = Array.length scenario.programs in
-  let init = { state = init_state; phases = Array.make nprogs (Program.Idle 0) } in
-  let step_of i s = List.nth scenario.programs.(i) s in
-  let bindings_of (step : Program.step) proc =
-    Semantics.bindings_of_args iface proc
-      (List.map
-         (function
-           | Program.Aobj name -> `Obj (List.assoc name objects)
-           | Program.Athread i -> `Val (Value.Thread (Program.tid_of i)))
-         step.args)
-  in
-  (* The action thread i must perform next, if any: either the first
-     action of its next call or the continuation of a composition. *)
-  let pending node i =
-    match node.phases.(i) with
-    | Program.Done -> None
-    | Program.Idle s ->
-      if s >= List.length scenario.programs.(i) then None
-      else
-        let step = step_of i s in
-        let proc = Proc.find_proc iface step.proc in
-        let actions = Proc.actions proc in
-        Some (step, proc, List.hd actions, 0, s)
-    | Program.Mid (s, k) ->
-      let step = step_of i s in
-      let proc = Proc.find_proc iface step.proc in
-      let actions = Proc.actions proc in
-      Some (step, proc, List.nth actions k, k, s)
-  in
-  let advance_phase (proc : Proc.t) k s prog_len =
-    let nactions = List.length (Proc.actions proc) in
-    if k + 1 >= nactions then
-      if s + 1 >= prog_len then Program.Done else Program.Idle (s + 1)
-    else Program.Mid (s, k + 1)
-  in
+  let init = { state = fe.init_state; phases = Frontend.init_phases fe } in
   let visited = Hashtbl.create 4096 in
   let states = ref 0 and transitions = ref 0 in
   let violation = ref None in
-  let view node =
-    { Program.state = node.state; phases = node.phases; objects }
-  in
   let check_invariant node trace =
     match scenario.invariant with
     | None -> ()
     | Some inv -> (
-      match inv (view node) with
+      match inv (Frontend.view fe node.state node.phases) with
       | None -> ()
       | Some message ->
         if !violation = None then
@@ -149,12 +81,12 @@ let run ?(max_states = 2_000_000) iface (scenario : Program.t) =
         let any_enabled = ref false in
         let all_done = ref true in
         for i = 0 to nprogs - 1 do
-          match pending node i with
+          match Frontend.pending fe node.phases i with
           | None -> ()
           | Some (step, proc, action, k, s) ->
             all_done := false;
             let self = Program.tid_of i in
-            let bindings = bindings_of step proc in
+            let bindings = Frontend.bindings_of fe step proc in
             (* REQUIRES at the first action of a call. *)
             if
               k = 0
@@ -178,8 +110,7 @@ let run ?(max_states = 2_000_000) iface (scenario : Program.t) =
                 any_enabled := true;
                 incr transitions;
                 let phases = Array.copy node.phases in
-                phases.(i) <-
-                  advance_phase proc k s (List.length scenario.programs.(i));
+                phases.(i) <- Frontend.advance fe i proc k s;
                 let node' = { state = o.o_post; phases } in
                 let entry =
                   {

@@ -23,6 +23,7 @@
 
 open Spec_core
 module Program = Threads_model.Program
+module Frontend = Threads_model.Frontend
 module Tid = Threads_util.Tid
 
 type scenario = {
@@ -47,21 +48,7 @@ type result = {
 type node = { state : State.t; phases : Program.phase array; delivered : bool }
 
 let node_key node =
-  let buf = Buffer.create 64 in
-  List.iter
-    (fun obj ->
-      Buffer.add_string buf
-        (Printf.sprintf "%d=%s;" obj.Spec_obj.oid
-           (Value.to_string (State.get node.state obj))))
-    (State.objects node.state);
-  Array.iter
-    (fun p ->
-      Buffer.add_string buf
-        (match p with
-        | Program.Idle s -> Printf.sprintf "I%d," s
-        | Program.Mid (s, k) -> Printf.sprintf "M%d.%d," s k
-        | Program.Done -> "D,"))
-    node.phases;
+  let buf = Frontend.key_buffer node.state node.phases in
   Buffer.add_char buf (if node.delivered then 'd' else '-');
   Buffer.contents buf
 
@@ -77,62 +64,19 @@ let parked phases j =
 
 let run ?(max_states = 1_000_000) iface (sc : scenario) =
   let scenario = sc.sc_program in
-  let objects =
-    List.mapi
-      (fun i (name, sort) -> (name, Spec_obj.make ~oid:(i + 1) name sort))
-      scenario.Program.objects
-  in
-  let init_state =
-    List.fold_left
-      (fun st (name, obj) ->
-        let v =
-          match List.assoc_opt name scenario.Program.initials with
-          | Some v -> v
-          | None -> Value.initial obj.Spec_obj.sort
-        in
-        State.add obj v st)
-      State.empty objects
-  in
+  let fe = Frontend.make iface scenario in
   let thread_objs =
-    List.filter (fun (_, o) -> o.Spec_obj.sort = Sort.Thread) objects
+    List.filter (fun (_, o) -> o.Spec_obj.sort = Sort.Thread) fe.objects
   in
   let cond_objs =
-    List.filter (fun (_, o) -> o.Spec_obj.sort = Sort.Thread_set) objects
+    List.filter (fun (_, o) -> o.Spec_obj.sort = Sort.Thread_set) fe.objects
   in
   let nprogs = Array.length scenario.Program.programs in
   let init =
-    { state = init_state; phases = Array.make nprogs (Program.Idle 0);
+    { state = fe.init_state; phases = Frontend.init_phases fe;
       delivered = false }
   in
-  let step_of i s = List.nth scenario.Program.programs.(i) s in
-  let bindings_of (step : Program.step) proc =
-    Semantics.bindings_of_args iface proc
-      (List.map
-         (function
-           | Program.Aobj name -> `Obj (List.assoc name objects)
-           | Program.Athread i -> `Val (Value.Thread (Program.tid_of i)))
-         step.args)
-  in
-  let pending node i =
-    match node.phases.(i) with
-    | Program.Done -> None
-    | Program.Idle s ->
-      if s >= List.length scenario.Program.programs.(i) then None
-      else
-        let step = step_of i s in
-        let proc = Proc.find_proc iface step.Program.proc in
-        Some (step, proc, List.hd (Proc.actions proc), 0, s)
-    | Program.Mid (s, k) ->
-      let step = step_of i s in
-      let proc = Proc.find_proc iface step.Program.proc in
-      Some (step, proc, List.nth (Proc.actions proc) k, k, s)
-  in
-  let advance_phase (proc : Proc.t) k s prog_len =
-    let nactions = List.length (Proc.actions proc) in
-    if k + 1 >= nactions then
-      if s + 1 >= prog_len then Program.Done else Program.Idle (s + 1)
-    else Program.Mid (s, k + 1)
-  in
+  let pending node i = Frontend.pending fe node.phases i in
   let findings = ref [] in
   let add ~cls msg =
     findings := Finding.make ~cls ~where:sc.sc_name msg :: !findings
@@ -141,13 +85,12 @@ let run ?(max_states = 1_000_000) iface (sc : scenario) =
   let delivery_reachable = ref false in
   let visited = Hashtbl.create 4096 in
   let states = ref 0 and transitions = ref 0 in
-  let view node =
-    { Program.state = node.state; phases = node.phases; objects }
-  in
   let check_invariants node =
     List.iter
       (fun (cls, inv) ->
-        match inv (view node) with None -> () | Some msg -> add ~cls msg)
+        match inv (Frontend.view fe node.state node.phases) with
+        | None -> ()
+        | Some msg -> add ~cls msg)
       sc.sc_invariants
   in
   (* Did thread [self]'s transition remove a *parked other* thread from a
@@ -200,7 +143,7 @@ let run ?(max_states = 1_000_000) iface (sc : scenario) =
           | Some (step, proc, action, k, s) ->
             all_done := false;
             let self = Program.tid_of i in
-            let bindings = bindings_of step proc in
+            let bindings = Frontend.bindings_of fe step proc in
             if
               k = 0
               && not (Semantics.requires_holds proc ~self ~bindings node.state)
@@ -226,9 +169,7 @@ let run ?(max_states = 1_000_000) iface (sc : scenario) =
                 in
                 if delivered_now then delivery_reachable := true;
                 let phases = Array.copy node.phases in
-                phases.(i) <-
-                  advance_phase proc k s
-                    (List.length scenario.Program.programs.(i));
+                phases.(i) <- Frontend.advance fe i proc k s;
                 let node' =
                   { state = o.Semantics.o_post; phases;
                     delivered = node.delivered || delivered_now }

@@ -442,6 +442,106 @@ let test_spin_declaration () =
   Alcotest.(check (option int)) "backoff declares no spin" None
     (M.spin_word r.machine spinner)
 
+(* Deterministic cost pins: simulated cycles of seven fixed runs across
+   the layers (the Threads package on the interleaving and timed
+   drivers, the sim backend with and without an access log, the fault
+   engine).  Same seed, same schedule, so each count is exact on any
+   host; a change that makes the simulated package or its drivers do
+   more (or less) work moves one and must update it here on purpose. *)
+type sync =
+  (module Taos_threads.Sync_intf.SYNC with type thread = Threads_util.Tid.t)
+
+let api_cycles ~seed body =
+  M.total_cycles (Taos_threads.Api.run ~seed body).Firefly.Interleave.machine
+
+let uncontended_pairs (sync : sync) =
+  let module Sy = (val sync) in
+  let m = Sy.mutex () in
+  for _ = 1 to 100 do
+    Sy.acquire m;
+    Sy.release m
+  done
+
+let timed_workers (sync : sync) =
+  let module Sy = (val sync) in
+  let m = Sy.mutex () in
+  let worker () =
+    for _ = 1 to 50 do
+      Sy.acquire m;
+      Ops.tick 10;
+      Sy.release m
+    done
+  in
+  List.iter Sy.join (List.init 4 (fun _ -> Sy.fork worker))
+
+(* Drain 8 parked waiters with one Broadcast, or with 8 Signals plus a
+   sweep-up Broadcast: a Signal may find its target awake but not yet
+   re-checking the flag, so 8 signals need not wake all 8 waiters. *)
+let drain_waiters ~broadcast (sync : sync) =
+  let module Sy = (val sync) in
+  let m = Sy.mutex () in
+  let c = Sy.condition () in
+  let flag = ref false in
+  let waiter () =
+    Sy.with_lock m (fun () ->
+        while not !flag do
+          Sy.wait m c
+        done)
+  in
+  let ws = List.init 8 (fun _ -> Sy.fork waiter) in
+  Sy.with_lock m (fun () -> flag := true);
+  if not broadcast then
+    for _ = 1 to 8 do
+      Sy.signal c
+    done;
+  Sy.broadcast c;
+  List.iter Sy.join ws
+
+let test_cycle_pins () =
+  let sim = Option.get (Threads_backend.Backend.find "sim") in
+  let mutex = Option.get (Threads_backend.Workload.find "mutex") in
+  let instrument =
+    match sim.Threads_backend.Backend.instrument with
+    | Threads_backend.Backend.Machine_access f -> f
+    | _ -> Alcotest.fail "sim backend lost its machine instrument"
+  in
+  let log = Threads_analysis.Analysis.log () in
+  let driver = Option.get sim.Threads_backend.Backend.chaos in
+  let chaos plan () =
+    let _, o = driver ~seed:7 ~plan mutex in
+    M.total_cycles o.Threads_fault.Engine.machine
+  in
+  List.iter
+    (fun (name, expected, cycles) ->
+      Alcotest.(check int) name expected (cycles ()))
+    [
+      ("100 uncontended pairs", 500, fun () ->
+          api_cycles ~seed:1 uncontended_pairs);
+      ("timed, 4 workers x 50, 5 cpus", 5069, fun () ->
+          let r =
+            Taos_threads.Api.run_timed ~processors:5 ~seed:7 timed_workers
+          in
+          M.total_cycles r.Firefly.Timed.machine);
+      ("drain 8 waiters with signals", 694, fun () ->
+          api_cycles ~seed:3 (drain_waiters ~broadcast:false));
+      ("drain 8 waiters with broadcast", 713, fun () ->
+          api_cycles ~seed:3 (drain_waiters ~broadcast:true));
+      ("sim mutex", 1878, fun () ->
+          M.total_cycles (snd (instrument ~seed:7 mutex)));
+      ("sim mutex, access log subscribed", 1878, fun () ->
+          let observe = Threads_analysis.Analysis.record log in
+          M.total_cycles (snd (instrument ~observe ~seed:7 mutex)));
+      (* 3014, not 1878: an empty Fault.Engine plan is not yet
+         cycle-identical to a plain run.  Keep this pin at 3014 until the
+         engine is fixed; then it drops to the plain run's count. *)
+      ("fault engine, empty plan", 3014,
+       chaos Threads_fault.Plan.{ id = -1; actions = [] });
+      ("fault engine, delay-wakeups plan", 1597,
+       chaos (Threads_fault.Plan.generate ~plan_id:0 ()));
+    ];
+  Alcotest.(check int) "sim mutex accesses" 1380
+    (List.length (Threads_analysis.Analysis.accesses log))
+
 let suite =
   ( "machine",
     [
@@ -473,4 +573,5 @@ let suite =
         test_certificate_is_inert;
       Alcotest.test_case "spin declaration and witness" `Quick
         test_spin_declaration;
+      Alcotest.test_case "simulated cycle pins" `Quick test_cycle_pins;
     ] )

@@ -283,10 +283,12 @@ let test_multicore_package_serializes () =
 let scenario name = Option.get (Sc.find name)
 
 (* Where plain DFS can finish, its violation set is the ground truth
-   DPOR must reproduce — with far fewer executions. *)
+   DPOR must reproduce — with far fewer executions.  On wakeup-waiting
+   the search sizes are pinned exactly: (DFS executions, DPOR
+   executions, sleep-blocked branches, peak depth). *)
 let test_dpor_matches_dfs () =
   List.iter
-    (fun name ->
+    (fun (name, pinned) ->
       let s = scenario name in
       let dfs_v, dfs_stats, complete =
         Ex.explore_all ~max_depth:s.Sc.max_depth ~max_runs:500_000
@@ -307,8 +309,17 @@ let test_dpor_matches_dfs () =
         (Printf.sprintf "%s: DPOR prunes (%d < %d)" name
            dpor_stats.Ex.executions dfs_stats.Ex.terminal_runs)
         true
-        (dpor_stats.Ex.executions < dfs_stats.Ex.terminal_runs))
-    [ "wakeup-waiting"; "hoare-signal" ]
+        (dpor_stats.Ex.executions < dfs_stats.Ex.terminal_runs);
+      Option.iter
+        (fun expected ->
+          Alcotest.(check (list int))
+            (name ^ ": pinned search sizes")
+            expected
+            [ dfs_stats.Ex.terminal_runs + dfs_stats.Ex.truncated_runs;
+              dpor_stats.Ex.executions; dpor_stats.Ex.sleep_blocked;
+              dpor_stats.Ex.peak_depth ])
+        pinned)
+    [ ("wakeup-waiting", Some [ 21_722; 14; 4; 30 ]); ("hoare-signal", None) ]
 
 (* The rest of the catalogue is too big for DFS; DPOR must still finish
    and land exactly on the pinned expectations (E5's two stranding

@@ -1,5 +1,4 @@
-(* Fleet observatory: telemetry collectors, progress streams and the
-   bench-diff regression gate.
+(* Fleet observatory: telemetry collectors and progress streams.
 
    The load-bearing properties:
    - Attaching a collector or progress sink never changes matrix
@@ -8,15 +7,12 @@
      worker count, even though per-worker attribution is not.
    - The progress stream is well-formed JSON lines with the documented
      event grammar, and the straggler/heartbeat logic is exact under an
-     injected clock.
-   - bench-diff gates deterministic metrics hard and host timing only
-     advisorily. *)
+     injected clock. *)
 
 module Matrix = Threads_runner.Matrix
 module T = Threads_runner.Telemetry
 module Fleet = Threads_telemetry.Fleet
 module Progress = Threads_telemetry.Progress
-module Bd = Threads_telemetry.Bench_diff
 module Ex = Firefly.Explore
 module Sc = Threads_harness.Explore_scenarios
 
@@ -289,109 +285,6 @@ let test_explore_telemetry_identical () =
       Alcotest.(check bool) "progress ticked" true (!ticks > 0))
     job_counts
 
-(* ---- bench-diff ---- *)
-
-let bench ?(cycles = []) ?(host = []) ?dpor_execs ?(agree = true) () =
-  let arm name =
-    Obs.Json.Obj
-      [
-        ("name", Obs.Json.String name);
-        ( "host_us_per_run",
-          match List.assoc_opt name host with
-          | Some us -> Obs.Json.Float us
-          | None -> Obs.Json.Null );
-        ( "sim_cycles",
-          match List.assoc_opt name cycles with
-          | Some c -> Obs.Json.Int c
-          | None -> Obs.Json.Null );
-      ]
-  in
-  let names =
-    List.sort_uniq compare (List.map fst cycles @ List.map fst host)
-  in
-  Obs.Json.Obj
-    [
-      ("schema_version", Obs.Json.Int 2);
-      ( "dpor",
-        Obs.Json.Obj
-          ([ ("violations_agree", Obs.Json.Bool agree) ]
-          @
-          match dpor_execs with
-          | Some n -> [ ("dpor_executions", Obs.Json.Int n) ]
-          | None -> []) );
-      ("benchmarks", Obs.Json.Arr (List.map arm names));
-    ]
-
-let test_bench_diff_gate () =
-  let old_ = bench ~cycles:[ ("a", 1000); ("b", 500) ] ~dpor_execs:14 () in
-  (* a regresses 1%, b improves *)
-  let new_ = bench ~cycles:[ ("a", 1010); ("b", 400) ] ~dpor_execs:14 () in
-  let r = Bd.compare_json ~old_ ~new_ () in
-  Alcotest.(check bool) "default gate 0: any increase fails" false (Bd.ok r);
-  Alcotest.(check int) "exactly one regression" 1
-    (List.length r.Bd.d_regressions);
-  let r5 = Bd.compare_json ~gate:5. ~old_ ~new_ () in
-  Alcotest.(check bool) "1% increase passes a 5% gate" true (Bd.ok r5);
-  let statuses =
-    List.map (fun a -> (a.Bd.a_name, a.Bd.a_status)) r.Bd.d_arms
-  in
-  Alcotest.(check bool) "a regressed / b improved" true
-    (statuses = [ ("a", Bd.Regression); ("b", Bd.Improvement) ]);
-  Alcotest.(check bool) "render announces FAIL" true
-    (contains (Bd.render r) "bench-diff: FAIL")
-
-let test_bench_diff_dpor_and_agreement () =
-  let old_ = bench ~cycles:[ ("a", 100) ] ~dpor_execs:14 () in
-  let worse = bench ~cycles:[ ("a", 100) ] ~dpor_execs:20 () in
-  Alcotest.(check bool) "dpor execution growth is a regression" false
-    (Bd.ok (Bd.compare_json ~old_ ~new_:worse ()));
-  let broken =
-    bench ~cycles:[ ("a", 100) ] ~dpor_execs:14 ~agree:false ()
-  in
-  Alcotest.(check bool) "violation-set disagreement is a regression" false
-    (Bd.ok (Bd.compare_json ~old_ ~new_:broken ()))
-
-let test_bench_diff_host_advisory () =
-  let old_ = bench ~cycles:[ ("a", 100) ] ~host:[ ("a", 10.) ] () in
-  let new_ = bench ~cycles:[ ("a", 100) ] ~host:[ ("a", 20.) ] () in
-  let r = Bd.compare_json ~old_ ~new_ () in
-  Alcotest.(check bool) "host drift never fails the diff" true (Bd.ok r);
-  Alcotest.(check int) "but is advisory" 1 (List.length r.Bd.d_advisories);
-  let quiet =
-    Bd.compare_json ~host_gate:150. ~old_ ~new_ ()
-  in
-  Alcotest.(check int) "advisory threshold respected" 0
-    (List.length quiet.Bd.d_advisories)
-
-let test_bench_diff_added_removed () =
-  let old_ = bench ~cycles:[ ("gone", 10); ("kept", 5) ] () in
-  let new_ = bench ~cycles:[ ("kept", 5); ("fresh", 7) ] () in
-  let r = Bd.compare_json ~old_ ~new_ () in
-  Alcotest.(check bool) "arm churn is not a failure" true (Bd.ok r);
-  Alcotest.(check (list string)) "statuses by arm"
-    [ "removed"; "ok"; "added" ]
-    (List.map (fun a -> Bd.status_name a.Bd.a_status) r.Bd.d_arms)
-
-let test_bench_diff_jsonl_history () =
-  let path = Filename.temp_file "bench_hist" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      output_string oc
-        (Obs.Json.to_string (bench ~cycles:[ ("a", 111) ] ()) ^ "\n");
-      output_string oc
-        (Obs.Json.to_string (bench ~cycles:[ ("a", 222) ] ()) ^ "\n");
-      close_out oc;
-      let j = Bd.load_file path in
-      let r = Bd.compare_json ~old_:j ~new_:(bench ~cycles:[ ("a", 222) ] ()) () in
-      (* comparing the history's *last* record against itself: clean *)
-      Alcotest.(check bool) "last record wins" true (Bd.ok r);
-      match r.Bd.d_arms with
-      | [ a ] -> Alcotest.(check (option int)) "cycles from last line"
-          (Some 222) a.Bd.a_old_cycles
-      | _ -> Alcotest.fail "expected one arm")
-
 let suite =
   ( "telemetry-observatory",
     [
@@ -413,13 +306,4 @@ let suite =
         test_explore_progress_monotone;
       Alcotest.test_case "explore telemetry identical" `Quick
         test_explore_telemetry_identical;
-      Alcotest.test_case "bench-diff cycle gate" `Quick test_bench_diff_gate;
-      Alcotest.test_case "bench-diff dpor + agreement" `Quick
-        test_bench_diff_dpor_and_agreement;
-      Alcotest.test_case "bench-diff host advisory" `Quick
-        test_bench_diff_host_advisory;
-      Alcotest.test_case "bench-diff arm churn" `Quick
-        test_bench_diff_added_removed;
-      Alcotest.test_case "bench-diff jsonl history" `Quick
-        test_bench_diff_jsonl_history;
     ] )
