@@ -379,25 +379,9 @@ let trace_cmd =
   in
   let chrome seed out =
     let snap = demo_snapshot ~seed in
-    let s =
-      Obs.Chrome_trace.to_string ~cycle_us:Firefly.Cost.us_per_cycle
-        ~process_name:"firefly-sim" ~thread_names:(thread_names snap) snap
-    in
-    if out = "-" then print_string s
-    else begin
-      let oc =
-        try open_out out
-        with Sys_error e ->
-          Printf.eprintf "cannot write trace: %s\n" e;
-          exit 1
-      in
-      output_string oc s;
-      close_out oc;
-      Printf.printf "wrote %d trace events to %s\n"
-        (List.length
-           (Obs.Chrome_trace.events ~thread_names:(thread_names snap) snap))
-        out
-    end
+    write_out ~out
+      (Obs.Chrome_trace.to_string ~cycle_us:Firefly.Cost.us_per_cycle
+         ~process_name:"firefly-sim" ~thread_names:(thread_names snap) snap)
   in
   let run seed variant format out =
     match format with
@@ -442,12 +426,14 @@ let trace_cmd =
           S.join w;
           S.join aw)
     in
-    List.iteri
-      (fun i e ->
-        Printf.printf "%3d  %s\n" i (Spec_trace.event_to_string e))
-      trace;
     let rep = Threads_model.Conformance.check iface trace in
-    Format.printf "---@.%a@." Threads_model.Conformance.pp_report rep;
+    write_out ~out
+      (String.concat ""
+         (List.mapi
+            (fun i e ->
+              Printf.sprintf "%3d  %s\n" i (Spec_trace.event_to_string e))
+            trace)
+      ^ Format.asprintf "---@.%a@." Threads_model.Conformance.pp_report rep);
     if not (Threads_model.Conformance.ok rep) then exit 2
   in
   Cmd.v
@@ -788,21 +774,17 @@ let explore_cmd =
     Arg.(value & opt count 1_000_000 & info [ "max-runs" ] ~docv:"N"
            ~doc:"Execution budget per search (per frozen prefix for DPOR)")
   in
-  let split =
-    Arg.(value & opt count 2 & info [ "split-branches" ] ~docv:"D"
-           ~doc:
-             "Branch depth of the exhaustive frontier split handed to the \
-              parallel workers (independent of --jobs, so results are \
-              too)")
-  in
   let min_prune =
     Arg.(value & opt (some float) None & info [ "min-prune" ] ~docv:"PCT"
            ~doc:
              "With --mode=both: fail unless DPOR explores at least \
               $(docv)% fewer executions than DFS")
   in
-  let run scenario mode max_runs split min_prune format out jobs fleet =
+  let run scenario mode max_runs min_prune format out jobs fleet =
     let jobs = resolve_jobs jobs in
+    (* Branch depth of the exhaustive frontier split handed to the DPOR
+       workers; independent of --jobs, so the results are too. *)
+    let split = 2 in
     let scenarios =
       if scenario = "all" then Sc.all
       else
@@ -856,17 +838,16 @@ let explore_cmd =
           if mode = `Dpor then None
           else
             Some
-              (Ex.explore_all ~max_depth:s.Sc.max_depth ~max_runs
+              (Ex.explore ~max_depth:s.Sc.max_depth ~max_runs
                  ~build:s.Sc.build s.Sc.check)
         in
         let found, complete =
           match (dpor, dfs) with
-          | Some (v, ds), _ -> (v, ds.Ex.complete)
-          | None, Some (v, _, complete) -> (v, complete)
+          | Some (v, st), _ | None, Some (v, st) -> (v, st.Ex.complete)
           | None, None -> assert false
         in
         let dfs_complete =
-          match dfs with Some (_, _, complete) -> complete | None -> true
+          match dfs with Some (_, st) -> st.Ex.complete | None -> true
         in
         (match dpor with
         | Some (_, ds) when not ds.Ex.complete ->
@@ -883,19 +864,13 @@ let explore_cmd =
             (String.concat "; " found)
             (String.concat "; " s.Sc.expect);
         (match (dpor, dfs) with
-        | Some (dv, _), Some (fv, _, true) ->
+        | Some (dv, _), Some (fv, _) when dfs_complete ->
           if dv <> fv then
             fail "%s: DPOR and DFS disagree\n  dpor: [%s]\n  dfs:  [%s]"
               s.Sc.name (String.concat "; " dv) (String.concat "; " fv)
         | _ -> ());
-        let dfs_execs =
-          match dfs with
-          | Some (_, st, _) -> Some (st.Ex.terminal_runs + st.Ex.truncated_runs)
-          | None -> None
-        in
-        let dpor_execs =
-          match dpor with Some (_, ds) -> Some ds.Ex.executions | None -> None
-        in
+        let execs = Option.map (fun (_, st) -> st.Ex.executions) in
+        let dfs_execs = execs dfs and dpor_execs = execs dpor in
         (* Only a complete DFS counts the whole tree the ratio is over. *)
         let prune =
           match (dpor_execs, dfs_execs) with
@@ -936,11 +911,10 @@ let explore_cmd =
                   ("dpor_complete", Obs.Json.Bool ds.Ex.complete) ]
               | None -> [])
             @ (match dfs with
-              | Some (_, st, complete) ->
-                [ ("dfs_executions",
-                   Obs.Json.Int (st.Ex.terminal_runs + st.Ex.truncated_runs));
-                  ("dfs_steps", Obs.Json.Int st.Ex.total_steps);
-                  ("dfs_complete", Obs.Json.Bool complete) ]
+              | Some (_, st) ->
+                [ ("dfs_executions", Obs.Json.Int st.Ex.executions);
+                  ("dfs_steps", Obs.Json.Int st.Ex.dpor_steps);
+                  ("dfs_complete", Obs.Json.Bool st.Ex.complete) ]
               | None -> [])
             @
             match prune with
@@ -974,7 +948,7 @@ let explore_cmd =
           exhaustive DFS and reports the pruning ratio; non-zero exit on \
           any mismatch with the scenario's pinned expectation")
     Term.(
-      const run $ scenario $ mode $ max_runs $ split $ min_prune $ format_arg
+      const run $ scenario $ mode $ max_runs $ min_prune $ format_arg
       $ out_arg $ jobs_arg $ fleet_term)
 
 (* ---- dynamic race / lock-order analysis and the spec linter ---- *)
@@ -1083,9 +1057,10 @@ let analyze_mutants filter seed ~jobs ~format ~out ~fleet =
         (report_summary_row s.Mu.m_name r
            (Printf.sprintf "%s %s" expected (if caught then "(caught)" else "(MISSED)"))))
     scenarios;
+  let emit, finish = make_emit out in
   (match format with
   | `Json ->
-    write_out ~out
+    emit
       (Obs.Json.to_string
          (Obs.Json.Obj
             [ ("schema_version", Obs.Json.Int 1);
@@ -1094,12 +1069,13 @@ let analyze_mutants filter seed ~jobs ~format ~out ~fleet =
               ("scenarios", Obs.Json.Arr (List.rev !records)) ])
       ^ "\n")
   | `Table ->
-    Threads_util.Table.print t;
-    List.iter (List.iter print_endline) (List.rev !details));
+    emit (Threads_util.Table.render t);
+    List.iter (List.iter (fun l -> emit (l ^ "\n"))) (List.rev !details);
+    if !failures = [] then
+      emit "all mutants caught by their intended detector\n");
+  finish ();
   match List.rev !failures with
-  | [] ->
-    if format = `Table then
-      print_endline "all mutants caught by their intended detector"
+  | [] -> ()
   | fs ->
     List.iter (fun f -> Printf.eprintf "FAIL: %s\n" f) fs;
     exit 1
@@ -1171,9 +1147,10 @@ let analyze_backend filter backend workload seed ~jobs ~format ~out ~fleet =
           [ wl.Wl.name; "-"; "-"; "-"; "-"; "-"; "-"; "skipped" ])
     wls;
   let findings = List.concat (List.rev !findings) in
+  let emit, finish = make_emit out in
   (match format with
   | `Json ->
-    write_out ~out
+    emit
       (Obs.Json.to_string
          (Obs.Json.Obj
             [ ("schema_version", Obs.Json.Int 1);
@@ -1182,17 +1159,15 @@ let analyze_backend filter backend workload seed ~jobs ~format ~out ~fleet =
               ("workloads", Obs.Json.Arr (List.rev !records)) ])
       ^ "\n")
   | `Table ->
-    Threads_util.Table.print t;
-    List.iter print_endline findings;
-    if findings = [] then print_endline "no findings");
-  if findings <> [] then begin
-    if b.Bk.conforming then begin
-      Printf.eprintf "FAIL: conforming backend %s has findings\n" b.Bk.name;
-      exit 1
-    end
-    else if format = `Table then
-      print_endline
-        "(findings on a non-conforming baseline are expected divergence)"
+    emit (Threads_util.Table.render t);
+    List.iter (fun l -> emit (l ^ "\n")) findings;
+    if findings = [] then emit "no findings\n"
+    else if not b.Bk.conforming then
+      emit "(findings on a non-conforming baseline are expected divergence)\n");
+  finish ();
+  if findings <> [] && b.Bk.conforming then begin
+    Printf.eprintf "FAIL: conforming backend %s has findings\n" b.Bk.name;
+    exit 1
   end
 
 let analyze_cmd =
@@ -1381,25 +1356,31 @@ let progcheck_catalogue () =
     Threads_harness.Scenarios.semaphore_pingpong () ]
 
 (* The clause-level pass alone (check-spec --lint-only). *)
-let lint_only name iface locs =
+let lint_only name iface locs ~out =
   let findings = Lint.lint ~locs iface in
-  List.iter
-    (fun f -> Format.printf "%s: %a@." name Lint.pp_finding f)
-    findings;
   let errs = List.length (Lint.errors findings) in
-  Printf.printf "%s: %d procedure(s), %d error(s), %d warning(s)\n" name
-    (List.length iface.Spec_core.Proc.i_procs)
-    errs
-    (List.length findings - errs);
+  write_out ~out
+    (String.concat ""
+       (List.map
+          (fun f -> Format.asprintf "%s: %a@." name Lint.pp_finding f)
+          findings)
+    ^ Printf.sprintf "%s: %d procedure(s), %d error(s), %d warning(s)\n" name
+        (List.length iface.Spec_core.Proc.i_procs)
+        errs
+        (List.length findings - errs));
   if errs > 0 then exit 1
 
 let check_spec_mutants ~format ~out =
   let pristine = SC.Speccheck.check Spec_core.Threads_interface.final in
   let pristine_clean = pristine.SC.Speccheck.rep_findings = [] in
   let results = SC.Speccheck.check_mutants () in
+  let missed =
+    List.filter (fun r -> not r.SC.Speccheck.mu_caught) results
+  in
+  let emit, finish = make_emit out in
   (match format with
   | `Json ->
-    write_out ~out
+    emit
       (Obs.Json.to_string
          (Obs.Json.Obj
             [ ("schema_version", Obs.Json.Int 1);
@@ -1447,10 +1428,10 @@ let check_spec_mutants ~format ~out =
             | None -> "(none)");
             (if r.SC.Speccheck.mu_caught then "caught" else "MISSED") ])
       results;
-    Threads_util.Table.print t);
-  let missed =
-    List.filter (fun r -> not r.SC.Speccheck.mu_caught) results
-  in
+    emit (Threads_util.Table.render t);
+    if pristine_clean && missed = [] then
+      emit "all spec mutants caught with their expected class\n");
+  finish ();
   if not pristine_clean then begin
     Printf.eprintf "FAIL: pristine spec produced findings\n";
     exit 1
@@ -1463,9 +1444,7 @@ let check_spec_mutants ~format ~out =
           (match r.SC.Speccheck.mu_primary with Some c -> c | None -> "none"))
       missed;
     exit 1
-  end;
-  if format = `Table then
-    print_endline "all spec mutants caught with their expected class"
+  end
 
 (* Dynamic violation sets from a [repro explore --format=json] report. *)
 let dynamic_of_explore_json file =
@@ -1511,9 +1490,11 @@ let check_spec_crosscheck ~dynamic_file ~format ~out =
   let entries =
     SC.Crossval.run ?dynamic Spec_core.Threads_interface.final
   in
+  let bad = List.filter (fun e -> not e.SC.Crossval.x_ok) entries in
+  let emit, finish = make_emit out in
   (match format with
   | `Json ->
-    write_out ~out
+    emit
       (Obs.Json.to_string
          (Obs.Json.Obj
             [ ("schema_version", Obs.Json.Int 1);
@@ -1565,8 +1546,12 @@ let check_spec_crosscheck ~dynamic_file ~format ~out =
             | cs -> String.concat ", " cs);
             (if e.SC.Crossval.x_ok then "yes" else "NO") ])
       entries;
-    Threads_util.Table.print t);
-  let bad = List.filter (fun e -> not e.SC.Crossval.x_ok) entries in
+    emit (Threads_util.Table.render t);
+    if bad = [] then
+      emit
+        "every dynamically observed violation class is statically \
+         reachable\n");
+  finish ();
   if bad <> [] then begin
     List.iter
       (fun (e : SC.Crossval.entry) ->
@@ -1575,10 +1560,7 @@ let check_spec_crosscheck ~dynamic_file ~format ~out =
           e.SC.Crossval.x_scenario)
       bad;
     exit 1
-  end;
-  if format = `Table then
-    print_endline
-      "every dynamically observed violation class is statically reachable"
+  end
 
 let check_spec_full name iface locs ~demos ~format ~out =
   let rep = SC.Speccheck.check ~locs iface in
@@ -1596,6 +1578,10 @@ let check_spec_full name iface locs ~demos ~format ~out =
   in
   let errs = List.length (SC.Finding.errors all_findings) in
   let warns = List.length all_findings - errs in
+  let emit, finish = make_emit out in
+  let emit_findings fs =
+    List.iter (fun f -> emit (Format.asprintf "  %a@." SC.Finding.pp f)) fs
+  in
   (match format with
   | `Json ->
     let model_json m =
@@ -1621,7 +1607,7 @@ let check_spec_full name iface locs ~demos ~format ~out =
             Obs.Json.Arr (List.map sc_finding_json r.SC.Progcheck.p_findings)
           ) ]
     in
-    write_out ~out
+    emit
       (Obs.Json.to_string
          (Obs.Json.Obj
             ([ ("schema_version", Obs.Json.Int 1);
@@ -1647,10 +1633,8 @@ let check_spec_full name iface locs ~demos ~format ~out =
                 ("warnings", Obs.Json.Int warns) ]))
       ^ "\n")
   | `Table ->
-    Printf.printf "check-spec: %s\n" name;
-    List.iter
-      (fun f -> Format.printf "  %a@." SC.Finding.pp f)
-      rep.SC.Speccheck.rep_lint;
+    emit (Printf.sprintf "check-spec: %s\n" name);
+    emit_findings rep.SC.Speccheck.rep_lint;
     let t =
       Threads_util.Table.create
         ~aligns:
@@ -1669,16 +1653,13 @@ let check_spec_full name iface locs ~demos ~format ~out =
              else string_of_int m.SC.Speccheck.mr_transitions);
             string_of_int (List.length m.SC.Speccheck.mr_findings) ])
       rep.SC.Speccheck.rep_model;
-    Threads_util.Table.print t;
+    emit (Threads_util.Table.render t);
     List.iter
-      (fun m ->
-        List.iter
-          (fun f -> Format.printf "  %a@." SC.Finding.pp f)
-          m.SC.Speccheck.mr_findings)
+      (fun m -> emit_findings m.SC.Speccheck.mr_findings)
       rep.SC.Speccheck.rep_model;
     List.iter
       (fun (p, a, ci) ->
-        Printf.printf "  unreachable: case %d of %s.%s\n" (ci + 1) p a)
+        emit (Printf.sprintf "  unreachable: case %d of %s.%s\n" (ci + 1) p a))
       rep.SC.Speccheck.rep_uncovered;
     let pt =
       Threads_util.Table.create
@@ -1695,12 +1676,9 @@ let check_spec_full name iface locs ~demos ~format ~out =
             string_of_int (List.length r.SC.Progcheck.p_edges);
             string_of_int (List.length r.SC.Progcheck.p_findings) ])
       prog_reports;
-    Threads_util.Table.print pt;
+    emit (Threads_util.Table.render pt);
     List.iter
-      (fun (r : SC.Progcheck.report) ->
-        List.iter
-          (fun f -> Format.printf "  %a@." SC.Finding.pp f)
-          r.SC.Progcheck.p_findings)
+      (fun (r : SC.Progcheck.report) -> emit_findings r.SC.Progcheck.p_findings)
       prog_reports;
     if demos then begin
       let dt =
@@ -1718,10 +1696,12 @@ let check_spec_full name iface locs ~demos ~format ~out =
                   Printf.sprintf "[%s] %s" f.SC.Finding.cls f.SC.Finding.msg ])
             r.SC.Progcheck.p_findings)
         demo_reports;
-      Threads_util.Table.print dt
+      emit (Threads_util.Table.render dt)
     end;
-    Printf.printf "check-spec: %s: %d error(s), %d warning(s)\n" name errs
-      warns);
+    emit
+      (Printf.sprintf "check-spec: %s: %d error(s), %d warning(s)\n" name
+         errs warns));
+  finish ();
   if errs > 0 then exit 1
 
 let check_spec_cmd =
@@ -1770,7 +1750,7 @@ let check_spec_cmd =
       | None ->
         let name, src = read_spec file in
         let iface, locs = parse_spec name src in
-        if lint_only_flag then lint_only name iface locs
+        if lint_only_flag then lint_only name iface locs ~out
         else check_spec_full name iface locs ~demos ~format ~out
   in
   Cmd.v
@@ -1955,7 +1935,11 @@ let generate_cmd =
             (fun file ->
               match r.Gen.Campaign.minimal with
               | Some (rf, _) ->
-                Gen.Replay.save file rf;
+                (try Gen.Replay.save file rf
+                 with Sys_error e ->
+                   finish ();
+                   Printf.eprintf "cannot write %s: %s\n" file e;
+                   exit 1);
                 Printf.eprintf "wrote %s (%d bytes)\n" file
                   (String.length (Gen.Replay.to_string rf))
               | None ->

@@ -127,9 +127,6 @@ let run ?strategy ?(max_steps = default_budget) ?(seed = 0) ~(plan : Plan.t)
         ~desc:(Printf.sprintf "contention burst x%d" count)
         count
   in
-  let blocked () =
-    List.filter (fun tid -> M.status m tid = M.Blocked) (M.all_tids m)
-  in
   let rec fire_triggers () =
     match !pending with
     | a :: rest when Plan.trigger a <= !steps ->
@@ -179,7 +176,7 @@ let run ?strategy ?(max_steps = default_budget) ?(seed = 0) ~(plan : Plan.t)
             incr steps;
             loop ()
           end
-          else if M.live m then Deadlock (blocked ())
+          else if M.live m then Deadlock (M.blocked m)
           else Completed)
       | _ :: _, [] ->
         (* Every runnable thread is stalled: the processors idle. *)

@@ -1,124 +1,114 @@
 module Tid = Threads_util.Tid
 
-type outcome = {
-  verdict : Interleave.verdict;
-  machine : Machine.t;
-  schedule : Tid.t list;
-}
+type outcome = { verdict : Interleave.verdict; machine : Machine.t }
 
 type stats = {
-  terminal_runs : int;
-  truncated_runs : int;
-  total_steps : int;
+  executions : int;
+  sleep_blocked : int;
+  dpor_truncated : int;
+  dpor_steps : int;
+  peak_depth : int;
+  complete : bool;
 }
 
-(* Run [build] following [prefix]; afterwards keep stepping while the
-   choice is forced (a single runnable thread).  Returns the machine, the
-   full schedule actually taken, and either the terminal verdict or the
-   enabled set at the first real branch point. *)
-let run_prefix ~max_depth ~build prefix =
+type dpor_stats = stats
+
+let dpor_stats_zero =
+  { executions = 0; sleep_blocked = 0; dpor_truncated = 0; dpor_steps = 0;
+    peak_depth = 0; complete = true }
+
+let dpor_stats_add a b =
+  {
+    executions = a.executions + b.executions;
+    sleep_blocked = a.sleep_blocked + b.sleep_blocked;
+    dpor_truncated = a.dpor_truncated + b.dpor_truncated;
+    dpor_steps = a.dpor_steps + b.dpor_steps;
+    peak_depth = max a.peak_depth b.peak_depth;
+    complete = a.complete && b.complete;
+  }
+
+(* Add a violation string to a set kept as a list of distinct strings. *)
+let note found = function
+  | Some v -> if not (List.mem v !found) then found := v :: !found
+  | None -> ()
+
+(* Re-run [build] from scratch along [path] (steps, newest first), then
+   step on while the choice is forced.  A branch point offers every
+   runnable thread, the one that ran last first; once [max_preemptions]
+   switches away from a still-runnable thread are spent, that thread is
+   forced while it stays runnable.  A step with a single candidate is
+   forced too.  Returns the machine, the path taken (newest first), its
+   length, and either the run's verdict or the candidates of the next
+   branch point. *)
+let replay ~max_depth ~max_preemptions ~build path =
   let m = Machine.create () in
   build m;
-  let taken = ref [] in
-  let steps = ref 0 in
-  let do_step tid =
-    taken := tid :: !taken;
-    incr steps;
+  let nsteps = ref 0 and budget = ref max_preemptions in
+  let last = ref 0 (* the thread that ran last, once [!nsteps > 0] *) in
+  let runnable tid = Machine.status m tid = Machine.Runnable in
+  let step tid =
+    if !nsteps > 0 && !last <> tid && runnable !last then decr budget;
+    last := tid;
+    incr nsteps;
     ignore (Machine.step m tid)
   in
   List.iter
     (fun tid ->
-      match Machine.status m tid with
-      | Machine.Runnable -> do_step tid
-      | _ -> failwith "Explore: stale replay prefix")
-    prefix;
+      if not (runnable tid) then failwith "Explore: stale replay prefix";
+      step tid)
+    (List.rev path);
+  (* New steps extend [path] itself, so sibling paths share their prefix. *)
+  let taken = ref path in
   let rec drive () =
-    if !steps >= max_depth then `Truncated
+    if !nsteps >= max_depth then `End Interleave.Step_limit
     else
       match Machine.runnable m with
-      | [] ->
-        if Machine.live m then
-          `Terminal
-            (Interleave.Deadlock
-               (List.filter
-                  (fun tid -> Machine.status m tid = Machine.Blocked)
-                  (Machine.all_tids m)))
-        else `Terminal Interleave.Completed
-      | [ only ] ->
-        do_step only;
-        drive ()
-      | several -> `Branch several
+      | [] -> `End (Interleave.at_rest m)
+      | [ t ] -> extend t
+      | enabled ->
+        if !nsteps > 0 && List.mem !last enabled then
+          if !budget <= 0 then extend !last
+          else `Branch (!last :: List.filter (fun t -> t <> !last) enabled)
+        else `Branch enabled
+  and extend t =
+    step t;
+    taken := t :: !taken;
+    drive ()
   in
   let res = drive () in
-  (m, List.rev !taken, res, !steps)
+  (m, !taken, !nsteps, res)
 
-let explore ?(max_depth = 4000) ?(max_runs = 200_000) ~build check =
-  let terminal = ref 0 and truncated = ref 0 and steps = ref 0 in
-  let error = ref None in
-  (* DFS over schedule prefixes.  Each stack entry is a prefix to expand. *)
+let explore ?(max_preemptions = max_int) ?(stop_at_first = false)
+    ?(max_depth = 4000) ?(max_runs = 200_000) ~build check =
+  let found = ref [] in
+  let executions = ref 0 and truncated = ref 0 in
+  let steps = ref 0 and peak = ref 0 in
+  (* DFS over paths; each stack entry is a path to replay and expand. *)
   let stack = ref [ [] ] in
-  let runs = ref 0 in
-  while !error = None && !stack <> [] && !runs < max_runs do
+  while
+    !stack <> [] && !executions < max_runs
+    && not (stop_at_first && !found <> [])
+  do
     match !stack with
     | [] -> ()
-    | prefix :: rest ->
+    | path :: rest -> (
       stack := rest;
-      incr runs;
-      let m, schedule, res, nsteps = run_prefix ~max_depth ~build prefix in
+      let m, path, nsteps, res =
+        replay ~max_depth ~max_preemptions ~build path
+      in
       steps := !steps + nsteps;
-      (match res with
-      | `Terminal verdict ->
-        incr terminal;
-        error := check { verdict; machine = m; schedule }
-      | `Truncated ->
-        incr truncated;
-        error := check { verdict = Interleave.Step_limit; machine = m; schedule }
-      | `Branch enabled ->
-        (* Expand: one new prefix per enabled thread.  [schedule] already
-           includes the forced steps taken after the prefix. *)
-        let children = List.map (fun tid -> schedule @ [ tid ]) enabled in
-        stack := List.rev children @ !stack)
+      peak := max !peak nsteps;
+      match res with
+      | `Branch candidates ->
+        stack := List.map (fun t -> t :: path) candidates @ rest
+      | `End verdict ->
+        incr executions;
+        if verdict = Interleave.Step_limit then incr truncated;
+        note found (check { verdict; machine = m }))
   done;
-  ( !error,
-    { terminal_runs = !terminal; truncated_runs = !truncated;
-      total_steps = !steps } )
-
-(* Like [explore], but never stops early: collects the set of distinct
-   violation strings over the whole tree, for comparison against the
-   DPOR traversal.  The extra boolean is false iff the [max_runs] budget
-   ran out before the tree was exhausted. *)
-let explore_all ?(max_depth = 4000) ?(max_runs = 200_000) ~build check =
-  let terminal = ref 0 and truncated = ref 0 and steps = ref 0 in
-  let violations = ref [] in
-  let record = function
-    | Some v -> if not (List.mem v !violations) then violations := v :: !violations
-    | None -> ()
-  in
-  let stack = ref [ [] ] in
-  let runs = ref 0 in
-  while !stack <> [] && !runs < max_runs do
-    match !stack with
-    | [] -> ()
-    | prefix :: rest ->
-      stack := rest;
-      incr runs;
-      let m, schedule, res, nsteps = run_prefix ~max_depth ~build prefix in
-      steps := !steps + nsteps;
-      (match res with
-      | `Terminal verdict ->
-        incr terminal;
-        record (check { verdict; machine = m; schedule })
-      | `Truncated ->
-        incr truncated;
-        record (check { verdict = Interleave.Step_limit; machine = m; schedule })
-      | `Branch enabled ->
-        let children = List.map (fun tid -> schedule @ [ tid ]) enabled in
-        stack := List.rev children @ !stack)
-  done;
-  ( List.sort_uniq String.compare !violations,
-    { terminal_runs = !terminal; truncated_runs = !truncated;
-      total_steps = !steps },
-    !stack = [] )
+  ( List.sort_uniq String.compare !found,
+    { executions = !executions; sleep_blocked = 0; dpor_truncated = !truncated;
+      dpor_steps = !steps; peak_depth = !peak; complete = !stack = [] } )
 
 (* ---- dynamic partial-order reduction (sleep sets + backtrack sets) ----
 
@@ -135,33 +125,10 @@ let explore_all ?(max_depth = 4000) ?(max_runs = 200_000) ~build check =
    The exploration tree is kept as a persistent path of nodes; after each
    maximal execution a race analysis walks the path and seeds backtrack
    points, and sleep sets prune branches whose first step commutes with
-   everything an already-explored sibling did.  Unlike [explore], the
-   search never stops at the first error: it collects the set of distinct
-   violation strings, so two runs that explore the space in different
-   orders (or split it across domains) report identical results. *)
-
-type dpor_stats = {
-  executions : int;  (** maximal (terminal or truncated) replays run *)
-  sleep_blocked : int;  (** branches pruned by sleep sets *)
-  dpor_truncated : int;  (** executions cut off by the depth bound *)
-  dpor_steps : int;  (** instructions executed across all replays *)
-  peak_depth : int;  (** deepest exploration path reached *)
-  complete : bool;  (** false iff the [max_runs] budget was exhausted *)
-}
-
-let dpor_stats_zero =
-  { executions = 0; sleep_blocked = 0; dpor_truncated = 0; dpor_steps = 0;
-    peak_depth = 0; complete = true }
-
-let dpor_stats_add a b =
-  {
-    executions = a.executions + b.executions;
-    sleep_blocked = a.sleep_blocked + b.sleep_blocked;
-    dpor_truncated = a.dpor_truncated + b.dpor_truncated;
-    dpor_steps = a.dpor_steps + b.dpor_steps;
-    peak_depth = max a.peak_depth b.peak_depth;
-    complete = a.complete && b.complete;
-  }
+   everything an already-explored sibling did.  The search never stops
+   at the first error: it collects the set of distinct violation
+   strings, so two runs that explore the space in different orders (or
+   split it across domains) report identical results. *)
 
 type dnode = {
   d_enabled : Tid.t list;  (* enabled in the pre-state of this step *)
@@ -190,22 +157,19 @@ let footprint_stepper m =
     ignore (Machine.step m tid);
     !fp
 
-let explore_dpor ?(max_depth = 4000) ?(max_runs = 1_000_000)
-    ?(prefix = []) ?progress ~build check =
+(* One DPOR search under a frozen [prefix] of steps; backtrack points
+   inside the prefix are discarded.  [progress] is called after every
+   maximal execution with the cumulative statistics so far. *)
+let dpor ~max_depth ~max_runs ~prefix ?progress ~build check =
   let frozen = List.length prefix in
   let prefix = Array.of_list prefix in
   (* Deepest node first; the path persists across replays. *)
   let path : dnode list ref = ref [] in
   let plen = ref 0 in
-  let violations = ref [] in
+  let found = ref [] in
   let executions = ref 0 and sleep_blocked = ref 0 in
   let truncated = ref 0 and steps = ref 0 in
   let peak = ref 0 in
-  let record = function
-    | Some v -> if not (List.mem v !violations) then violations := v :: !violations
-    | None -> ()
-  in
-  let schedule () = List.rev_map (fun nd -> nd.d_chosen) !path in
   let indep_against fp entries =
     List.filter
       (fun (_, f) -> not (Machine.footprints_conflict f fp))
@@ -237,14 +201,14 @@ let explore_dpor ?(max_depth = 4000) ?(max_runs = 1_000_000)
     build m;
     let step = footprint_stepper m in
     let sleep = ref [] in
-    let replay nd =
+    let redo nd =
       nd.d_fp <- step nd.d_chosen;
       incr steps;
       if not (List.mem_assoc nd.d_chosen nd.d_tried) then
         nd.d_tried <- (nd.d_chosen, nd.d_fp) :: nd.d_tried;
       sleep := sleep_below nd !sleep
     in
-    List.iter replay (List.rev !path);
+    List.iter redo (List.rev !path);
     let push nd =
       path := nd :: !path;
       incr plen
@@ -252,23 +216,11 @@ let explore_dpor ?(max_depth = 4000) ?(max_runs = 1_000_000)
     let rec extend () =
       if !plen >= max_depth then begin
         incr truncated;
-        record
-          (check
-             { verdict = Interleave.Step_limit; machine = m;
-               schedule = schedule () })
+        note found (check { verdict = Interleave.Step_limit; machine = m })
       end
       else
         match Machine.runnable m with
-        | [] ->
-          let verdict =
-            if Machine.live m then
-              Interleave.Deadlock
-                (List.filter
-                   (fun tid -> Machine.status m tid = Machine.Blocked)
-                   (Machine.all_tids m))
-            else Interleave.Completed
-          in
-          record (check { verdict; machine = m; schedule = schedule () })
+        | [] -> note found (check { verdict = Interleave.at_rest m; machine = m })
         | enabled -> (
           let forced =
             if !plen < frozen then Some prefix.(!plen) else None
@@ -393,7 +345,7 @@ let explore_dpor ?(max_depth = 4000) ?(max_runs = 1_000_000)
       continue_ := backtrack ()
     end
   done;
-  ( List.sort_uniq String.compare !violations,
+  ( List.sort_uniq String.compare !found,
     { executions = !executions; sleep_blocked = !sleep_blocked;
       dpor_truncated = !truncated; dpor_steps = !steps;
       peak_depth = !peak; complete = !budget_ok } )
@@ -412,41 +364,32 @@ let explore_dpor ?(max_depth = 4000) ?(max_runs = 1_000_000)
 
 let explore_dpor_parallel ?(max_depth = 4000) ?(max_runs = 1_000_000)
     ?(split_branches = 2) ?(jobs = 1) ?progress ?telemetry ~build check =
-  let pre_violations = ref [] in
+  let pre_found = ref [] in
   let pre = ref dpor_stats_zero in
-  let record = function
-    | Some v ->
-      if not (List.mem v !pre_violations) then
-        pre_violations := v :: !pre_violations
-    | None -> ()
-  in
   let frontier = ref [ [] ] in
   for _ = 1 to split_branches do
     frontier :=
       List.concat_map
-        (fun p ->
-          let m, schedule, res, nsteps = run_prefix ~max_depth ~build p in
+        (fun path ->
+          let m, path, nsteps, res =
+            replay ~max_depth ~max_preemptions:max_int ~build path
+          in
           pre := { !pre with dpor_steps = !pre.dpor_steps + nsteps };
           match res with
-          | `Branch enabled ->
-            List.map (fun tid -> schedule @ [ tid ]) enabled
-          | `Terminal verdict ->
+          | `Branch candidates -> List.map (fun t -> t :: path) candidates
+          | `End verdict ->
             (* The whole program ends before the split depth: check it
                here, once; there is no subtree to hand to a worker. *)
-            pre := { !pre with executions = !pre.executions + 1 };
-            record (check { verdict; machine = m; schedule });
-            []
-          | `Truncated ->
             pre :=
               { !pre with executions = !pre.executions + 1;
-                dpor_truncated = !pre.dpor_truncated + 1 };
-            record
-              (check
-                 { verdict = Interleave.Step_limit; machine = m; schedule });
+                dpor_truncated =
+                  (!pre.dpor_truncated
+                  + if verdict = Interleave.Step_limit then 1 else 0) };
+            note pre_found (check { verdict; machine = m });
             [])
         !frontier
   done;
-  let prefixes = Array.of_list !frontier in
+  let prefixes = Array.of_list (List.map List.rev !frontier) in
   let pre_stats_base = !pre in
   (* Aggregate progress across the per-prefix searches: each search
      reports cumulative counters for its own subtree, so every cell
@@ -485,115 +428,13 @@ let explore_dpor_parallel ?(max_depth = 4000) ?(max_runs = 1_000_000)
   let results =
     Threads_runner.Matrix.map ?telemetry ~jobs ~n:(Array.length prefixes)
       (fun i ->
-        explore_dpor ~max_depth ~max_runs ~prefix:prefixes.(i)
+        dpor ~max_depth ~max_runs ~prefix:prefixes.(i)
           ?progress:(progress_for ()) ~build check)
   in
   let violations, stats =
     Array.fold_left
       (fun (vs, st) (v, s) -> (List.rev_append v vs, dpor_stats_add st s))
-      (!pre_violations, !pre) results
+      (!pre_found, !pre) results
   in
   (List.sort_uniq String.compare violations, stats)
 
-(* ---- delay-bounded (CHESS-style) search ----
-
-   The baseline scheduler is non-preemptive: the current thread runs until
-   it blocks or finishes; at such natural switch points every enabled
-   thread is a (free) choice.  Additionally up to [max_preemptions]
-   involuntary switches may be inserted anywhere.  Musuvathi & Qadeer's
-   observation holds here too: most concurrency bugs need only one or two
-   preemptions, so the polynomially-sized bounded space finds them where
-   plain DFS/BFS over all interleavings drowns. *)
-
-(* Replay [prefix] (a list of chosen tids, one per choice point), then
-   report the next choice point or the terminal verdict. *)
-let run_prefix_bounded ~max_depth ~max_preemptions ~build prefix =
-  let m = Machine.create () in
-  build m;
-  let steps = ref 0 in
-  let budget = ref max_preemptions in
-  let current = ref None in
-  let remaining = ref prefix in
-  let consumed = ref [] in
-  let do_step tid =
-    incr steps;
-    current := Some tid;
-    ignore (Machine.step m tid)
-  in
-  let rec drive () =
-    if !steps >= max_depth then `Truncated
-    else
-      match Machine.runnable m with
-      | [] ->
-        if Machine.live m then
-          `Terminal
-            (Interleave.Deadlock
-               (List.filter
-                  (fun tid -> Machine.status m tid = Machine.Blocked)
-                  (Machine.all_tids m)))
-        else `Terminal Interleave.Completed
-      | enabled -> (
-        let cur_enabled =
-          match !current with
-          | Some t when List.mem t enabled -> Some t
-          | _ -> None
-        in
-        let candidates =
-          match cur_enabled with
-          | Some t when !budget <= 0 -> [ t ]
-          | Some t -> t :: List.filter (fun x -> x <> t) enabled
-          | None -> enabled
-        in
-        match candidates with
-        | [ only ] ->
-          do_step only;
-          drive ()
-        | _ -> (
-          match !remaining with
-          | choice :: rest ->
-            remaining := rest;
-            consumed := choice :: !consumed;
-            if not (List.mem choice candidates) then
-              failwith "Explore: stale bounded replay prefix";
-            (match cur_enabled with
-            | Some t when choice <> t -> decr budget
-            | _ -> ());
-            do_step choice;
-            drive ()
-          | [] -> `Choice candidates))
-  in
-  let res = drive () in
-  (m, List.rev !consumed, res, !steps)
-
-let explore_bounded ?(max_preemptions = 2) ?(max_depth = 4000)
-    ?(max_runs = 200_000) ~build check =
-  let terminal = ref 0 and truncated = ref 0 and steps = ref 0 in
-  let error = ref None in
-  let stack = ref [ [] ] in
-  let runs = ref 0 in
-  while !error = None && !stack <> [] && !runs < max_runs do
-    match !stack with
-    | [] -> ()
-    | prefix :: rest ->
-      stack := rest;
-      incr runs;
-      let m, choices, res, nsteps =
-        run_prefix_bounded ~max_depth ~max_preemptions ~build prefix
-      in
-      steps := !steps + nsteps;
-      (match res with
-      | `Terminal verdict ->
-        incr terminal;
-        error := check { verdict; machine = m; schedule = choices }
-      | `Truncated ->
-        incr truncated;
-        error :=
-          check { verdict = Interleave.Step_limit; machine = m;
-                  schedule = choices }
-      | `Choice candidates ->
-        let children = List.map (fun tid -> choices @ [ tid ]) candidates in
-        stack := children @ !stack)
-  done;
-  ( !error,
-    { terminal_runs = !terminal; truncated_runs = !truncated;
-      total_steps = !steps } )

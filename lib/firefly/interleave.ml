@@ -35,6 +35,9 @@ let certificate m strategy spinner ~at_step =
       Some (Livelock { spinner; word; holder; at_step })
     | _ -> None)
 
+let at_rest m =
+  if Machine.live m then Deadlock (Machine.blocked m) else Completed
+
 let run ?(max_steps = 1_000_000) ?(certify = false) ?strategy ?(seed = 0)
     ?cost build =
   let strategy =
@@ -53,12 +56,7 @@ let run ?(max_steps = 1_000_000) ?(certify = false) ?strategy ?(seed = 0)
       match Machine.runnable m with
       | [] ->
         if Machine.advance_to_next_timer m then loop ()
-        else if Machine.live m then
-          Deadlock
-            (List.filter
-               (fun tid -> Machine.status m tid = Machine.Blocked)
-               (Machine.all_tids m))
-        else Completed
+        else at_rest m
       | rs -> (
         let tid = Sched.choose strategy m rs in
         ignore (Machine.step m tid);

@@ -24,6 +24,11 @@ type report = {
   machine : Machine.t;  (** for trace/counter inspection *)
 }
 
+(** [at_rest m] is the verdict of a machine with no runnable thread:
+    [Deadlock (Machine.blocked m)] while a thread is live, else
+    [Completed]. *)
+val at_rest : Machine.t -> verdict
+
 (** [run ?max_steps ?certify ?strategy build] creates a machine, passes
     it to [build] (which spawns root threads via {!Machine.spawn_root}),
     then steps until completion, deadlock or [max_steps] (default

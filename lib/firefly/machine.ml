@@ -380,6 +380,14 @@ let runnable m =
   in
   go (m.nthreads - 1) []
 
+let blocked m =
+  let rec go i acc =
+    if i < 0 then acc
+    else
+      go (i - 1) (if m.threads.(i).status = Blocked then i :: acc else acc)
+  in
+  go (m.nthreads - 1) []
+
 let live m =
   let rec go i =
     i < m.nthreads

@@ -55,7 +55,7 @@ type fault = { f_seq : int; f_cycle : int; f_desc : string }
     {!subscribe}s to one {!kind} and folds it itself: the spec-trace
     collector ({!Record.trace}), the access log of [lib/analysis], the
     causal-profile fold of [lib/profile] and the per-step footprints of
-    {!Explore.explore_dpor}.  The machine keeps none of it.  Each emission
+    {!Explore.explore_dpor_parallel}.  The machine keeps none of it.  Each emission
     site first tests whether its kind has a subscriber, so a kind nobody
     observes costs that test and allocates nothing.  Publishing charges
     no cycles, adds no scheduling points and draws no randomness, so an
@@ -402,6 +402,9 @@ val priority : t -> Threads_util.Tid.t -> int
 
 (** [runnable m] — runnable thread ids, ascending. *)
 val runnable : t -> Threads_util.Tid.t list
+
+(** [blocked m] — blocked thread ids, ascending: a deadlock's witnesses. *)
+val blocked : t -> Threads_util.Tid.t list
 
 (** [live m] is true while some thread is runnable or blocked. *)
 val live : t -> bool

@@ -118,12 +118,7 @@ let run ~processors ?(seed = 0) ?(cost = Cost.default) ?(max_cycles = 50_000_000
           in
           (match busy_clocks with
           | [] ->
-            if Machine.live m then
-              Deadlock
-                (List.filter
-                   (fun tid -> Machine.status m tid = Machine.Blocked)
-                   (Machine.all_tids m))
-            else Completed
+            if Machine.live m then Deadlock (Machine.blocked m) else Completed
           | cs ->
             let target = List.fold_left min max_int cs in
             (* Jitter of one cycle avoids lock-step artefacts. *)

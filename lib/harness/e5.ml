@@ -126,8 +126,8 @@ let exhaustive_naive () =
            S.join w1;
            S.join w2))
   in
-  Firefly.Explore.explore_bounded ~max_preemptions:2 ~max_depth:600
-    ~max_runs:50_000 ~build
+  Firefly.Explore.explore ~max_preemptions:2 ~stop_at_first:true
+    ~max_depth:600 ~max_runs:50_000 ~build
     (fun outcome ->
       match outcome.Firefly.Explore.verdict with
       | Firefly.Interleave.Deadlock _ -> Some "stranded waiter found"
@@ -157,15 +157,15 @@ let run () =
         ])
     [ 2; 4; 8 ];
   Table.print t;
-  let err, stats = exhaustive_naive () in
+  let found, stats = exhaustive_naive () in
   Printf.printf
     "Delay-bounded systematic search (<=2 preemptions), naive scheme, 2 waiters: %s \
      (%d terminal schedules, %d truncated, %d replayed steps)\n"
-    (match err with
-    | Some msg -> msg
-    | None -> "no stranding found (unexpected)")
-    stats.Firefly.Explore.terminal_runs stats.Firefly.Explore.truncated_runs
-    stats.Firefly.Explore.total_steps;
+    (match found with
+    | msg :: _ -> msg
+    | [] -> "no stranding found (unexpected)")
+    (stats.Firefly.Explore.executions - stats.Firefly.Explore.dpor_truncated)
+    stats.Firefly.Explore.dpor_truncated stats.Firefly.Explore.dpor_steps;
   print_endline
     "Shape check: the semaphore-based scheme strands waiters under\n\
      Broadcast (and exhaustively must); the eventcount implementation\n\

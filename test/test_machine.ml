@@ -269,15 +269,18 @@ let test_explore_finds_race () =
            Ops.join t2;
            final := Ops.read a))
   in
-  let err, stats =
-    Firefly.Explore.explore ~max_depth:200 ~build (fun outcome ->
+  let found, stats =
+    Firefly.Explore.explore ~stop_at_first:true ~max_depth:200 ~build
+      (fun outcome ->
         match outcome.Firefly.Explore.verdict with
         | Firefly.Interleave.Completed when !final = 1 -> Some "lost update"
         | _ -> None)
   in
-  Alcotest.(check (option string)) "race found" (Some "lost update") err;
+  Alcotest.(check (list string)) "race found" [ "lost update" ] found;
   Alcotest.(check bool) "explored some runs" true
-    (stats.Firefly.Explore.terminal_runs >= 1)
+    (stats.Firefly.Explore.executions >= 1);
+  Alcotest.(check bool) "the first hit ended the search" false
+    stats.Firefly.Explore.complete
 
 let test_explore_bounded_finds_race () =
   let final = ref 0 in
@@ -295,15 +298,15 @@ let test_explore_bounded_finds_race () =
            Ops.join t2;
            final := Ops.read a))
   in
-  let err, _ =
-    Firefly.Explore.explore_bounded ~max_preemptions:1 ~max_depth:200 ~build
-      (fun outcome ->
+  let found, _ =
+    Firefly.Explore.explore ~max_preemptions:1 ~stop_at_first:true
+      ~max_depth:200 ~build (fun outcome ->
         match outcome.Firefly.Explore.verdict with
         | Firefly.Interleave.Completed when !final = 1 -> Some "lost update"
         | _ -> None)
   in
-  Alcotest.(check (option string)) "found with 1 preemption"
-    (Some "lost update") err
+  Alcotest.(check (list string)) "found with 1 preemption" [ "lost update" ]
+    found
 
 let test_eventcount_sequencer () =
   let r =

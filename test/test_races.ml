@@ -78,9 +78,9 @@ let test_mutex_systematic () =
            Ops.join a;
            Ops.join b))
   in
-  let err, stats =
-    Firefly.Explore.explore_bounded ~max_preemptions:2 ~max_depth:2000
-      ~max_runs:30_000 ~build (fun outcome ->
+  let found, stats =
+    Firefly.Explore.explore ~max_preemptions:2 ~stop_at_first:true
+      ~max_depth:2000 ~max_runs:30_000 ~build (fun outcome ->
         match outcome.Firefly.Explore.verdict with
         | Firefly.Interleave.Completed ->
           if !peak > 1 then Some "mutual exclusion violated"
@@ -89,9 +89,12 @@ let test_mutex_systematic () =
         | Firefly.Interleave.Deadlock _ -> Some "deadlock"
         | Firefly.Interleave.Step_limit | Firefly.Interleave.Livelock _ -> None)
   in
-  Alcotest.(check (option string)) "no violation in bounded space" None err;
+  Alcotest.(check (list string)) "no violation in bounded space" [] found;
+  Alcotest.(check bool) "bounded space exhausted" true
+    stats.Firefly.Explore.complete;
   Alcotest.(check bool) "nontrivial exploration" true
-    (stats.Firefly.Explore.terminal_runs > 50)
+    (stats.Firefly.Explore.executions - stats.Firefly.Explore.dpor_truncated
+    > 50)
 
 (* Same bounded exploration for Wait/Signal: no lost wakeups. *)
 let test_condvar_systematic () =
@@ -117,9 +120,9 @@ let test_condvar_systematic () =
            Taos_threads.Condition.signal c;
            Ops.join w))
   in
-  let err, _ =
-    Firefly.Explore.explore_bounded ~max_preemptions:2 ~max_depth:3000
-      ~max_runs:30_000 ~build (fun outcome ->
+  let found, stats =
+    Firefly.Explore.explore ~max_preemptions:2 ~stop_at_first:true
+      ~max_depth:3000 ~max_runs:30_000 ~build (fun outcome ->
         match outcome.Firefly.Explore.verdict with
         | Firefly.Interleave.Completed ->
           if conforms (Spec_trace.Sink.events !sink) then None
@@ -127,8 +130,10 @@ let test_condvar_systematic () =
         | Firefly.Interleave.Deadlock _ -> Some "lost wakeup"
         | Firefly.Interleave.Step_limit | Firefly.Interleave.Livelock _ -> None)
   in
-  Alcotest.(check (option string)) "no lost wakeup, all traces conform" None
-    err
+  Alcotest.(check (list string)) "no lost wakeup, all traces conform" []
+    found;
+  Alcotest.(check bool) "bounded space exhausted" true
+    stats.Firefly.Explore.complete
 
 (* The naive semaphore-based condvar must strand a waiter somewhere in the
    bounded space (the paper's impossibility argument). *)
@@ -164,17 +169,17 @@ let test_naive_strands_systematically () =
            S.join w1;
            S.join w2))
   in
-  let err, _ =
-    Firefly.Explore.explore_bounded ~max_preemptions:2 ~max_depth:800
-      ~max_runs:50_000 ~build (fun outcome ->
+  let found, _ =
+    Firefly.Explore.explore ~max_preemptions:2 ~stop_at_first:true
+      ~max_depth:800 ~max_runs:50_000 ~build (fun outcome ->
         match outcome.Firefly.Explore.verdict with
         | Firefly.Interleave.Deadlock _ -> Some "stranded"
         | Firefly.Interleave.Completed | Firefly.Interleave.Step_limit
         | Firefly.Interleave.Livelock _ ->
           None)
   in
-  Alcotest.(check (option string)) "naive broadcast strands" (Some "stranded")
-    err
+  Alcotest.(check (list string)) "naive broadcast strands" [ "stranded" ]
+    found
 
 (* Hoare monitors: the predicate really is guaranteed on return. *)
 let test_hoare_guarantee () =

@@ -282,6 +282,11 @@ let test_multicore_package_serializes () =
 
 let scenario name = Option.get (Sc.find name)
 
+(* One DPOR search over the whole tree, with no frontier split. *)
+let unsplit_dpor (s : Sc.t) =
+  Ex.explore_dpor_parallel ~max_depth:s.Sc.max_depth ~split_branches:0
+    ~build:s.Sc.build s.Sc.check
+
 (* Where plain DFS can finish, its violation set is the ground truth
    DPOR must reproduce — with far fewer executions.  On wakeup-waiting
    the search sizes are pinned exactly: (DFS executions, DPOR
@@ -290,14 +295,13 @@ let test_dpor_matches_dfs () =
   List.iter
     (fun (name, pinned) ->
       let s = scenario name in
-      let dfs_v, dfs_stats, complete =
-        Ex.explore_all ~max_depth:s.Sc.max_depth ~max_runs:500_000
+      let dfs_v, dfs_stats =
+        Ex.explore ~max_depth:s.Sc.max_depth ~max_runs:500_000
           ~build:s.Sc.build s.Sc.check
       in
-      Alcotest.(check bool) (name ^ ": DFS exhausted the tree") true complete;
-      let dpor_v, dpor_stats =
-        Ex.explore_dpor ~max_depth:s.Sc.max_depth ~build:s.Sc.build s.Sc.check
-      in
+      Alcotest.(check bool) (name ^ ": DFS exhausted the tree") true
+        dfs_stats.Ex.complete;
+      let dpor_v, dpor_stats = unsplit_dpor s in
       Alcotest.(check bool) (name ^ ": DPOR complete") true
         dpor_stats.Ex.complete;
       Alcotest.(check (list string))
@@ -305,18 +309,20 @@ let test_dpor_matches_dfs () =
         dfs_v dpor_v;
       Alcotest.(check (list string))
         (name ^ ": pinned expectation") s.Sc.expect dpor_v;
+      let dfs_terminal =
+        dfs_stats.Ex.executions - dfs_stats.Ex.dpor_truncated
+      in
       Alcotest.(check bool)
         (Printf.sprintf "%s: DPOR prunes (%d < %d)" name
-           dpor_stats.Ex.executions dfs_stats.Ex.terminal_runs)
+           dpor_stats.Ex.executions dfs_terminal)
         true
-        (dpor_stats.Ex.executions < dfs_stats.Ex.terminal_runs);
+        (dpor_stats.Ex.executions < dfs_terminal);
       Option.iter
         (fun expected ->
           Alcotest.(check (list int))
             (name ^ ": pinned search sizes")
             expected
-            [ dfs_stats.Ex.terminal_runs + dfs_stats.Ex.truncated_runs;
-              dpor_stats.Ex.executions; dpor_stats.Ex.sleep_blocked;
+            [ dfs_stats.Ex.executions; dpor_stats.Ex.executions; dpor_stats.Ex.sleep_blocked;
               dpor_stats.Ex.peak_depth ])
         pinned)
     [ ("wakeup-waiting", Some [ 21_722; 14; 4; 30 ]); ("hoare-signal", None) ]
@@ -328,9 +334,7 @@ let test_dpor_pinned_expectations () =
   List.iter
     (fun name ->
       let s = scenario name in
-      let v, st =
-        Ex.explore_dpor ~max_depth:s.Sc.max_depth ~build:s.Sc.build s.Sc.check
-      in
+      let v, st = unsplit_dpor s in
       Alcotest.(check bool) (name ^ ": complete") true st.Ex.complete;
       Alcotest.(check (list string)) (name ^ ": violations") s.Sc.expect v)
     [ "alert-cancel"; "naive-broadcast"; "disjoint-locks" ]
@@ -360,9 +364,7 @@ let test_dpor_parallel_jobs_parity () =
 
 let test_dpor_deterministic () =
   let s = scenario "wakeup-waiting" in
-  let run () =
-    Ex.explore_dpor ~max_depth:s.Sc.max_depth ~build:s.Sc.build s.Sc.check
-  in
+  let run () = unsplit_dpor s in
   Alcotest.(check bool) "two runs, same everything" true (run () = run ())
 
 let suite =

@@ -231,7 +231,7 @@ let test_explore_progress_monotone () =
   let s = Option.get (Sc.find "wakeup-waiting") in
   let snaps = ref [] in
   let v, final =
-    Ex.explore_dpor ~max_depth:s.Sc.max_depth
+    Ex.explore_dpor_parallel ~max_depth:s.Sc.max_depth ~split_branches:0
       ~progress:(fun st -> snaps := st :: !snaps)
       ~build:s.Sc.build s.Sc.check
   in
