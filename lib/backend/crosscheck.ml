@@ -167,10 +167,9 @@ let classify (outcome : Engine.outcome) (report : Conformance.report) =
   if report.Conformance.errors <> [] then Violation
   else
     match outcome.Engine.verdict with
-    | Engine.Completed when failures = [] -> Conformant
-    | Engine.Completed when crash_only && injected -> Diagnosed
-    | (Engine.Deadlock _ | Engine.Step_budget) when crash_only && injected ->
-      Diagnosed
+    | Completed when failures = [] -> Conformant
+    | Completed when crash_only && injected -> Diagnosed
+    | (Deadlock _ | Step_limit) when crash_only && injected -> Diagnosed
     | _ -> Unexplained
 
 let chaos_one (backend : Backend.t) (workload : Workload.t) ~seed

@@ -2,31 +2,29 @@ module M = Firefly.Machine
 module Tid = Threads_util.Tid
 module Rng = Threads_util.Rng
 
-type verdict = Completed | Deadlock of Tid.t list | Step_budget
-
 type outcome = {
-  verdict : verdict;
+  verdict : Firefly.Interleave.verdict;
   steps : int;
   machine : M.t;
   injected : M.fault list;
 }
 
-let default_budget = 300_000
+let tids ts = String.concat "," (List.map (Printf.sprintf "t%d") ts)
 
-let pp_verdict ppf = function
+let pp_verdict ppf : Firefly.Interleave.verdict -> unit = function
   | Completed -> Format.pp_print_string ppf "completed"
-  | Deadlock ts ->
-    Format.fprintf ppf "deadlock [%s]"
-      (String.concat "," (List.map (Printf.sprintf "t%d") ts))
-  | Step_budget -> Format.pp_print_string ppf "step budget exhausted"
+  | Deadlock ts -> Format.fprintf ppf "deadlock [%s]" (tids ts)
+  | Step_limit -> Format.pp_print_string ppf "step budget exhausted"
+  | Livelock _ -> Format.pp_print_string ppf "livelock"
 
-let run ?strategy ?(max_steps = default_budget) ?(seed = 0) ~(plan : Plan.t)
-    build =
-  let strategy =
-    match strategy with Some s -> s | None -> Firefly.Sched.random seed
-  in
+let run ?(seed = 0) ~(plan : Plan.t) build =
+  let strategy = Firefly.Sched.random seed in
   let m = M.create ~seed () in
-  M.set_chaos_active m true;
+  (* Spin-lock backoff only under a plan that injects something: an
+     empty plan is a plain run. *)
+  if plan.Plan.actions <> [] then M.set_chaos_active m true;
+  (* The step count at the top of the current iteration, for the
+     wakeup filter and the triggers. *)
   let steps = ref 0 in
   (* Wakeup-interrupt filter, driven by the Delay/Drop triggers below.
      With no plan action armed it answers Deliver for every wakeup. *)
@@ -51,14 +49,7 @@ let run ?strategy ?(max_steps = default_budget) ?(seed = 0) ~(plan : Plan.t)
          (fun a b -> compare (Plan.trigger a) (Plan.trigger b))
          plan.Plan.actions)
   in
-  let live_tids () =
-    List.filter
-      (fun tid ->
-        match M.status m tid with
-        | M.Runnable | M.Blocked -> true
-        | M.Finished | M.Failed _ -> false)
-      (M.all_tids m)
-  in
+  let live_tids () = List.merge compare (M.runnable m) (M.blocked m) in
   (* Injected work (spurious signals, alert storms, contention bursts)
      runs as real simulated threads through the package's registered
      chaos hooks, so every instruction it executes is on the record. *)
@@ -79,11 +70,6 @@ let run ?strategy ?(max_steps = default_budget) ?(seed = 0) ~(plan : Plan.t)
       let name, f = List.nth hooks (Rng.int rng (List.length hooks)) in
       spawn_injector (Printf.sprintf "%s via %s" desc name) (fun () -> f arg)
   in
-  let rec take n = function
-    | [] -> []
-    | _ when n <= 0 -> []
-    | x :: tl -> x :: take (n - 1) tl
-  in
   let apply a =
     match a with
     | Plan.Delay_wakeups { width; delay; _ } ->
@@ -101,12 +87,11 @@ let run ?strategy ?(max_steps = default_budget) ?(seed = 0) ~(plan : Plan.t)
       match List.filter (fun (n, _) -> n = "pkg.alert") (M.chaos_hooks m) with
       | [] -> M.record_fault m "alert storm skipped: no pkg.alert hook"
       | (_, f) :: _ -> (
-        match take count (live_tids ()) with
+        match List.filteri (fun i _ -> i < count) (live_tids ()) with
         | [] -> M.record_fault m "alert storm skipped: no live threads"
         | targets ->
           spawn_injector
-            (Printf.sprintf "alert storm on %s"
-               (String.concat "," (List.map (Printf.sprintf "t%d") targets)))
+            (Printf.sprintf "alert storm on %s" (tids targets))
             (fun () -> List.iter f targets)))
     | Plan.Stall { tid; duration; _ } ->
       if List.mem tid (live_tids ()) then begin
@@ -135,59 +120,31 @@ let run ?strategy ?(max_steps = default_budget) ?(seed = 0) ~(plan : Plan.t)
       fire_triggers ()
     | _ -> ()
   in
-  let rec loop () =
-    if !steps >= max_steps then Step_budget
-    else begin
-      fire_triggers ();
-      M.flush_delayed m;
-      M.fire_due_timers m;
-      let rs = M.runnable m in
-      let unstalled =
-        List.filter
-          (fun tid ->
-            match Hashtbl.find_opt stalls tid with
-            | Some until when !steps < until -> false
-            | Some _ ->
-              Hashtbl.remove stalls tid;
-              true
-            | None -> true)
-          rs
-      in
-      match (rs, unstalled) with
-      | [], _ -> (
-        let horizon =
-          match (M.next_timer m, M.next_delayed m) with
-          | None, None -> None
-          | (Some _ as a), None | None, (Some _ as a) -> a
-          | Some a, Some b -> Some (min a b)
-        in
-        match horizon with
-        | Some d ->
-          (* Quiescent with a timer or held wakeup outstanding: jump the
-             clock there (discrete-event idle time) and deliver. *)
-          M.advance_clock m ~to_:d;
-          incr steps;
-          loop ()
-        | None ->
-          if !pending <> [] then begin
-            (* Fully blocked but plan triggers remain (e.g. a spurious
-               wakeup aimed at exactly this situation): let steps run
-               forward until they fire. *)
-            incr steps;
-            loop ()
-          end
-          else if M.live m then Deadlock (M.blocked m)
-          else Completed)
-      | _ :: _, [] ->
-        (* Every runnable thread is stalled: the processors idle. *)
-        incr steps;
-        loop ()
-      | _, rs' ->
-        let tid = Firefly.Sched.choose strategy m rs' in
-        ignore (M.step m tid);
-        incr steps;
-        loop ()
-    end
+  let unstalled tid =
+    match Hashtbl.find_opt stalls tid with
+    | Some until when !steps < until -> false
+    | Some _ ->
+      Hashtbl.remove stalls tid;
+      true
+    | None -> true
   in
-  let verdict = loop () in
-  { verdict; steps = !steps; machine = m; injected = M.faults m }
+  let r =
+    Firefly.Interleave.drive ~max_steps:300_000
+      {
+        before =
+          (fun n ->
+            steps := n;
+            fire_triggers ());
+        pick =
+          (fun rs ->
+            match List.filter unstalled rs with
+            | [] -> -1 (* every runnable thread is stalled: idle *)
+            | rs -> Firefly.Sched.choose strategy m rs);
+        after = (fun _ ~cost:_ ~steps:_ -> None);
+        (* Fully blocked but plan triggers remain (e.g. a spurious wakeup
+           aimed at exactly this situation): idle until they fire. *)
+        waiting = (fun () -> !pending <> []);
+      }
+      m
+  in
+  { verdict = r.verdict; steps = r.steps; machine = m; injected = M.faults m }

@@ -1,5 +1,7 @@
-(** The chaos engine: a replacement interleaving driver that replays a
-    {!Plan} against a machine-hosted backend.
+(** The chaos engine: replays a {!Plan} against a machine-hosted
+    backend, as a policy over {!Firefly.Interleave.drive}.  It fires the
+    plan's triggers before each step, keeps stalled threads out of the
+    pick, and idles at rest while triggers remain.
 
     The engine is the only party that perturbs the run: delayed/dropped
     wakeups go through the machine's wakeup-interrupt filter; spurious
@@ -8,21 +10,18 @@
     creation, so they execute real package code with real events; stalls
     and crash-stops act on the schedule and thread set directly.  Every
     injected fault is recorded in {!Firefly.Machine.faults} (and the
-    [chaos.faults] counter) for blame attribution.
+    [chaos.faults] counter) for blame attribution.  A plan with no
+    actions injects nothing and leaves spin-lock backoff off, so its run
+    is the plain {!Firefly.Interleave.run} of the same seed.
 
     Runs are deterministic: equal (seed, plan, build) yield equal
-    schedules, traces and fault records.  The step budget is the
-    watchdog — a run that an injected fault has wedged (e.g. a dropped
-    wakeup or a crash-stop holding the package lock) terminates with
-    {!Step_budget} or {!Deadlock} instead of hanging. *)
-
-type verdict =
-  | Completed
-  | Deadlock of Threads_util.Tid.t list  (** blocked threads *)
-  | Step_budget  (** watchdog: budget exhausted, e.g. stalled spinners *)
+    schedules, traces and fault records.  The step budget (300 000
+    steps) is the watchdog — a run that an injected fault has wedged
+    (e.g. a dropped wakeup or a crash-stop holding the package lock)
+    terminates with [Step_limit] or [Deadlock] instead of hanging. *)
 
 type outcome = {
-  verdict : verdict;
+  verdict : Firefly.Interleave.verdict;
   steps : int;
   machine : Firefly.Machine.t;
       (** inspect trace / failures / metrics post-run *)
@@ -30,15 +29,15 @@ type outcome = {
       (** every fault injected or observed, in sequence order *)
 }
 
-val default_budget : int
-val pp_verdict : Format.formatter -> verdict -> unit
+(** Prints [Step_limit] as "step budget exhausted". *)
+val pp_verdict : Format.formatter -> Firefly.Interleave.verdict -> unit
 
 (** [run ~plan build] creates a machine, installs the wakeup filter,
     runs [build] (which must spawn the root workload thread), then
-    drives the interleaving while firing the plan's triggers. *)
+    drives the interleaving while firing the plan's triggers.  It picks
+    among the runnable threads that are not stalled with
+    [Sched.random seed]. *)
 val run :
-  ?strategy:Firefly.Sched.t ->
-  ?max_steps:int ->
   ?seed:int ->
   plan:Plan.t ->
   (Firefly.Machine.t -> unit) ->

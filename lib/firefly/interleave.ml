@@ -38,6 +38,48 @@ let certificate m strategy spinner ~at_step =
 let at_rest m =
   if Machine.live m then Deadlock (Machine.blocked m) else Completed
 
+type hooks = {
+  before : int -> unit;
+  pick : Tid.t list -> Tid.t;
+  after : Tid.t -> cost:int -> steps:int -> verdict option;
+  waiting : unit -> bool;
+}
+
+let drive ~max_steps h m =
+  let steps = ref 0 in
+  let rec loop () =
+    if !steps >= max_steps then Step_limit
+    else begin
+      h.before !steps;
+      Machine.flush_delayed m;
+      Machine.fire_due_timers m;
+      match Machine.runnable m with
+      | [] -> (
+        (* At rest with a timer or a held wakeup outstanding: jump the
+           clock there (discrete-event idle time); the next iteration
+           delivers it. *)
+        match Machine.next_due m with
+        | Some d ->
+          Machine.advance_clock m ~to_:d;
+          idle ()
+        | None -> if h.waiting () then idle () else at_rest m)
+      | rs -> (
+        let tid = h.pick rs in
+        if tid < 0 then idle ()
+        else
+          let cost = Machine.step m tid in
+          incr steps;
+          match h.after tid ~cost ~steps:!steps with
+          | None -> loop ()
+          | Some v -> v)
+    end
+  and idle () =
+    incr steps;
+    loop ()
+  in
+  let verdict = loop () in
+  { verdict; steps = !steps; machine = m }
+
 let run ?(max_steps = 1_000_000) ?(certify = false) ?strategy ?(seed = 0)
     ?cost build =
   let strategy =
@@ -45,32 +87,14 @@ let run ?(max_steps = 1_000_000) ?(certify = false) ?strategy ?(seed = 0)
   in
   let m = Machine.create ~seed ?cost () in
   build m;
-  let steps = ref 0 in
-  let rec loop () =
-    if !steps >= max_steps then Step_limit
-    else begin
-      (* No-op unless a thread armed a timed wait (then expiry is driven
-         by the machine clock; at quiescence the clock jumps to the next
-         deadline — discrete-event idle time). *)
-      Machine.fire_due_timers m;
-      match Machine.runnable m with
-      | [] ->
-        if Machine.advance_to_next_timer m then loop ()
-        else at_rest m
-      | rs -> (
-        let tid = Sched.choose strategy m rs in
-        ignore (Machine.step m tid);
-        incr steps;
-        match
-          if certify then certificate m strategy tid ~at_step:!steps else None
-        with
-        | Some v -> v
-        | None -> loop ())
-    end
-  in
-  let verdict = loop () in
-  { verdict; steps = !steps; machine = m }
-
-let run_main ?max_steps ?strategy ?seed ?cost body =
-  run ?max_steps ?strategy ?seed ?cost (fun m ->
-      ignore (Machine.spawn_root m body))
+  drive ~max_steps
+    {
+      before = ignore;
+      pick = (fun rs -> Sched.choose strategy m rs);
+      after =
+        (if certify then fun tid ~cost:_ ~steps ->
+           certificate m strategy tid ~at_step:steps
+         else fun _ ~cost:_ ~steps:_ -> None);
+      waiting = (fun () -> false);
+    }
+    m

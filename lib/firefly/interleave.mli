@@ -3,7 +3,11 @@
     Steps one runnable thread at a time under a {!Sched} strategy.  This is
     the correctness driver: it models threads running at arbitrary relative
     speeds, which is exactly the "programmer can reason as if there were as
-    many processors as threads" stance the paper takes. *)
+    many processors as threads" stance the paper takes.
+
+    Its loop, {!drive}, is the only one that steps a machine outside
+    {!Explore}'s replay: {!Timed} and the fault engine are policies over
+    it, given as {!hooks}. *)
 
 type verdict =
   | Completed  (** every thread finished *)
@@ -29,10 +33,40 @@ type report = {
     [Completed]. *)
 val at_rest : Machine.t -> verdict
 
+(** What a driver adds to the one loop, {!drive}.  [before steps] runs
+    at the top of each iteration, before delayed wakeups and due timers
+    are delivered.  [pick runnable] gets the non-empty runnable set and
+    returns the thread to step, or a negative number for an idle step.
+    [after tid ~cost ~steps] sees each step taken, its cycle cost and the
+    step count so far, and may end the run with a verdict.  At rest with
+    nothing pending, [waiting ()] asks for one more idle step. *)
+type hooks = {
+  before : int -> unit;
+  pick : Threads_util.Tid.t list -> Threads_util.Tid.t;
+  after : Threads_util.Tid.t -> cost:int -> steps:int -> verdict option;
+  waiting : unit -> bool;
+}
+
+(** [drive ~max_steps hooks m] steps [m] until it is at rest, [hooks]
+    ends the run, or [max_steps] steps are taken ([Step_limit]).  Each
+    iteration: [before], then {!Machine.flush_delayed} and
+    {!Machine.fire_due_timers}; with nothing runnable, jump the machine
+    clock to {!Machine.next_due}, else idle if [waiting ()], else end
+    with {!at_rest}; otherwise step what [pick] chooses.  A clock jump
+    and an idle step each count as a step.
+
+    Every driver ({!run}, {!Timed.run}, the fault engine) is this loop
+    plus a [hooks] record, so timers fire by one rule under every cost
+    model: a deadline is on the machine clock ({!Machine.total_cycles},
+    which {!Machine.Probe.now} reads when the timer is armed) and fires
+    once that clock reaches it, whichever processor steps next. *)
+val drive : max_steps:int -> hooks -> Machine.t -> report
+
 (** [run ?max_steps ?certify ?strategy build] creates a machine, passes
     it to [build] (which spawns root threads via {!Machine.spawn_root}),
-    then steps until completion, deadlock or [max_steps] (default
-    1_000_000).
+    then {!drive}s it, picking threads with [strategy] (default
+    [Sched.random seed]), until completion, deadlock or [max_steps]
+    (default 1_000_000).
 
     With [~certify:true] (default [false]) a run whose future is a spin
     forever ends early in [Livelock].  After each step by a thread in a
@@ -57,14 +91,4 @@ val run :
   ?seed:int ->
   ?cost:Cost.t ->
   (Machine.t -> unit) ->
-  report
-
-(** [run_main ?max_steps ?strategy ?seed body] — convenience wrapper
-    spawning a single root thread running [body]. *)
-val run_main :
-  ?max_steps:int ->
-  ?strategy:Sched.t ->
-  ?seed:int ->
-  ?cost:Cost.t ->
-  (unit -> unit) ->
   report

@@ -829,12 +829,6 @@ let footprints_conflict f1 f2 =
 
 let timers_pending m = Hashtbl.length m.timers > 0
 
-let next_timer m =
-  Hashtbl.fold
-    (fun _ d acc ->
-      match acc with None -> Some d | Some d' -> Some (min d d'))
-    m.timers None
-
 let fire_timer m tid =
   Hashtbl.remove m.timers tid;
   match (thread m tid).status with
@@ -855,29 +849,24 @@ let fire_due_timers m =
     List.iter (fire_timer m) (List.sort compare due)
   end
 
-let advance_to_next_timer m =
-  match next_timer m with
-  | None -> false
-  | Some d ->
-    if d > m.total_cycles then m.total_cycles <- d;
-    fire_due_timers m;
-    true
-
 (* ---- fault injection (driver side) ---- *)
 
 let set_wake_filter m f = m.wake_filter <- f
 
 let delayed_pending m = m.delayed <> []
 
-let next_delayed m =
+let next_due m =
+  let earliest d = function None -> Some d | Some d' -> Some (min d d') in
   List.fold_left
-    (fun acc (d, _, _) ->
-      match acc with None -> Some d | Some d' -> Some (min d d'))
-    None m.delayed
+    (fun acc (d, _, _) -> earliest d acc)
+    (Hashtbl.fold (fun _ d acc -> earliest d acc) m.timers None)
+    m.delayed
 
 let flush_delayed m =
-  if m.delayed <> [] then begin
-    let due, rest = List.partition (fun (d, _, _) -> d <= m.total_cycles) m.delayed in
+  match m.delayed with
+  | [] -> ()
+  | delayed ->
+    let due, rest = List.partition (fun (d, _, _) -> d <= m.total_cycles) delayed in
     m.delayed <- rest;
     List.iter
       (fun (_, epoch, target) ->
@@ -895,7 +884,6 @@ let flush_delayed m =
           record_fault m
             (Printf.sprintf "stale delayed wakeup of t%d discarded" target))
       (List.sort compare due)
-  end
 
 let advance_clock m ~to_ = if to_ > m.total_cycles then m.total_cycles <- to_
 

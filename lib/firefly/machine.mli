@@ -467,23 +467,17 @@ val footprints_conflict : (int * bool) list -> (int * bool) list -> bool
 
 (** {1 Timers (driver side)}
 
-    Drivers call {!fire_due_timers} between steps; when nothing is
-    runnable but timers remain, {!advance_to_next_timer} jumps the clock
-    to the earliest deadline (discrete-event idle time).  With no timers
-    armed both are no-ops, so timer-free runs are unchanged. *)
+    {!Interleave.drive} calls {!fire_due_timers} between steps; when
+    nothing is runnable but timers remain, it jumps the clock to
+    {!next_due} with {!advance_clock} (discrete-event idle time).
+    With no timers armed these are no-ops, so timer-free runs are
+    unchanged. *)
 
 val timers_pending : t -> bool
-
-(** Earliest armed deadline, in cycles. *)
-val next_timer : t -> int option
 
 (** Fire every timer whose deadline has passed: wake the victim (honouring
     the wakeup-waiting switch) and set its fired flag. *)
 val fire_due_timers : t -> unit
-
-(** If any timer is armed: advance the clock to the earliest deadline,
-    fire it, and return [true]. *)
-val advance_to_next_timer : t -> bool
 
 (** {1 Fault injection (driver side)} *)
 
@@ -493,8 +487,9 @@ val set_wake_filter : t -> (Threads_util.Tid.t -> wake_verdict) option -> unit
 (** Are any delayed wakeups still undelivered? *)
 val delayed_pending : t -> bool
 
-(** Earliest due-cycle among undelivered delayed wakeups. *)
-val next_delayed : t -> int option
+(** Earliest due cycle among armed timers and undelivered delayed
+    wakeups. *)
+val next_due : t -> int option
 
 (** Deliver every delayed wakeup whose due-cycle has passed.  A wakeup
     whose target has moved on (its wake episode ended via a timer or
@@ -502,7 +497,8 @@ val next_delayed : t -> int option
     so it cannot spuriously wake an unrelated block. *)
 val flush_delayed : t -> unit
 
-(** Jump the clock forward (for delivering delayed wakeups at idle). *)
+(** Jump the clock forward (for delivering timers and delayed wakeups at
+    idle). *)
 val advance_clock : t -> to_:int -> unit
 
 (** [kill m t ~reason] crash-stops thread [t]: it fails with

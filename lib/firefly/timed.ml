@@ -1,9 +1,7 @@
 module Tid = Threads_util.Tid
 
-type verdict = Completed | Deadlock of Tid.t list | Cycle_limit
-
 type report = {
-  verdict : verdict;
+  verdict : Interleave.verdict;
   machine : Machine.t;
   sim_cycles : int;
   busy_cycles : int;
@@ -18,7 +16,7 @@ type proc = {
   mutable busy : int;
 }
 
-let run ~processors ?(seed = 0) ?(cost = Cost.default) ?(max_cycles = 50_000_000)
+let run ~processors ?(seed = 0) ?(cost = Cost.default) ?(max_steps = 1_000_000)
     build =
   assert (processors > 0);
   let m = Machine.create ~seed ~cost () in
@@ -29,30 +27,21 @@ let run ~processors ?(seed = 0) ?(cost = Cost.default) ?(max_cycles = 50_000_000
         { clock = 0; cur = None; slice_left = cost.time_slice; busy = 0 })
   in
   let switches = ref 0 in
-  let steps = ref 0 in
   let assigned tid = Array.exists (fun p -> p.cur = Some tid) procs in
   (* Waiting threads, best first: interrupt context beats priority beats
      (seeded) arrival order. *)
-  let pick_waiting () =
-    let waiting =
-      List.filter (fun tid -> not (assigned tid)) (Machine.runnable m)
+  let pick_waiting rs =
+    let score tid =
+      ((if Machine.is_interrupt m tid then 1 else 0), Machine.priority m tid)
     in
-    match waiting with
-    | [] -> None
-    | _ ->
-      let score tid =
-        ( (if Machine.is_interrupt m tid then 1 else 0),
-          Machine.priority m tid )
-      in
-      let best =
-        List.fold_left
-          (fun acc tid ->
-            match acc with
-            | None -> Some tid
-            | Some b -> if score tid > score b then Some tid else acc)
-          None waiting
-      in
-      best
+    List.fold_left
+      (fun acc tid ->
+        if assigned tid then acc
+        else
+          match acc with
+          | None -> Some tid
+          | Some b -> if score tid > score b then Some tid else acc)
+      None rs
   in
   let min_proc () =
     let best = ref procs.(0) in
@@ -65,78 +54,78 @@ let run ~processors ?(seed = 0) ?(cost = Cost.default) ?(max_cycles = 50_000_000
     p.slice_left <- cost.time_slice;
     incr switches
   in
-  let interrupt_waiting () =
-    List.exists
-      (fun tid -> Machine.is_interrupt m tid && not (assigned tid))
-      (Machine.runnable m)
+  let interrupt_waiting rs =
+    List.exists (fun tid -> Machine.is_interrupt m tid && not (assigned tid)) rs
   in
-  let rec loop () =
-    if (min_proc ()).clock > max_cycles then Cycle_limit
-    else begin
-      let p = min_proc () in
-      match p.cur with
-      | Some tid -> begin
-        match Machine.status m tid with
-        | Machine.Runnable ->
-          let preempt_for_interrupt =
-            interrupt_waiting () && not (Machine.is_interrupt m tid)
-          in
-          if
-            preempt_for_interrupt
-            || (p.slice_left <= 0 && pick_waiting () <> None)
-          then begin
-            (* Preempt: thread goes back to the waiting pool. *)
-            p.cur <- None;
-            charge_switch p;
-            loop ()
-          end
-          else begin
-            let c = Machine.step m tid in
-            incr steps;
+  (* The processor policy.  The processor with the smallest clock acts
+     until one is about to execute an instruction of its thread: it drops
+     a thread that stopped being runnable, preempts its thread for an
+     interrupt or at slice expiry, takes the best waiting thread, or,
+     idle, catches up with the soonest busy processor so a wakeup
+     produced there is picked up promptly.  [rs] is non-empty, so some
+     thread is waiting or some processor is busy. *)
+  let stepping = ref procs.(0) in
+  let rec pick rs =
+    let p = min_proc () in
+    match p.cur with
+    | Some tid -> (
+      match Machine.status m tid with
+      | Machine.Runnable ->
+        if
+          (interrupt_waiting rs && not (Machine.is_interrupt m tid))
+          || (p.slice_left <= 0 && pick_waiting rs <> None)
+        then begin
+          (* Preempt: thread goes back to the waiting pool. *)
+          p.cur <- None;
+          charge_switch p;
+          pick rs
+        end
+        else begin
+          stepping := p;
+          tid
+        end
+      | Machine.Blocked | Machine.Finished | Machine.Failed _ ->
+        p.cur <- None;
+        pick rs)
+    | None -> (
+      match pick_waiting rs with
+      | Some _ as next ->
+        p.cur <- next;
+        charge_switch p;
+        pick rs
+      | None ->
+        let target =
+          Array.fold_left
+            (fun acc q -> if q.cur <> None then min acc q.clock else acc)
+            max_int procs
+        in
+        (* Jitter of one cycle avoids lock-step artefacts. *)
+        p.clock <- max (p.clock + 1) (target + Threads_util.Rng.int rng 2);
+        pick rs)
+  in
+  let r =
+    Interleave.drive ~max_steps
+      {
+        before = ignore;
+        pick;
+        after =
+          (fun _ ~cost:c ~steps:_ ->
+            let p = !stepping in
             p.clock <- p.clock + c;
             p.busy <- p.busy + c;
             p.slice_left <- p.slice_left - max c 1;
-            loop ()
-          end
-        | Machine.Blocked | Machine.Finished | Machine.Failed _ ->
-          p.cur <- None;
-          loop ()
-      end
-      | None -> begin
-        match pick_waiting () with
-        | Some tid ->
-          p.cur <- Some tid;
-          charge_switch p;
-          loop ()
-        | None ->
-          (* Idle: catch up with the busiest-but-soonest processor so a
-             wakeup produced by it can be picked up promptly. *)
-          let busy_clocks =
-            Array.to_list procs
-            |> List.filter_map (fun q ->
-                   if q.cur <> None then Some q.clock else None)
-          in
-          (match busy_clocks with
-          | [] ->
-            if Machine.live m then Deadlock (Machine.blocked m) else Completed
-          | cs ->
-            let target = List.fold_left min max_int cs in
-            (* Jitter of one cycle avoids lock-step artefacts. *)
-            p.clock <- max (p.clock + 1) (target + Threads_util.Rng.int rng 2);
-            loop ())
-      end
-    end
+            None);
+        waiting = (fun () -> false);
+      }
+      m
   in
-  let verdict = loop () in
-  let sim_cycles = Array.fold_left (fun acc p -> max acc p.clock) 0 procs in
-  let busy_cycles = Array.fold_left (fun acc p -> acc + p.busy) 0 procs in
   {
-    verdict;
+    verdict = r.verdict;
     machine = m;
-    sim_cycles;
-    busy_cycles;
+    sim_cycles = Array.fold_left (fun acc p -> max acc p.clock) 0 procs;
+    busy_cycles = Array.fold_left (fun acc p -> acc + p.busy) 0 procs;
     context_switches = !switches;
-    steps = !steps;
+    steps = r.steps;
   }
 
 let utilization r ~processors =

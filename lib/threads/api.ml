@@ -61,5 +61,5 @@ let run_traced ?fast_path ?seed body =
   in
   (report, Spec_trace.Sink.events sink)
 
-let run_timed ~processors ?fast_path ?seed ?cost ?max_cycles body =
-  Firefly.Timed.run ~processors ?seed ?cost ?max_cycles (build ?fast_path body)
+let run_timed ~processors ?fast_path ?seed ?cost body =
+  Firefly.Timed.run ~processors ?seed ?cost (build ?fast_path body)

@@ -46,7 +46,6 @@ val run_timed :
   ?fast_path:bool ->
   ?seed:int ->
   ?cost:Firefly.Cost.t ->
-  ?max_cycles:int ->
   (sync -> unit) ->
   Firefly.Timed.report
 

@@ -2,11 +2,12 @@
 
    Three claims are pinned here.  First, the injection machinery is free
    when disabled: a run with the wakeup filter installed but answering
-   Deliver is cycle-, schedule- and trace-identical to a run without it.
-   Second, the robustness contract: for every chaos-capable backend x
-   workload x fault plan x seed, the run either completes conformant or
-   terminates with a diagnosed fault report naming the injected fault —
-   never a hang (the engine's step budget is the watchdog), never a spec
+   Deliver is cycle-, schedule- and trace-identical to a run without it,
+   and so is a fault-engine run of a plan that injects nothing.  Second,
+   the robustness contract: for every chaos-capable backend x workload x
+   fault plan x seed, the run either completes conformant or terminates
+   with a diagnosed fault report naming the injected fault — never a
+   hang (the engine's step budget is the watchdog), never a spec
    violation, never an unexplained failure.  Third, chaos runs are
    deterministic: equal (backend, workload, plan, seed) render
    byte-identical fault reports.
@@ -39,23 +40,32 @@ let chaos_backends = [ "sim"; "uniproc" ]
 
 (* The sim backend's build, inlined (the registry does not export its
    builders): package created inside the root thread, exactly as
-   Backend.machine_run does it. *)
-let sim_run ~deliver_filter ~seed (wl : Wl.t) =
+   Backend.machine_run does it.  [`Filtered] installs a wakeup filter
+   that answers Deliver; [`Empty_plan] runs the build under the fault
+   engine with a plan that injects nothing. *)
+let sim_run driver ~seed (wl : Wl.t) =
   let observable = ref None in
   let sink = Spec_trace.Sink.create () in
-  let report =
-    Firefly.Interleave.run ~seed ~max_steps:2_000_000 (fun m ->
-        Firefly.Record.trace sink m;
-        if deliver_filter then
-          M.set_wake_filter m (Some (fun _ -> M.Deliver));
-        ignore
-          (M.spawn_root m (fun () ->
-               let module S =
-                 (val Taos_threads.Api.make (Taos_threads.Pkg.create ()))
-               in
-               observable := Some (wl.Wl.body (module S)))))
+  let build m =
+    Firefly.Record.trace sink m;
+    if driver = `Filtered then M.set_wake_filter m (Some (fun _ -> M.Deliver));
+    ignore
+      (M.spawn_root m (fun () ->
+           let module S =
+             (val Taos_threads.Api.make (Taos_threads.Pkg.create ()))
+           in
+           observable := Some (wl.Wl.body (module S))))
   in
-  (report, Spec_trace.Sink.events sink, !observable)
+  let steps, machine =
+    match driver with
+    | `Plain | `Filtered ->
+      let r = Firefly.Interleave.run ~seed ~max_steps:2_000_000 build in
+      (r.Firefly.Interleave.steps, r.Firefly.Interleave.machine)
+    | `Empty_plan ->
+      let o = Engine.run ~seed ~plan:Plan.{ id = -1; actions = [] } build in
+      (o.Engine.steps, o.Engine.machine)
+  in
+  (steps, M.total_cycles machine, Spec_trace.Sink.events sink, !observable)
 
 let disabled_is_identical () =
   List.iter
@@ -63,28 +73,22 @@ let disabled_is_identical () =
       let wl = workload wname in
       List.iter
         (fun seed ->
-          let plain, trace_plain, obs_plain =
-            sim_run ~deliver_filter:false ~seed wl
-          in
-          let hooked, trace_hooked, obs_hooked =
-            sim_run ~deliver_filter:true ~seed wl
-          in
-          let label fmt = Printf.sprintf "%s seed %d: %s" wname seed fmt in
-          Alcotest.(check int)
-            (label "steps")
-            plain.Firefly.Interleave.steps hooked.Firefly.Interleave.steps;
-          Alcotest.(check int)
-            (label "cycles")
-            (M.total_cycles plain.Firefly.Interleave.machine)
-            (M.total_cycles hooked.Firefly.Interleave.machine);
-          Alcotest.(check bool)
-            (label "trace identical")
-            true
-            (trace_plain = trace_hooked);
-          Alcotest.(check (option string)) (label "observable") obs_plain
-            obs_hooked)
-        [ 0; 3; 11 ])
-    [ "mutex"; "condvar"; "alert" ]
+          let steps, cycles, trace, obs = sim_run `Plain ~seed wl in
+          List.iter
+            (fun (name, driver) ->
+              let steps', cycles', trace', obs' = sim_run driver ~seed wl in
+              let label what =
+                Printf.sprintf "%s seed %d, %s: %s" wname seed name what
+              in
+              Alcotest.(check int) (label "steps") steps steps';
+              Alcotest.(check int) (label "cycles") cycles cycles';
+              Alcotest.(check bool)
+                (label "trace identical")
+                true (trace = trace');
+              Alcotest.(check (option string)) (label "observable") obs obs')
+            [ ("deliver filter", `Filtered); ("empty plan", `Empty_plan) ])
+        [ 0; 3; 7; 11 ])
+    [ "mutex"; "condvar"; "alert"; "timeout" ]
 
 (* ---- plan generation is reproducible ---- *)
 
@@ -105,7 +109,7 @@ let plans_deterministic () =
 (* 7 plans (every family) x 3 seeds per backend/workload pair: every run
    must land in one of the two acceptable classes.  A Violation or
    Unexplained anywhere — or a hang, which the step budget converts into
-   a Step_budget verdict — fails the suite. *)
+   a Step_limit verdict — fails the suite. *)
 let chaos_matrix bname wname () =
   let s = Cc.chaos (backend bname) (workload wname) ~plans:7 ~seeds:3 in
   Alcotest.(check bool) "not skipped" false s.Cc.cs_skipped;
@@ -148,7 +152,7 @@ let dropped_wakeup_diagnosed () =
   in
   Alcotest.(check string) "class" "diagnosed" (Cc.class_name r.Cc.c_class);
   (match r.Cc.c_outcome.Engine.verdict with
-  | Engine.Deadlock (_ :: _) -> ()
+  | Firefly.Interleave.Deadlock (_ :: _) -> ()
   | v -> Alcotest.failf "expected deadlock, got %a" Engine.pp_verdict v);
   let dropped (f : M.fault) =
     String.length f.M.f_desc >= 7

@@ -28,7 +28,7 @@ let test_priority_preference () =
                Ops.join hi)))
   in
   (match report.Firefly.Timed.verdict with
-  | Firefly.Timed.Completed -> ()
+  | Firefly.Interleave.Completed -> ()
   | _ -> Alcotest.fail "did not complete");
   Alcotest.(check (list string)) "high priority first" [ "lo"; "hi" ]
     !order
@@ -56,7 +56,7 @@ let test_time_slicing () =
 
 let test_cycle_limit () =
   let report =
-    Firefly.Timed.run ~processors:1 ~max_cycles:5_000 (fun machine ->
+    Firefly.Timed.run ~processors:1 ~max_steps:50 (fun machine ->
         ignore
           (M.spawn_root machine (fun () ->
                while true do
@@ -64,8 +64,8 @@ let test_cycle_limit () =
                done)))
   in
   match report.Firefly.Timed.verdict with
-  | Firefly.Timed.Cycle_limit -> ()
-  | _ -> Alcotest.fail "expected Cycle_limit"
+  | Firefly.Interleave.Step_limit -> ()
+  | _ -> Alcotest.fail "expected Step_limit"
 
 let test_deadlock_timed () =
   let report =
@@ -76,7 +76,7 @@ let test_deadlock_timed () =
                Ops.deschedule_and_clear a)))
   in
   match report.Firefly.Timed.verdict with
-  | Firefly.Timed.Deadlock [ 0 ] -> ()
+  | Firefly.Interleave.Deadlock [ 0 ] -> ()
   | _ -> Alcotest.fail "expected Deadlock [t0]"
 
 let test_utilization_bounds () =
@@ -106,7 +106,7 @@ let test_interrupt_preempts_timed () =
                done)))
   in
   (match report.Firefly.Timed.verdict with
-  | Firefly.Timed.Completed -> ()
+  | Firefly.Interleave.Completed -> ()
   | _ -> Alcotest.fail "did not complete");
   Alcotest.(check bool) "interrupt ran" true (!fired_at = 0)
 
@@ -151,7 +151,7 @@ let test_timed_threads_package () =
       machine
   in
   (match report.Firefly.Timed.verdict with
-  | Firefly.Timed.Completed -> ()
+  | Firefly.Interleave.Completed -> ()
   | _ -> Alcotest.fail "timed package run incomplete");
   let rep =
     Threads_model.Conformance.check Spec_core.Threads_interface.final
@@ -159,6 +159,40 @@ let test_timed_threads_package () =
   in
   Alcotest.(check bool) "conforms under timed driver" true
     (Threads_model.Conformance.ok rep)
+
+(* The timeout, the abort path of TimedWait and TimedP, is reachable
+   under the timed driver as under the interleaving one: a deadline is on
+   the machine clock and every cost model fires it by the same rule. *)
+let timed_out_under_timed wait () =
+  let outcome = ref "not run" in
+  let report =
+    Taos_threads.Api.run_timed ~processors:2 (fun sync ->
+        let module S =
+          (val sync : Taos_threads.Sync_intf.SYNC
+             with type thread = Threads_util.Tid.t)
+        in
+        outcome :=
+          match wait (module S : Taos_threads.Sync_intf.SYNC
+                        with type thread = Threads_util.Tid.t) with
+          | () -> "returned"
+          | exception Taos_threads.Sync_intf.Timed_out -> "timed out")
+  in
+  (match report.Firefly.Timed.verdict with
+  | Firefly.Interleave.Completed -> ()
+  | _ -> Alcotest.fail "timed run did not complete");
+  Alcotest.(check string) "raised Timed_out" "timed out" !outcome
+
+let timed_wait_nobody_signals (module S : Taos_threads.Sync_intf.SYNC
+                                 with type thread = Threads_util.Tid.t) =
+  let m = S.mutex () in
+  let c = S.condition () in
+  S.with_lock m (fun () -> S.timed_wait m c ~timeout:1000)
+
+let timed_p_zero_semaphore (module S : Taos_threads.Sync_intf.SYNC
+                              with type thread = Threads_util.Tid.t) =
+  let s = S.semaphore () in
+  S.p s;
+  S.timed_p s ~timeout:1000
 
 let suite =
   ( "timed",
@@ -172,6 +206,10 @@ let suite =
         test_interrupt_preempts_timed;
       Alcotest.test_case "threads package under timed driver" `Quick
         test_timed_threads_package;
+      Alcotest.test_case "timed_wait times out" `Quick
+        (timed_out_under_timed timed_wait_nobody_signals);
+      Alcotest.test_case "timed_p times out" `Quick
+        (timed_out_under_timed timed_p_zero_semaphore);
     ] )
 
 let test_timed_determinism () =
