@@ -123,6 +123,36 @@ let test_max_states_guard () =
        false
      with Failure _ -> true)
 
+(* Exact exploration counts: E9a's eight scenarios under the final spec
+   (the table `repro run E9` prints) and the two runs perfbench's
+   [threads_model.checker_states_per_s] divides by its time. *)
+let counts r = (r.C.states, r.C.transitions)
+
+let test_e9a_pins () =
+  let pin name expected scen =
+    let r = C.run Threads_interface.final scen in
+    no_violation name r;
+    Alcotest.(check (pair int int)) name expected (counts r)
+  in
+  List.iter2
+    (fun n e -> pin (Printf.sprintf "mutex x%d" n) e (S.mutex_contention n))
+    [ 2; 3; 4; 5 ]
+    [ (8, 8); (20, 24); (48, 64); (112, 160) ];
+  List.iter2
+    (fun n e -> pin (Printf.sprintf "wait/broadcast x%d" n) e (S.wait_signal n))
+    [ 1; 2; 3 ]
+    [ (14, 15); (52, 64); (208, 276) ];
+  pin "P/V ping-pong" (8, 8) (S.semaphore_pingpong ())
+
+let test_perfbench_model_pins () =
+  let r = C.run Threads_interface.final (S.wait_signal 4) in
+  no_violation "wait/broadcast x4" r;
+  Alcotest.(check (pair int int)) "wait/broadcast x4" (880, 1232) (counts r);
+  let r = C.run Threads_interface.nelson_bug (S.nelson ()) in
+  let v = violated `Invariant "nelson" r in
+  Alcotest.(check (pair int int)) "nelson" (4, 5) (counts r);
+  Alcotest.(check int) "nelson counterexample length" 4 (List.length v.trace)
+
 let suite =
   ( "checker",
     [
@@ -139,4 +169,7 @@ let suite =
       Alcotest.test_case "signal non-determinism explored" `Quick
         test_signal_nondeterminism_explored;
       Alcotest.test_case "state bound guard" `Quick test_max_states_guard;
+      Alcotest.test_case "E9a exploration counts" `Quick test_e9a_pins;
+      Alcotest.test_case "perfbench model-run counts" `Quick
+        test_perfbench_model_pins;
     ] )
