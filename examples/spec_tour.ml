@@ -74,8 +74,8 @@ let () =
           ];
           [ Threads_model.Program.call "Alert" [ Athread 0 ] ];
         ]
-      ~invariant:
-        (Threads_model.Program.no_stale_waiters ~c:"c" ~waits:[ (0, 1) ])
+      ~invariants:
+        [ Threads_model.Program.no_stale_waiters ~c:"c" ~waits:[ (0, 1) ] ]
       ~allow_deadlock:true ()
   in
   Format.printf "@\nfinal spec:  %a@\n" C.pp_result

@@ -10,9 +10,8 @@ let mutex_contention n =
     ~name:(Printf.sprintf "%d threads, one mutex" n)
     ~objects:[ ("m", Sort.Thread) ]
     ~programs:(List.init n (fun _ -> prog))
-    ~invariant:
-      (P.mutual_exclusion
-         ~regions:(List.init n (fun i -> (i, 0, 1, []))))
+    ~invariants:
+      [ P.mutual_exclusion ~regions:(List.init n (fun i -> (i, 0, 1, []))) ]
     ()
 
 (* Producer/consumer handshake at the spec level: the consumer waits, the
@@ -37,17 +36,18 @@ let wait_signal n_waiters =
     ~name:(Printf.sprintf "%d waiters + broadcast" n_waiters)
     ~objects:[ ("m", Sort.Thread); ("c", Sort.Thread_set) ]
     ~programs:(List.init n_waiters (fun _ -> waiter) @ [ signaller ])
-    ~invariant:(fun view ->
-      (* Nobody may hold the mutex while a thread mid-Resume holds it too;
-         covered by sort-level checks — here we check c only ever contains
-         waiter threads. *)
-      let members = Value.as_set (P.value view "c") in
-      if
-        Threads_util.Tid.Set.exists
-          (fun t -> t > n_waiters)
-          members
-      then Some "non-waiter thread appears in c"
-      else None)
+    ~invariants:
+      [
+        ( P.Stale_waiter,
+          fun view ->
+            (* Nobody may hold the mutex while a thread mid-Resume holds it
+               too; covered by sort-level checks — here we check c only
+               ever contains waiter threads. *)
+            let members = Value.as_set (P.value view "c") in
+            if Threads_util.Tid.Set.exists (fun t -> t > n_waiters) members
+            then Some "non-waiter thread appears in c"
+            else None );
+      ]
     ~allow_deadlock:true ()
 
 (* Incident 1 (E7a): without the m = NIL guard on AlertResume's RAISES
@@ -66,8 +66,8 @@ let alert_wait_mutual_exclusion () =
         [ P.call "Acquire" [ P.Aobj "m" ]; P.call "Release" [ P.Aobj "m" ] ];
         [ P.call "Alert" [ P.Athread 0 ] ];
       ]
-    ~invariant:
-      (P.mutual_exclusion ~regions:[ (0, 0, 2, [ 1 ]); (1, 0, 1, []) ])
+    ~invariants:
+      [ P.mutual_exclusion ~regions:[ (0, 0, 2, [ 1 ]); (1, 0, 1, []) ] ]
     ~allow_deadlock:true ()
 
 (* Incident 3 (E7c): Nelson's bug — UNCHANGED [c] on the Alerted case
@@ -84,7 +84,7 @@ let nelson () =
         ];
         [ P.call "Alert" [ P.Athread 0 ] ];
       ]
-    ~invariant:(P.no_stale_waiters ~c:"c" ~waits:[ (0, 1) ])
+    ~invariants:[ P.no_stale_waiters ~c:"c" ~waits:[ (0, 1) ] ]
     ~allow_deadlock:true ()
 
 (* Semaphores at the spec level: P/V with no holder notion. *)

@@ -1,5 +1,168 @@
 open Spec_core
 
+(* ---- the exploration graph ---- *)
+
+(* A node: an abstract state, one phase per thread, and the policy's
+   ghost.  Policies see the first two as a [Program.view]. *)
+type 'g node = { state : State.t; phases : Program.phase array; ghost : 'g }
+
+(* Positional ids: node keys and any printed state depend only on the
+   scenario, not on process history or the executing domain. *)
+let spec_objects (program : Program.t) =
+  List.mapi
+    (fun i (name, sort) -> (name, Spec_obj.make ~oid:(i + 1) name sort))
+    program.objects
+
+let initial_state (program : Program.t) objects =
+  List.fold_left
+    (fun st (name, obj) ->
+      let v =
+        match List.assoc_opt name program.initials with
+        | Some v -> v
+        | None -> Value.initial obj.Spec_obj.sort
+      in
+      State.add obj v st)
+    State.empty objects
+
+let bindings_of iface objects (step : Program.step) proc =
+  Semantics.bindings_of_args iface proc
+    (List.map
+       (function
+         | Program.Aobj name -> `Obj (List.assoc name objects)
+         | Program.Athread i -> `Val (Value.Thread (Program.tid_of i)))
+       step.args)
+
+(* The action thread [i] performs next, if any: [(step, proc, action, k,
+   s)] for action [k] of [proc] at step [s]. *)
+let pending iface (program : Program.t) phases i =
+  let steps = program.programs.(i) in
+  match phases.(i) with
+  | Program.Done -> None
+  | Program.Idle s ->
+    if s >= List.length steps then None
+    else
+      let step = List.nth steps s in
+      let proc = Proc.find_proc iface step.Program.proc in
+      Some (step, proc, List.hd (Proc.actions proc), 0, s)
+  | Program.Mid (s, k) ->
+    let step = List.nth steps s in
+    let proc = Proc.find_proc iface step.Program.proc in
+    Some (step, proc, List.nth (Proc.actions proc) k, k, s)
+
+(* Thread [i]'s phase after that action. *)
+let advance (program : Program.t) i proc k s =
+  if k + 1 >= List.length (Proc.actions proc) then
+    if s + 1 >= List.length program.programs.(i) then Program.Done
+    else Program.Idle (s + 1)
+  else Program.Mid (s, k + 1)
+
+let key_buffer state phases =
+  let buf = Buffer.create 64 in
+  List.iter
+    (fun obj ->
+      Buffer.add_string buf
+        (Printf.sprintf "%d=%s;" obj.Spec_obj.oid
+           (Value.to_string (State.get state obj))))
+    (State.objects state);
+  Array.iter
+    (fun p ->
+      Buffer.add_string buf
+        (match p with
+        | Program.Idle s -> Printf.sprintf "I%d," s
+        | Program.Mid (s, k) -> Printf.sprintf "M%d.%d," s k
+        | Program.Done -> "D,"))
+    phases;
+  buf
+
+(* ---- the one DFS ---- *)
+
+type 'g policy = {
+  root : 'g;
+  key : Buffer.t -> 'g -> unit;
+  stop : unit -> bool;
+  report :
+    'g -> [ `Invariant of Program.invariant_class | `Requires ] -> string ->
+    unit;
+  transition :
+    Program.view -> 'g -> int -> Program.step -> Proc.action ->
+    Semantics.outcome -> 'g;
+  stuck : Program.view -> 'g -> (int * Proc.action) list -> unit;
+}
+
+let explore ~max_states iface (program : Program.t) policy =
+  let objects = spec_objects program in
+  let view state phases = { Program.state; phases; objects } in
+  let nprogs = Array.length program.programs in
+  let check_invariants node =
+    if program.invariants <> [] then begin
+      let v = view node.state node.phases in
+      List.iter
+        (fun (cls, inv) ->
+          match inv v with
+          | None -> ()
+          | Some message -> policy.report node.ghost (`Invariant cls) message)
+        program.invariants
+    end
+  in
+  let root =
+    { state = initial_state program objects;
+      phases = Array.make nprogs (Program.Idle 0); ghost = policy.root }
+  in
+  let visited = Hashtbl.create 4096 in
+  let states = ref 0 and transitions = ref 0 in
+  let stack = ref [ root ] in
+  check_invariants root;
+  while (not (policy.stop ())) && !stack <> [] do
+    match !stack with
+    | [] -> ()
+    | node :: rest ->
+      stack := rest;
+      let buf = key_buffer node.state node.phases in
+      policy.key buf node.ghost;
+      let key = Buffer.contents buf in
+      if not (Hashtbl.mem visited key) then begin
+        Hashtbl.replace visited key ();
+        incr states;
+        if !states > max_states then
+          failwith "Checker: state-space bound exceeded";
+        let here = view node.state node.phases in
+        let any_enabled = ref false in
+        let blocked = ref [] in
+        for i = 0 to nprogs - 1 do
+          match pending iface program node.phases i with
+          | None -> ()
+          | Some (step, proc, action, k, s) ->
+            blocked := (i, action) :: !blocked;
+            let self = Program.tid_of i in
+            let bindings = bindings_of iface objects step proc in
+            (* REQUIRES at the first action of a call. *)
+            if
+              k = 0
+              && not (Semantics.requires_holds proc ~self ~bindings node.state)
+            then
+              policy.report node.ghost `Requires
+                (Printf.sprintf "t%d calls %s with REQUIRES false" self
+                   step.proc);
+            List.iter
+              (fun (o : Semantics.outcome) ->
+                any_enabled := true;
+                incr transitions;
+                let ghost = policy.transition here node.ghost i step action o in
+                let phases = Array.copy node.phases in
+                phases.(i) <- advance program i proc k s;
+                let node' = { state = o.o_post; phases; ghost } in
+                check_invariants node';
+                stack := node' :: !stack)
+              (Semantics.outcomes iface proc action ~self ~bindings node.state)
+        done;
+        if (not !any_enabled) && !blocked <> [] then
+          policy.stuck here node.ghost (List.rev !blocked)
+      end
+  done;
+  (!states, !transitions)
+
+(* ---- the first-violation policy ---- *)
+
 type trace_entry = {
   thread : int;
   proc : string;
@@ -40,104 +203,41 @@ let pp_result ppf r =
       kind (List.length v.trace) v.message r.states;
     List.iter (fun e -> Format.fprintf ppf "@\n  %a" pp_trace_entry e) v.trace
 
-(* A node of the exploration graph. *)
-type node = { state : State.t; phases : Program.phase array }
-
-let node_key node =
-  Buffer.contents (Frontend.key_buffer node.state node.phases)
-
+(* The ghost is the path from the root, newest action first. *)
 let run ?(max_states = 2_000_000) iface (scenario : Program.t) =
-  let fe = Frontend.make iface scenario in
-  let nprogs = Array.length scenario.programs in
-  let init = { state = fe.init_state; phases = Frontend.init_phases fe } in
-  let visited = Hashtbl.create 4096 in
-  let states = ref 0 and transitions = ref 0 in
   let violation = ref None in
-  let check_invariant node trace =
-    match scenario.invariant with
-    | None -> ()
-    | Some inv -> (
-      match inv (Frontend.view fe node.state node.phases) with
-      | None -> ()
-      | Some message ->
-        if !violation = None then
-          violation := Some { kind = `Invariant; message; trace = List.rev trace })
+  let found kind message trace =
+    if !violation = None then
+      violation := Some { kind; message; trace = List.rev trace }
   in
-  (* DFS with an explicit stack of (node, reversed trace). *)
-  let stack = ref [ (init, []) ] in
-  check_invariant init [];
-  while !violation = None && !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | (node, trace) :: rest -> (
-      stack := rest;
-      let key = node_key node in
-      if not (Hashtbl.mem visited key) then begin
-        Hashtbl.replace visited key ();
-        incr states;
-        if !states > max_states then
-          failwith "Checker: state-space bound exceeded";
-        (* Enumerate enabled transitions. *)
-        let any_enabled = ref false in
-        let all_done = ref true in
-        for i = 0 to nprogs - 1 do
-          match Frontend.pending fe node.phases i with
-          | None -> ()
-          | Some (step, proc, action, k, s) ->
-            all_done := false;
-            let self = Program.tid_of i in
-            let bindings = Frontend.bindings_of fe step proc in
-            (* REQUIRES at the first action of a call. *)
-            if
-              k = 0
-              && not (Semantics.requires_holds proc ~self ~bindings node.state)
-              && !violation = None
-            then
-              violation :=
-                Some
-                  {
-                    kind = `Requires;
-                    message =
-                      Printf.sprintf "t%d calls %s with REQUIRES false" self
-                        step.proc;
-                    trace = List.rev trace;
-                  };
-            let outs =
-              Semantics.outcomes iface proc action ~self ~bindings node.state
-            in
-            List.iter
-              (fun (o : Semantics.outcome) ->
-                any_enabled := true;
-                incr transitions;
-                let phases = Array.copy node.phases in
-                phases.(i) <- Frontend.advance fe i proc k s;
-                let node' = { state = o.o_post; phases } in
-                let entry =
-                  {
-                    thread = i;
-                    proc = step.proc;
-                    action = action.Proc.a_name;
-                    outcome = o.o_outcome;
-                    case = o.o_case;
-                  }
-                in
-                let trace' = entry :: trace in
-                check_invariant node' trace';
-                stack := (node', trace') :: !stack)
-              outs
-        done;
-        if
-          (not !any_enabled) && (not !all_done)
-          && (not scenario.allow_deadlock)
-          && !violation = None
-        then
-          violation :=
-            Some
-              {
-                kind = `Deadlock;
-                message = "no enabled action but some programs unfinished";
-                trace = List.rev trace;
-              }
-      end)
-  done;
-  { violation = !violation; states = !states; transitions = !transitions }
+  let states, transitions =
+    explore ~max_states iface scenario
+      {
+        root = [];
+        key = (fun _ _ -> ());
+        stop = (fun () -> !violation <> None);
+        report =
+          (fun trace kind message ->
+            found
+              (match kind with
+              | `Invariant _ -> `Invariant
+              | `Requires -> `Requires)
+              message trace);
+        transition =
+          (fun _ trace thread step action o ->
+            {
+              thread;
+              proc = step.proc;
+              action = action.Proc.a_name;
+              outcome = o.o_outcome;
+              case = o.o_case;
+            }
+            :: trace);
+        stuck =
+          (fun _ trace _ ->
+            if not scenario.allow_deadlock then
+              found `Deadlock "no enabled action but some programs unfinished"
+                trace);
+      }
+  in
+  { violation = !violation; states; transitions }

@@ -21,52 +21,69 @@ let value view name = State.get view.state (List.assoc name view.objects)
    ids distinct from NIL-ish defaults in debug output). *)
 let tid_of i = i + 1
 
+type invariant_class = Exclusion | Stale_waiter
+
+let class_name = function
+  | Exclusion -> "exclusion"
+  | Stale_waiter -> "stale-waiter"
+
+type invariant = invariant_class * (view -> string option)
+
 type t = {
   name : string;
   objects : (string * Sort.t) list;
   programs : step list array;
-  invariant : (view -> string option) option;
+  invariants : invariant list;
   allow_deadlock : bool;
+  assert_delivery : bool;
   initials : (string * Value.t) list;
   interrupts : int list;
 }
 
-let make ~name ~objects ~programs ?invariant ?(allow_deadlock = false)
-    ?(initials = []) ?(interrupts = []) () =
-  { name; objects; programs = Array.of_list programs; invariant;
-    allow_deadlock; initials; interrupts }
+let make ~name ~objects ~programs ?(invariants = []) ?(allow_deadlock = false)
+    ?(assert_delivery = false) ?(initials = []) ?(interrupts = []) () =
+  { name; objects; programs = Array.of_list programs; invariants;
+    allow_deadlock; assert_delivery; initials; interrupts }
 
-let no_stale_waiters ~c ~waits view =
-  let members = Value.as_set (value view c) in
-  let parked tid =
-    (* tid = program index + 1 *)
-    let i = tid - 1 in
-    i >= 0 && i < Array.length view.phases
-    &&
-    match view.phases.(i) with
-    | Mid (s, k) -> k >= 1 && List.mem (i, s) waits
-    | Idle _ | Done -> false
+let no_stale_waiters ~c ~waits =
+  let check view =
+    let members = Value.as_set (value view c) in
+    let parked tid =
+      (* tid = program index + 1 *)
+      let i = tid - 1 in
+      i >= 0 && i < Array.length view.phases
+      &&
+      match view.phases.(i) with
+      | Mid (s, k) -> k >= 1 && List.mem (i, s) waits
+      | Idle _ | Done -> false
+    in
+    match
+      Tid.Set.elements (Tid.Set.filter (fun t -> not (parked t)) members)
+    with
+    | [] -> None
+    | stale ->
+      Some
+        (Format.asprintf
+           "condition %s contains %a which are not parked in any wait" c
+           Tid.Set.pp (Tid.Set.of_list stale))
   in
-  match Tid.Set.elements (Tid.Set.filter (fun t -> not (parked t)) members) with
-  | [] -> None
-  | stale ->
-    Some
-      (Format.asprintf
-         "condition %s contains %a which are not parked in any wait" c
-         Tid.Set.pp (Tid.Set.of_list stale))
+  (Stale_waiter, check)
 
-let mutual_exclusion ~regions view =
-  let occupied (prog, first, last, wait_steps) =
+let mutual_exclusion ~regions =
+  let occupied view (prog, first, last, wait_steps) =
     match view.phases.(prog) with
     | Done -> false
     | Idle s -> first < s && s <= last
     | Mid (s, k) ->
       first < s && s <= last && not (k >= 1 && List.mem s wait_steps)
   in
-  let inside = List.filter occupied regions in
-  if List.length inside > 1 then
-    Some
-      (Format.asprintf "critical regions of programs %s occupied together"
-         (String.concat ", "
-            (List.map (fun (p, _, _, _) -> string_of_int p) inside)))
-  else None
+  let check view =
+    let inside = List.filter (occupied view) regions in
+    if List.length inside > 1 then
+      Some
+        (Format.asprintf "critical regions of programs %s occupied together"
+           (String.concat ", "
+              (List.map (fun (p, _, _, _) -> string_of_int p) inside)))
+    else None
+  in
+  (Exclusion, check)

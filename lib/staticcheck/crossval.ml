@@ -76,40 +76,28 @@ let naive_broadcast_counterpart =
       call "Release" [ obj "m" ];
     ]
   in
-  {
-    Engine.sc_name = "naive-broadcast-static";
-    sc_program =
-      Program.make ~name:"naive-broadcast-static"
-        ~objects:[ ("m", Sort.Thread); ("sem", Sort.Semaphore) ]
-        ~programs:
-          [
-            waiter; waiter;
-            [
-              call "Acquire" [ obj "m" ]; call "Release" [ obj "m" ];
-              call "V" [ obj "sem" ];
-            ];
-          ]
-        ~initials:[ ("sem", Value.Sem Value.Unavailable) ]
-        ();
-    sc_assert_delivery = false;
-    sc_invariants = [];
-  }
+  Program.make ~name:"naive-broadcast-static"
+    ~objects:[ ("m", Sort.Thread); ("sem", Sort.Semaphore) ]
+    ~programs:
+      [
+        waiter; waiter;
+        [
+          call "Acquire" [ obj "m" ]; call "Release" [ obj "m" ];
+          call "V" [ obj "sem" ];
+        ];
+      ]
+    ~initials:[ ("sem", Value.Sem Value.Unavailable) ]
+    ()
 
 (* The spec-level counterpart of two disjoint mutex pairs. *)
 let disjoint_locks_counterpart =
   let call = Program.call in
   let obj n = Program.Aobj n in
   let worker m = [ call "Acquire" [ obj m ]; call "Release" [ obj m ] ] in
-  {
-    Engine.sc_name = "disjoint-locks-static";
-    sc_program =
-      Program.make ~name:"disjoint-locks-static"
-        ~objects:[ ("ma", Sort.Thread); ("mb", Sort.Thread) ]
-        ~programs:[ worker "ma"; worker "ma"; worker "mb"; worker "mb" ]
-        ();
-    sc_assert_delivery = false;
-    sc_invariants = [];
-  }
+  Program.make ~name:"disjoint-locks-static"
+    ~objects:[ ("ma", Sort.Thread); ("mb", Sort.Thread) ]
+    ~programs:[ worker "ma"; worker "ma"; worker "mb"; worker "mb" ]
+    ()
 
 let engine_classes iface sc =
   let r = Engine.run iface sc in
@@ -153,9 +141,7 @@ let static_classes iface = function
   | "naive-broadcast" -> engine_classes iface naive_broadcast_counterpart
   | "hoare-signal" -> hoare_handoff_classes iface
   | "disjoint-locks" ->
-    let rep =
-      Progcheck.check iface disjoint_locks_counterpart.Engine.sc_program
-    in
+    let rep = Progcheck.check iface disjoint_locks_counterpart in
     List.sort_uniq compare
       (List.map (fun f -> f.Finding.cls) rep.Progcheck.p_findings)
     @ engine_classes iface disjoint_locks_counterpart

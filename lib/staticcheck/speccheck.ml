@@ -56,9 +56,9 @@ let check ?locs iface =
   let model =
     if lint_has_errors then
       List.map
-        (fun (sc : Engine.scenario) ->
+        (fun (sc : Threads_model.Program.t) ->
           {
-            mr_scenario = sc.Engine.sc_name;
+            mr_scenario = sc.name;
             mr_findings = [];
             mr_states = 0;
             mr_transitions = 0;
@@ -67,10 +67,10 @@ let check ?locs iface =
         Suite.all
     else
       List.map
-        (fun (sc : Engine.scenario) ->
+        (fun (sc : Threads_model.Program.t) ->
           if not (Suite.applicable iface sc) then
             {
-              mr_scenario = sc.Engine.sc_name;
+              mr_scenario = sc.name;
               mr_findings = [];
               mr_states = 0;
               mr_transitions = 0;
@@ -84,7 +84,7 @@ let check ?locs iface =
                 (fun c -> Hashtbl.replace covered c ())
                 r.Engine.r_covered;
               {
-                mr_scenario = sc.Engine.sc_name;
+                mr_scenario = sc.name;
                 mr_findings = r.Engine.r_findings;
                 mr_states = r.Engine.r_states;
                 mr_transitions = r.Engine.r_transitions;
@@ -92,11 +92,11 @@ let check ?locs iface =
               }
             | exception e ->
               {
-                mr_scenario = sc.Engine.sc_name;
+                mr_scenario = sc.name;
                 mr_findings =
                   [
                     Finding.make ~cls:"engine-error"
-                      ~where:sc.Engine.sc_name (Printexc.to_string e);
+                      ~where:sc.name (Printexc.to_string e);
                   ];
                 mr_states = 0;
                 mr_transitions = 0;

@@ -16,171 +16,114 @@ let thread = fun i -> Program.Athread i
    Signal may wake nobody), but a delivered-then-stuck path is
    signal-loss and an undeliverable scenario is the wakeup window. *)
 let wait_signal =
-  {
-    Engine.sc_name = "wait-signal";
-    sc_program =
-      Program.make ~name:"wait-signal"
-        ~objects:[ ("m", Sort.Thread); ("c", Sort.Thread_set) ]
-        ~programs:
-          [
-            [ call "Acquire" [ obj "m" ]; call "Wait" [ obj "m"; obj "c" ];
-              call "Release" [ obj "m" ] ];
-            [ call "Acquire" [ obj "m" ]; call "Signal" [ obj "c" ];
-              call "Release" [ obj "m" ] ];
-          ]
-        ~allow_deadlock:true ();
-    sc_assert_delivery = true;
-    sc_invariants = [];
-  }
+  Program.make ~name:"wait-signal"
+    ~objects:[ ("m", Sort.Thread); ("c", Sort.Thread_set) ]
+    ~programs:
+      [
+        [ call "Acquire" [ obj "m" ]; call "Wait" [ obj "m"; obj "c" ];
+          call "Release" [ obj "m" ] ];
+        [ call "Acquire" [ obj "m" ]; call "Signal" [ obj "c" ];
+          call "Release" [ obj "m" ] ];
+      ]
+    ~allow_deadlock:true ~assert_delivery:true ()
 
 let wait_broadcast =
-  {
-    Engine.sc_name = "wait-broadcast";
-    sc_program =
-      Program.make ~name:"wait-broadcast"
-        ~objects:[ ("m", Sort.Thread); ("c", Sort.Thread_set) ]
-        ~programs:
-          [
-            [ call "Acquire" [ obj "m" ]; call "Wait" [ obj "m"; obj "c" ];
-              call "Release" [ obj "m" ] ];
-            [ call "Acquire" [ obj "m" ]; call "Broadcast" [ obj "c" ];
-              call "Release" [ obj "m" ] ];
-          ]
-        ~allow_deadlock:true ();
-    sc_assert_delivery = true;
-    sc_invariants = [];
-  }
+  Program.make ~name:"wait-broadcast"
+    ~objects:[ ("m", Sort.Thread); ("c", Sort.Thread_set) ]
+    ~programs:
+      [
+        [ call "Acquire" [ obj "m" ]; call "Wait" [ obj "m"; obj "c" ];
+          call "Release" [ obj "m" ] ];
+        [ call "Acquire" [ obj "m" ]; call "Broadcast" [ obj "c" ];
+          call "Release" [ obj "m" ] ];
+      ]
+    ~allow_deadlock:true ~assert_delivery:true ()
 
 (* Alert races Signal at an alertable waiter; the alert guarantees
    progress, so no deadlock is tolerated, and nobody may linger in [c]
    after leaving the wait (Nelson's bug). *)
 let alert_wait =
-  {
-    Engine.sc_name = "alert-wait";
-    sc_program =
-      Program.make ~name:"alert-wait"
-        ~objects:[ ("m", Sort.Thread); ("c", Sort.Thread_set) ]
-        ~programs:
-          [
-            [ call "Acquire" [ obj "m" ];
-              call "AlertWait" [ obj "m"; obj "c" ];
-              call "Release" [ obj "m" ] ];
-            [ call "Alert" [ thread 0 ]; call "Acquire" [ obj "m" ];
-              call "Signal" [ obj "c" ]; call "Release" [ obj "m" ] ];
-          ]
-        ();
-    sc_assert_delivery = false;
-    sc_invariants =
-      [ ("stale-waiter", Program.no_stale_waiters ~c:"c" ~waits:[ (0, 1) ]) ];
-  }
+  Program.make ~name:"alert-wait"
+    ~objects:[ ("m", Sort.Thread); ("c", Sort.Thread_set) ]
+    ~programs:
+      [
+        [ call "Acquire" [ obj "m" ];
+          call "AlertWait" [ obj "m"; obj "c" ];
+          call "Release" [ obj "m" ] ];
+        [ call "Alert" [ thread 0 ]; call "Acquire" [ obj "m" ];
+          call "Signal" [ obj "c" ]; call "Release" [ obj "m" ] ];
+      ]
+    ~invariants:[ Program.no_stale_waiters ~c:"c" ~waits:[ (0, 1) ] ]
+    ()
 
 (* An alerted waiter resuming while another thread is inside its
    critical section: under the pristine spec AlertResume's [m = NIL]
    guards forbid it; dropping them is mutex theft. *)
 let alert_wait_held =
-  {
-    Engine.sc_name = "alert-wait-held";
-    sc_program =
-      Program.make ~name:"alert-wait-held"
-        ~objects:[ ("m", Sort.Thread); ("c", Sort.Thread_set) ]
-        ~programs:
-          [
-            [ call "Acquire" [ obj "m" ];
-              call "AlertWait" [ obj "m"; obj "c" ];
-              call "Release" [ obj "m" ] ];
-            [ call "Alert" [ thread 0 ]; call "Acquire" [ obj "m" ];
-              call "Release" [ obj "m" ] ];
-          ]
-        ();
-    sc_assert_delivery = false;
-    sc_invariants =
-      [ ("stale-waiter", Program.no_stale_waiters ~c:"c" ~waits:[ (0, 1) ]) ];
-  }
+  Program.make ~name:"alert-wait-held"
+    ~objects:[ ("m", Sort.Thread); ("c", Sort.Thread_set) ]
+    ~programs:
+      [
+        [ call "Acquire" [ obj "m" ];
+          call "AlertWait" [ obj "m"; obj "c" ];
+          call "Release" [ obj "m" ] ];
+        [ call "Alert" [ thread 0 ]; call "Acquire" [ obj "m" ];
+          call "Release" [ obj "m" ] ];
+      ]
+    ~invariants:[ Program.no_stale_waiters ~c:"c" ~waits:[ (0, 1) ] ]
+    ()
 
 (* The timeout path always rescues the waiter, so no deadlock. *)
 let timed_wait =
-  {
-    Engine.sc_name = "timed-wait";
-    sc_program =
-      Program.make ~name:"timed-wait"
-        ~objects:[ ("m", Sort.Thread); ("c", Sort.Thread_set) ]
-        ~programs:
-          [
-            [ call "Acquire" [ obj "m" ];
-              call "TimedWait" [ obj "m"; obj "c" ];
-              call "Release" [ obj "m" ] ];
-            [ call "Acquire" [ obj "m" ]; call "Signal" [ obj "c" ];
-              call "Release" [ obj "m" ] ];
-          ]
-        ();
-    sc_assert_delivery = false;
-    sc_invariants = [];
-  }
+  Program.make ~name:"timed-wait"
+    ~objects:[ ("m", Sort.Thread); ("c", Sort.Thread_set) ]
+    ~programs:
+      [
+        [ call "Acquire" [ obj "m" ];
+          call "TimedWait" [ obj "m"; obj "c" ];
+          call "Release" [ obj "m" ] ];
+        [ call "Acquire" [ obj "m" ]; call "Signal" [ obj "c" ];
+          call "Release" [ obj "m" ] ];
+      ]
+    ()
 
 (* Binary-semaphore mutual exclusion: both threads inside their P..V
    region at once breaks exclusion (caught when P's WHEN is dropped). *)
 let semaphore =
-  {
-    Engine.sc_name = "semaphore";
-    sc_program =
-      Program.make ~name:"semaphore"
-        ~objects:[ ("s", Sort.Semaphore) ]
-        ~programs:
-          [
-            [ call "P" [ obj "s" ]; call "V" [ obj "s" ] ];
-            [ call "P" [ obj "s" ]; call "V" [ obj "s" ] ];
-          ]
-        ();
-    sc_assert_delivery = false;
-    sc_invariants =
+  Program.make ~name:"semaphore"
+    ~objects:[ ("s", Sort.Semaphore) ]
+    ~programs:
       [
-        ( "exclusion",
-          Program.mutual_exclusion ~regions:[ (0, 0, 1, []); (1, 0, 1, []) ]
-        );
-      ];
-  }
+        [ call "P" [ obj "s" ]; call "V" [ obj "s" ] ];
+        [ call "P" [ obj "s" ]; call "V" [ obj "s" ] ];
+      ]
+    ~invariants:
+      [ Program.mutual_exclusion ~regions:[ (0, 0, 1, []); (1, 0, 1, []) ] ]
+    ()
 
 let alert_p =
-  {
-    Engine.sc_name = "alert-p";
-    sc_program =
-      Program.make ~name:"alert-p"
-        ~objects:[ ("s", Sort.Semaphore) ]
-        ~programs:
-          [
-            [ call "AlertP" [ obj "s" ] ];
-            [ call "Alert" [ thread 0 ] ];
-          ]
-        ();
-    sc_assert_delivery = false;
-    sc_invariants = [];
-  }
+  Program.make ~name:"alert-p"
+    ~objects:[ ("s", Sort.Semaphore) ]
+    ~programs:
+      [
+        [ call "AlertP" [ obj "s" ] ];
+        [ call "Alert" [ thread 0 ] ];
+      ]
+    ()
 
 let test_alert =
-  {
-    Engine.sc_name = "test-alert";
-    sc_program =
-      Program.make ~name:"test-alert"
-        ~objects:[ ("s", Sort.Semaphore) ]
-        ~programs:
-          [ [ call "TestAlert" [] ]; [ call "Alert" [ thread 0 ] ] ]
-        ();
-    sc_assert_delivery = false;
-    sc_invariants = [];
-  }
+  Program.make ~name:"test-alert"
+    ~objects:[ ("s", Sort.Semaphore) ]
+    ~programs:
+      [ [ call "TestAlert" [] ]; [ call "Alert" [ thread 0 ] ] ]
+    ()
 
 (* TimedP never delays (its timeout case is unguarded). *)
 let timed_p =
-  {
-    Engine.sc_name = "timed-p";
-    sc_program =
-      Program.make ~name:"timed-p"
-        ~objects:[ ("s", Sort.Semaphore) ]
-        ~programs:[ [ call "TimedP" [ obj "s" ] ]; [ call "TimedP" [ obj "s" ] ] ]
-        ();
-    sc_assert_delivery = false;
-    sc_invariants = [];
-  }
+  Program.make ~name:"timed-p"
+    ~objects:[ ("s", Sort.Semaphore) ]
+    ~programs:[ [ call "TimedP" [ obj "s" ] ]; [ call "TimedP" [ obj "s" ] ] ]
+    ()
 
 let all =
   [
@@ -191,7 +134,7 @@ let all =
 (* Does the interface provide every procedure a scenario calls, with the
    arity the scenario assumes?  Lets check-spec run on partial or foreign
    spec files: inapplicable scenarios are skipped, not crashed on. *)
-let applicable iface (sc : Engine.scenario) =
+let applicable iface (program : Program.t) =
   Array.for_all
     (fun steps ->
       List.for_all
@@ -201,7 +144,7 @@ let applicable iface (sc : Engine.scenario) =
             List.length proc.Proc.p_formals = List.length step.Program.args
           | exception Not_found -> false)
         steps)
-    sc.sc_program.Program.programs
+    program.programs
 
 (* Every (procedure, action, 0-based case) triple of the interface —
    the coverage target the suite's union must meet. *)

@@ -84,6 +84,21 @@ let test_pristine_delivery_reachable () =
   Alcotest.(check string) "no findings" ""
     (pp_findings r.SC.Engine.r_findings)
 
+(* Stuck-node findings name threads by tid, as every other finding does:
+   the alerted waiter of alert-wait is program 0, thread t1. *)
+let test_stuck_findings_name_tids () =
+  match SC.Spec_mutants.find "alert-resume-overguarded" with
+  | None -> Alcotest.fail "mutant missing"
+  | Some m ->
+    let r = SC.Engine.run m.SC.Spec_mutants.m_iface SC.Suite.alert_wait in
+    Alcotest.(check (list string)) "alert-loss names t1"
+      [ "threads {t1} are alerted but parked forever in AlertResume" ]
+      (List.filter_map
+         (fun (f : SC.Finding.t) ->
+           if f.SC.Finding.cls = "alert-loss" then Some f.SC.Finding.msg
+           else None)
+         r.SC.Engine.r_findings)
+
 let test_determinism () =
   let a = SC.Speccheck.check_mutants () in
   let b = SC.Speccheck.check_mutants () in
@@ -231,6 +246,8 @@ let suite =
         test_wakeup_waiting_rediscovered;
       Alcotest.test_case "pristine delivery reachable" `Quick
         test_pristine_delivery_reachable;
+      Alcotest.test_case "stuck findings name tids" `Quick
+        test_stuck_findings_name_tids;
       Alcotest.test_case "deterministic" `Quick test_determinism;
       Alcotest.test_case "effect summaries" `Quick test_effects;
       Alcotest.test_case "harness scenarios clean" `Quick
