@@ -26,8 +26,6 @@ type scenario = {
 
 val broken_spinlock : seed:int -> (Firefly.Machine.t -> unit) -> Firefly.Machine.t
 val lock_inversion : seed:int -> (Firefly.Machine.t -> unit) -> Firefly.Machine.t
-val naive_broadcast : seed:int -> (Firefly.Machine.t -> unit) -> Firefly.Machine.t
-val clean_window : seed:int -> (Firefly.Machine.t -> unit) -> Firefly.Machine.t
 
 val all : scenario list
 val find : string -> scenario option

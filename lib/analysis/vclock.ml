@@ -23,6 +23,5 @@ let join a b =
   grow a (Array.length b.v);
   Array.iteri (fun i x -> if x > a.v.(i) then a.v.(i) <- x) b.v
 
-let copy a = { v = Array.copy a.v }
 
 let leq_epoch ~tid ~clock c = clock <= get c tid

@@ -16,8 +16,6 @@ val incr : t -> int -> unit
 (** [join a b] — pointwise maximum, into [a]. *)
 val join : t -> t -> unit
 
-val copy : t -> t
-
 (** [leq_epoch ~tid ~clock c] — does the epoch [(tid, clock)]
     happen-before (or equal) the time [c] knows?  I.e. [clock <= c(tid)]. *)
 val leq_epoch : tid:int -> clock:int -> t -> bool

@@ -114,9 +114,6 @@ val chaos :
 (** Every run classified [Conformant] or [Diagnosed]. *)
 val chaos_ok : chaos_summary -> bool
 
-(** Class name -> occurrence count, in first-seen order. *)
-val chaos_classes : chaos_summary -> (string * int) list
-
 (** Deterministic fault report: equal (backend, workload, plan, seed)
     render byte-equal reports. *)
 val render_chaos : Format.formatter -> chaos_summary -> unit

@@ -37,6 +37,3 @@ exception Lex_error of string * pos  (** message, position *)
 
 (** [tokenize src] returns the token stream with source positions. *)
 val tokenize : string -> (token * pos) list
-
-(** The reserved keyword set. *)
-val keywords : string list

@@ -62,5 +62,4 @@ val eval : model -> (string * Value.t) list -> term -> Value.t
 (** [holds model assignment eq] — do both sides evaluate equal? *)
 val holds : model -> (string * Value.t) list -> equation -> bool
 
-val pp_term : Format.formatter -> term -> unit
 val pp_equation : Format.formatter -> equation -> unit

@@ -3,6 +3,5 @@
     iface)] yields an interface equal to [iface] (checked by a property
     test). *)
 
-val pp_interface : Format.formatter -> Proc.interface -> unit
 val pp_proc : Proc.interface -> Format.formatter -> Proc.t -> unit
 val to_string : Proc.interface -> string

@@ -17,7 +17,6 @@ let make ~oid name sort =
 (* oid 0 is reserved for the global alerts set. *)
 let alerts = { oid = 0; name = "alerts"; sort = Sort.Thread_set }
 
-let is_alerts t = t.oid = 0
 let equal a b = a.oid = b.oid
 let compare a b = Int.compare a.oid b.oid
 let pp ppf t = Format.fprintf ppf "%s#%d" t.name t.oid

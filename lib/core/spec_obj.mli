@@ -3,8 +3,7 @@
     Each synchronization object a client program manipulates (a particular
     mutex, condition variable, or semaphore) is an object with a stable
     identity; a {!State.t} maps objects to their current abstract values.
-    The global [alerts] variable is itself an object, distinguished by
-    {!is_alerts}. *)
+    The global [alerts] variable is itself an object, {!alerts}. *)
 
 type t = private { oid : int; name : string; sort : Sort.t }
 
@@ -23,7 +22,6 @@ val make : oid:int -> string -> Sort.t -> t
 (** The distinguished global [VAR alerts: SET OF Thread INITIALLY {}]. *)
 val alerts : t
 
-val is_alerts : t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit

@@ -70,11 +70,6 @@ let sort_error op v =
 
 let as_set = function Set s -> s | v -> sort_error "as_set" v
 
-let as_thread_or_nil = function
-  | Nil -> None
-  | Thread t -> Some t
-  | v -> sort_error "as_thread_or_nil" v
-
 let as_bool = function Bool b -> b | v -> sort_error "as_bool" v
 
 let as_tid op = function Thread t -> t | v -> sort_error op v

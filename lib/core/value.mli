@@ -18,9 +18,6 @@ type t =
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
-(** [sort_of v] is the sort [v] inhabits ([Nil] inhabits [Thread]). *)
-val sort_of : t -> Sort.t
-
 (** [has_sort v s] — [Nil] has sort [Thread]. *)
 val has_sort : t -> Sort.t -> bool
 
@@ -47,5 +44,4 @@ val subset : t -> t -> bool
 (** [subset s1 s2] is [s1 ⊆ s2]. *)
 
 val as_set : t -> Threads_util.Tid.Set.t
-val as_thread_or_nil : t -> Threads_util.Tid.t option
 val as_bool : t -> bool

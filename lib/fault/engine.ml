@@ -19,7 +19,7 @@ let pp_verdict ppf : Firefly.Interleave.verdict -> unit = function
 
 let run ?(seed = 0) ~(plan : Plan.t) build =
   let strategy = Firefly.Sched.random seed in
-  let m = M.create ~seed () in
+  let m = M.create () in
   (* Spin-lock backoff only under a plan that injects something: an
      empty plan is a plain run. *)
   if plan.Plan.actions <> [] then M.set_chaos_active m true;

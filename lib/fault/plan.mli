@@ -33,7 +33,6 @@ type t = { id : int; actions : action list }
 (** Trigger step of an action. *)
 val trigger : action -> int
 
-val describe_action : action -> string
 val describe : t -> string
 
 (** Number of distinct plan families [generate] cycles through. *)

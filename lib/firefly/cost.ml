@@ -18,4 +18,3 @@ let default =
   }
 
 let us_per_cycle = 2.0
-let us_of_cycles c = float_of_int c *. us_per_cycle

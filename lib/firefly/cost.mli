@@ -22,6 +22,3 @@ val default : t
 
 (** Microseconds per cycle under the calibration above (2.0). *)
 val us_per_cycle : float
-
-(** [us_of_cycles c] converts simulated cycles to microseconds. *)
-val us_of_cycles : int -> float

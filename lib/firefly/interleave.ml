@@ -85,7 +85,7 @@ let run ?(max_steps = 1_000_000) ?(certify = false) ?strategy ?(seed = 0)
   let strategy =
     match strategy with Some s -> s | None -> Sched.random seed
   in
-  let m = Machine.create ~seed ?cost () in
+  let m = Machine.create ?cost () in
   build m;
   drive ~max_steps
     {

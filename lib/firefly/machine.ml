@@ -127,7 +127,6 @@ type _ Effect.t +=
   | E_emit : Trace.event -> unit Effect.t
   | E_tick : int -> unit Effect.t
   | E_counter : string -> unit Effect.t
-  | E_rand : int -> int Effect.t
   | E_set_priority : int -> unit Effect.t
   | E_yield : unit Effect.t
   | E_mem_emit : mem_op * (int -> Trace.event option) -> int Effect.t
@@ -147,7 +146,6 @@ module Ops = struct
   let emit ev = Effect.perform (E_emit ev)
   let tick n = Effect.perform (E_tick n)
   let incr_counter name = Effect.perform (E_counter name)
-  let rand n = Effect.perform (E_rand n)
   let set_priority p = Effect.perform (E_set_priority p)
   let yield () = Effect.perform E_yield
   let mem_emit op thunk = Effect.perform (E_mem_emit (op, thunk))
@@ -184,7 +182,6 @@ type thread = {
 
 type t = {
   cost : Cost.t;
-  rng : Threads_util.Rng.t;
   mutable mem : int array;
   mutable mem_used : int;
   mutable threads : thread array;  (* index = tid *)
@@ -255,7 +252,6 @@ let emit_spec m ev =
    commute with any step of the woken thread). *)
 
 let fp_sched tid = -0x4000_0000 - tid
-let fp_rng = -0x3000_0000
 let fp_alloc = -0x3000_0001
 let fp_spawn = -0x3000_0002
 
@@ -283,10 +279,9 @@ let dummy_thread =
     spin = -1;
   }
 
-let create ?(seed = 0) ?(cost = Cost.default) () =
+let create ?(cost = Cost.default) () =
   {
     cost;
-    rng = Threads_util.Rng.create seed;
     mem = Array.make 64 0;
     mem_used = 0;
     threads = Array.make 16 dummy_thread;
@@ -516,7 +511,7 @@ let handler m t =
         match eff with
         | E_read _ | E_write _ | E_tas _ | E_clear _ | E_faa _ | E_alloc _
         | E_self | E_spawn _ | E_join _ | E_deschedule_and_clear _
-        | E_ready _ | E_emit _ | E_tick _ | E_counter _ | E_rand _
+        | E_ready _ | E_emit _ | E_tick _ | E_counter _
         | E_set_priority _ | E_yield | E_mem_emit _ ->
           Some
             (fun (k : (a, unit) Effect.Deep.continuation) ->
@@ -702,11 +697,6 @@ let execute_effect (type a) m t (eff : a Effect.t)
   | E_counter name ->
     incr_counter m name 1;
     resume m t k ();
-    0
-  | E_rand n ->
-    let v = Threads_util.Rng.int m.rng n in
-    fp m fp_rng ~w:true;
-    resume m t k v;
     0
   | E_set_priority p ->
     t.prio <- p;
@@ -897,7 +887,6 @@ let kill m tid ~reason =
     record_fault m (Printf.sprintf "crash-stop of t%d (%s)" tid reason);
     finish m t (Failed Crash_stopped)
 
-let was_killed m tid = Hashtbl.mem m.killed tid
 let set_chaos_active m b = m.chaos_active <- b
 let chaos_hooks m = List.rev m.chaos_hooks
 let faults m = List.rev m.faults

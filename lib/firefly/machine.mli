@@ -208,10 +208,6 @@ module Ops : sig
   (** [incr_counter name] bumps a named statistic (zero cost). *)
   val incr_counter : string -> unit
 
-  (** [rand n] draws uniformly from [\[0, n)] using the machine's seeded
-      generator (zero cost, deterministic). *)
-  val rand : int -> int
-
   val set_priority : int -> unit
 
   (** [yield ()] is a zero-cost scheduling point (used by the cooperative
@@ -375,8 +371,9 @@ end
 
 (** {1 Construction and stepping (driver side)} *)
 
-(** [create ?seed ?cost ()] — [seed] feeds {!Ops.rand}. *)
-val create : ?seed:int -> ?cost:Cost.t -> unit -> t
+(** [create ?cost ()] — an empty machine; the cost model defaults to
+    {!Cost.default}. *)
+val create : ?cost:Cost.t -> unit -> t
 
 (** [spawn_root m f] adds a thread before (or during) a run; same semantics
     as {!Ops.spawn} but callable from outside.  A thread spawned with
@@ -507,8 +504,6 @@ val advance_clock : t -> to_:int -> unit
     Joiners are woken; subsequent wakeups of [t] are discarded (and
     recorded) rather than being simulation errors. *)
 val kill : t -> Threads_util.Tid.t -> reason:string -> unit
-
-val was_killed : t -> Threads_util.Tid.t -> bool
 
 (** Gate for {!Probe.chaos_active}; set by fault-injection drivers. *)
 val set_chaos_active : t -> bool -> unit

@@ -19,7 +19,7 @@ type proc = {
 let run ~processors ?(seed = 0) ?(cost = Cost.default) ?(max_steps = 1_000_000)
     build =
   assert (processors > 0);
-  let m = Machine.create ~seed ~cost () in
+  let m = Machine.create ~cost () in
   build m;
   let rng = Threads_util.Rng.create (seed lxor 0x7ead) in
   let procs =

@@ -48,10 +48,6 @@ val run : (unit -> 'a) -> 'a
     result with the linearized event trace. *)
 val traced_run : (unit -> 'a) -> 'a * Spec_trace.event list
 
-(** Install or remove the trace sink by hand ({!traced_run} is the usual
-    entry point).  Takes effect for actions that commit after the store. *)
-val set_trace_sink : Spec_trace.Sink.t option -> unit
-
 (** One mutex acquisition or release, as captured by {!analyzed_run}.
     Thread ids are the package's own; lock ids are mutex trace ids.
     Semaphores are not captured (V need not come from the P-ing thread,

@@ -7,6 +7,3 @@ type t
 val create : unit -> t
 val acquire : t -> unit
 val release : t -> unit
-
-(** [try_acquire l] — single attempt, no spin. *)
-val try_acquire : t -> bool

@@ -25,15 +25,6 @@ val recorder : unit -> recorder
 val record : recorder -> Firefly.Machine.t -> unit
 val of_run : recorder -> Firefly.Machine.t -> t
 
-
-(** "critical path by object" rows: (object, cycles, steps), sorted by
-    cycles descending then name. *)
-val by_object : t -> (string * int * int) list
-
-(** "top blockers" rows: (waker, object, blocked cycles, wake count),
-    sorted by blocked cycles descending. *)
-val top_blockers : t -> (string * string * int * int) list
-
 (** Deterministic table report: critical path, per-object attribution,
     top blockers, wait decomposition, wait-for forensics. *)
 val render : t -> string

@@ -13,12 +13,9 @@
     qualifies.  Probe state is domain-local in the machine, so cells on
     different domains cannot observe each other. *)
 
-(** The runtime's suggestion for [jobs] on this host
-    ([Domain.recommended_domain_count]). *)
-val recommended_jobs : unit -> int
-
 (** [resolve_jobs j] maps the CLI convention to a worker count:
-    [j <= 0] means "auto" ({!recommended_jobs}), otherwise [j]. *)
+    [j <= 0] means "auto" ([Domain.recommended_domain_count]), otherwise
+    [j]. *)
 val resolve_jobs : int -> int
 
 (** Host-side observation points for the executor.

@@ -83,7 +83,6 @@ let create ?now ?(interval = 0.5) ?dest ~label ~total ~jobs () =
 
 let fleet t = t.fleet
 let fleet_report t = Fleet.snapshot t.fleet
-let cells_done t = t.n_done
 
 let phase t name ~cells =
   Mutex.lock t.mu;

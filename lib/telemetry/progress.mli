@@ -32,7 +32,6 @@ val fleet : t -> Fleet.t
 (** Snapshot of the underlying collector (see {!Fleet.snapshot}). *)
 val fleet_report : t -> Fleet.report
 
-val cells_done : t -> int
 
 (** Announce a named sub-matrix (e.g. one workload of a conform sweep). *)
 val phase : t -> string -> cells:int -> unit

@@ -59,6 +59,3 @@ let summarize samples =
 
 let summarize_ints samples = summarize (List.map float_of_int samples)
 
-let pp_summary ppf s =
-  Format.fprintf ppf "mean=%.2f sd=%.2f p50=%.2f p99=%.2f (n=%d)" s.mean
-    s.stddev s.p50 s.p99 s.n

@@ -27,5 +27,3 @@ val stddev : float list -> float
     (0 <= p <= 100) of an already sorted array. *)
 val percentile : float -> float array -> float
 
-(** [pp_summary ppf s] prints ["mean=… sd=… p50=… p99=…"]. *)
-val pp_summary : Format.formatter -> summary -> unit

@@ -161,7 +161,7 @@ let observed_run ~seed bname (wl : Wl.t) kinds =
   let module P = Threads_profile.Profile in
   let sink = Spec_trace.Sink.create () and log = An.log () in
   let prof = P.recorder () and footprints = ref [] in
-  let m = M.create ~seed () in
+  let m = M.create () in
   List.iter
     (function
       | M.K_spec -> Firefly.Record.trace sink m
