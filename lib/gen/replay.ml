@@ -172,6 +172,3 @@ let load path =
   match In_channel.with_open_text path In_channel.input_all with
   | text -> parse text
   | exception Sys_error msg -> Error msg
-
-let save path f = Out_channel.with_open_text path (fun oc ->
-    Out_channel.output_string oc (to_string f))

@@ -21,4 +21,3 @@ val print : Format.formatter -> file -> unit
 val parse : string -> (file, string) result
 
 val load : string -> (file, string) result
-val save : string -> file -> unit

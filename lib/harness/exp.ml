@@ -1,23 +1,5 @@
 type t = { id : string; title : string; claim : string; run : unit -> unit }
 
-let registry : t list ref = ref []
-
-let register e = registry := e :: !registry
-
-let all () =
-  List.sort (fun a b -> compare a.id b.id) !registry
-
-let find id =
-  let id = String.uppercase_ascii id in
-  List.find_opt (fun e -> String.uppercase_ascii e.id = id) !registry
-
-let banner e =
-  Printf.printf "\n=== %s: %s ===\nClaim: %s\n\n" e.id e.title e.claim
-
-let run_one e =
-  banner e;
-  e.run ()
-
 (* Append an observability section — the machine's instrument registry
    rendered as tables — to an experiment's output.  Experiments that run
    one machine per data point pass a representative machine. *)
@@ -25,15 +7,3 @@ let print_metrics ?(header = "--- observability (representative run) ---")
     machine =
   Printf.printf "\n%s\n" header;
   Obs.Report.print (Obs.Instrument.snapshot (Firefly.Machine.obs machine))
-
-let run_ids ids =
-  List.filter
-    (fun id ->
-      match find id with
-      | Some e ->
-        run_one e;
-        false
-      | None -> true)
-    ids
-
-let run_all () = List.iter run_one (all ())

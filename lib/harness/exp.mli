@@ -1,8 +1,9 @@
-(** Experiment registry.
+(** An experiment.
 
     The paper has no numbered tables or figures; its evaluation is a set of
     precise claims.  Each experiment here regenerates one claim (see
-    EXPERIMENTS.md for the mapping) and prints one or more tables. *)
+    EXPERIMENTS.md for the mapping) and prints one or more tables;
+    {!Registry} lists them. *)
 
 type t = {
   id : string;  (** "E1" ... "E10" *)
@@ -10,19 +11,6 @@ type t = {
   claim : string;  (** the paper sentence being reproduced *)
   run : unit -> unit;
 }
-
-val register : t -> unit
-
-(** All experiments, in id order. *)
-val all : unit -> t list
-
-val find : string -> t option
-
-(** [run_ids ids] — runs each (case-insensitive id match); returns the
-    unknown ids. *)
-val run_ids : string list -> string list
-
-val run_all : unit -> unit
 
 (** [print_metrics ?header machine] appends the machine's instrument
     registry ({!Firefly.Machine.obs}) as an observability section —

@@ -1,10 +1,8 @@
 (* The experiment registry and the shared scenarios. *)
 
-let () = Threads_harness.Registry.init ()
-
 let test_registry_complete () =
   let ids =
-    List.map (fun (e : Threads_harness.Exp.t) -> e.id) (Threads_harness.Exp.all ())
+    List.map (fun (e : Threads_harness.Exp.t) -> e.id) Threads_harness.Registry.all
   in
   Alcotest.(check (list string)) "all ten experiments"
     [ "E1"; "E10"; "E2"; "E3"; "E4"; "E5"; "E6"; "E7"; "E8"; "E9" ]
@@ -12,15 +10,15 @@ let test_registry_complete () =
 
 let test_find_case_insensitive () =
   Alcotest.(check bool) "finds e1" true
-    (Threads_harness.Exp.find "e1" <> None);
-  Alcotest.(check bool) "unknown" true (Threads_harness.Exp.find "E99" = None)
+    (Threads_harness.Registry.find "e1" <> None);
+  Alcotest.(check bool) "unknown" true (Threads_harness.Registry.find "E99" = None)
 
 let test_every_experiment_has_claim () =
   List.iter
     (fun (e : Threads_harness.Exp.t) ->
       Alcotest.(check bool) (e.id ^ " cites the paper") true
         (String.length e.claim > 40))
-    (Threads_harness.Exp.all ())
+    Threads_harness.Registry.all
 
 let test_scenarios_clean_under_final () =
   let check name scen =
