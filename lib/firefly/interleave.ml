@@ -19,19 +19,24 @@ let certificate m strategy spinner ~at_step =
   | None -> None
   | Some _ when Machine.timers_pending m || Machine.delayed_pending m -> None
   | Some word -> (
-    let cands = Sched.candidates strategy m (Machine.runnable m) in
+    let cand = Sched.candidate strategy m in
     let stuck tid =
+      (not (cand tid))
+      ||
       match Machine.spin_word m tid with
       | None -> false
       | Some w -> (
         Machine.word_value m w = 1
         &&
         match Machine.word_owner m w with
-        | Some holder -> not (List.mem holder cands)
+        | Some holder -> not (cand holder)
         | None -> false)
     in
+    let rec all_stuck tid =
+      tid >= Machine.thread_count m || (stuck tid && all_stuck (tid + 1))
+    in
     match Machine.word_owner m word with
-    | Some holder when List.for_all stuck cands ->
+    | Some holder when all_stuck 0 ->
       Some (Livelock { spinner; word; holder; at_step })
     | _ -> None)
 
@@ -40,7 +45,7 @@ let at_rest m =
 
 type hooks = {
   before : int -> unit;
-  pick : Tid.t list -> Tid.t;
+  pick : unit -> Tid.t;
   after : Tid.t -> cost:int -> steps:int -> verdict option;
   waiting : unit -> bool;
 }
@@ -53,8 +58,7 @@ let drive ~max_steps h m =
       h.before !steps;
       Machine.flush_delayed m;
       Machine.fire_due_timers m;
-      match Machine.runnable m with
-      | [] -> (
+      if Machine.runnable_count m = 0 then
         (* At rest with a timer or a held wakeup outstanding: jump the
            clock there (discrete-event idle time); the next iteration
            delivers it. *)
@@ -62,16 +66,16 @@ let drive ~max_steps h m =
         | Some d ->
           Machine.advance_clock m ~to_:d;
           idle ()
-        | None -> if h.waiting () then idle () else at_rest m)
-      | rs -> (
-        let tid = h.pick rs in
+        | None -> if h.waiting () then idle () else at_rest m
+      else
+        let tid = h.pick () in
         if tid < 0 then idle ()
         else
           let cost = Machine.step m tid in
           incr steps;
           match h.after tid ~cost ~steps:!steps with
           | None -> loop ()
-          | Some v -> v)
+          | Some v -> v
     end
   and idle () =
     incr steps;
@@ -90,7 +94,7 @@ let run ?(max_steps = 1_000_000) ?(certify = false) ?strategy ?(seed = 0)
   drive ~max_steps
     {
       before = ignore;
-      pick = (fun rs -> Sched.choose strategy m rs);
+      pick = (fun () -> Sched.choose strategy m);
       after =
         (if certify then fun tid ~cost:_ ~steps ->
            certificate m strategy tid ~at_step:steps

@@ -35,14 +35,15 @@ val at_rest : Machine.t -> verdict
 
 (** What a driver adds to the one loop, {!drive}.  [before steps] runs
     at the top of each iteration, before delayed wakeups and due timers
-    are delivered.  [pick runnable] gets the non-empty runnable set and
-    returns the thread to step, or a negative number for an idle step.
+    are delivered.  [pick ()] is asked only while some thread is runnable
+    ({!Machine.runnable_count}) and returns the thread to step, or a
+    negative number for an idle step.
     [after tid ~cost ~steps] sees each step taken, its cycle cost and the
     step count so far, and may end the run with a verdict.  At rest with
     nothing pending, [waiting ()] asks for one more idle step. *)
 type hooks = {
   before : int -> unit;
-  pick : Threads_util.Tid.t list -> Threads_util.Tid.t;
+  pick : unit -> Threads_util.Tid.t;
   after : Threads_util.Tid.t -> cost:int -> steps:int -> verdict option;
   waiting : unit -> bool;
 }
@@ -71,8 +72,8 @@ val drive : max_steps:int -> hooks -> Machine.t -> report
     With [~certify:true] (default [false]) a run whose future is a spin
     forever ends early in [Livelock].  After each step by a thread in a
     declared spin ({!Machine.Probe.spin_on}) the driver certifies when
-    no timer is armed, no delayed wakeup is pending, and every thread in
-    {!Sched.candidates} spins on a word that is still 1 and whose known
+    no timer is armed, no delayed wakeup is pending, and every
+    {!Sched.candidate} thread spins on a word that is still 1 and whose known
     owner is not a candidate.  Then no step can change the runnable set,
     the strategy never picks the owner, and every remaining step is a
     failed TAS: the same run without [certify] ends in [Step_limit].

@@ -28,6 +28,8 @@ type t = {
 }
 
 let iface = Spec_core.Threads_interface.final
+let scenario_alerted = M.counter_id "scenario.alerted"
+let scenario_bad = M.counter_id "scenario.bad"
 
 (* ---- checkers ---- *)
 
@@ -162,7 +164,7 @@ let alert_cancellation =
               with Taos_threads.Sync_intf.Alerted ->
                 (* AlertResume's RAISES case re-acquired the mutex, and
                    with_lock's finally released it on the way out. *)
-                Ops.incr_counter "scenario.alerted")
+                Ops.incr_counter scenario_alerted)
         in
         S.alert w;
         S.with_lock m (fun () -> flag := true);
@@ -243,7 +245,7 @@ let hoare_signal =
                  Taos_threads.Hoare.with_monitor mon (fun () ->
                      if not !ready then Taos_threads.Hoare.wait c;
                      (* Hoare guarantee: predicate holds, no re-check *)
-                     if not !ready then Ops.incr_counter "scenario.bad"))
+                     if not !ready then Ops.incr_counter scenario_bad))
            in
            Taos_threads.Hoare.with_monitor mon (fun () ->
                ready := true;
@@ -277,7 +279,7 @@ let disjoint_locks =
         let a1 = worker ma and a2 = worker ma in
         let b1 = worker mb and b2 = worker mb in
         S.join a1; S.join a2; S.join b1; S.join b2;
-        if !hits <> 4 then Ops.incr_counter "scenario.bad")
+        if !hits <> 4 then Ops.incr_counter scenario_bad)
   in
   {
     name = "disjoint-locks";

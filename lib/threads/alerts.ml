@@ -29,8 +29,10 @@ let note_delivered t tid =
     Probe.sample "alerts.delivery_cycles" (Probe.now () - t0)
   | None -> ()
 
+let alert_obs = Some (Spinlock.obs "alert")
+
 let alert t ~lock ~self ~target =
-  Spinlock.acquire ~obs:"alert" lock;
+  Spinlock.acquire ?obs:alert_obs lock;
   ignore
     (Ops.mem_emit Firefly.Machine.M_none (fun _ ->
          t.pending <- Tid.Set.add target t.pending;

@@ -127,6 +127,8 @@ let wait c =
   Ops.deschedule_and_clear c.mon.scratch
 (* On return the signaller has handed us the monitor: predicate intact. *)
 
+let hoare_switches = M.counter_id "hoare.switches"
+
 (* The deliberate non-conformance lives here.  Hoare signal hands the
    monitor straight to the waiter: the waiter's Resume commits while the
    abstract mutex still belongs to the signaller, so its [WHEN (m = NIL)]
@@ -152,7 +154,7 @@ let do_signal c =
       | None -> emit (Events.signal ~self ~c:c.cid ~removed:[]));
   match !woke with
   | Some w ->
-    Ops.incr_counter "hoare.switches";
+    Ops.incr_counter hoare_switches;
     M.Probe.handoff ~obj:c.cid w;
     Ops.ready w;
     (* The signaller parks on the urgent queue waiting for the monitor,
