@@ -2,36 +2,43 @@
    the standard ones from Steele, Lea & Flood, "Fast Splittable Pseudorandom
    Number Generators" (OOPSLA 2014). *)
 
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in 8 bytes, so a draw allocates
+   nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
 
-let mix z =
+let copy = Bytes.copy
+
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let next64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] next64 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix s
 
 let next t =
   (* Mask to 62 bits so the result is non-negative on 64-bit OCaml. *)
   Int64.to_int (Int64.logand (next64 t) 0x3FFFFFFFFFFFFFFFL)
 
+(* Rejection sampling to avoid modulo bias for large bounds. *)
+let rec draw t bound limit =
+  let r = next t in
+  if r < limit then r mod bound else draw t bound limit
+
 let int t bound =
   assert (bound > 0);
-  (* Rejection sampling to avoid modulo bias for large bounds. *)
-  let limit = 0x3FFFFFFFFFFFFFFF / bound * bound in
-  let rec draw () =
-    let r = next t in
-    if r < limit then r mod bound else draw ()
-  in
-  draw ()
+  draw t bound (0x3FFFFFFFFFFFFFFF / bound * bound)
 
 let bool t = Int64.logand (next64 t) 1L = 1L
 
@@ -41,10 +48,6 @@ let pick t arr =
   assert (Array.length arr > 0);
   arr.(int t (Array.length arr))
 
-let pick_list t xs =
-  assert (xs <> []);
-  List.nth xs (int t (List.length xs))
-
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do
     let j = int t (i + 1) in
@@ -53,7 +56,7 @@ let shuffle t arr =
     arr.(j) <- tmp
   done
 
-let split t = { state = mix (next64 t) }
+let split t = of_state (mix (next64 t))
 
 (* Matrix cells must not share a generator (domain-safety) nor overlap
    streams (statistical independence): hash (base, index) through the
@@ -62,9 +65,7 @@ let split t = { state = mix (next64 t) }
    raw consecutive seeds produce correlated first draws. *)
 let cell ~base ~index =
   assert (index >= 0);
-  {
-    state =
-      mix
-        (Int64.add (Int64.of_int base)
-           (Int64.mul (Int64.of_int (index + 1)) golden_gamma));
-  }
+  of_state
+    (mix
+       (Int64.add (Int64.of_int base)
+          (Int64.mul (Int64.of_int (index + 1)) golden_gamma)))

@@ -23,7 +23,8 @@ val copy : t -> t
 (** [next t] returns the next raw 62-bit non-negative integer. *)
 val next : t -> int
 
-(** [int t bound] is uniform in [\[0, bound)].  Requires [bound > 0]. *)
+(** [int t bound] is uniform in [\[0, bound)].  Requires [bound > 0].
+    [next], [int] and [bool] allocate nothing. *)
 val int : t -> int -> int
 
 (** [bool t] is a uniform boolean. *)
@@ -35,10 +36,6 @@ val float : t -> float
 (** [pick t arr] returns a uniformly chosen element of [arr].
     Requires [arr] non-empty. *)
 val pick : t -> 'a array -> 'a
-
-(** [pick_list t xs] returns a uniformly chosen element of [xs].
-    Requires [xs] non-empty. *)
-val pick_list : t -> 'a list -> 'a
 
 (** [shuffle t arr] permutes [arr] in place (Fisher-Yates). *)
 val shuffle : t -> 'a array -> unit
