@@ -8,9 +8,12 @@
     [naive] deadlocks the broadcast workload, [hoare] accumulates one
     Resume violation per effective signal. *)
 
+(** One checked seed.  The trace itself is not kept: a summary of many
+    seeds would otherwise hold every trace after its check. *)
 type run = {
   seed : int;
-  outcome : Backend.outcome;
+  verdict : Backend.verdict;
+  observable : string option;
   report : Threads_model.Conformance.report;
 }
 
@@ -34,9 +37,11 @@ val conform :
   Workload.t -> seeds:int -> summary
 
 (** [run_one b w ~seed] — one conformance cell: run the workload on seed
-    [seed] and check the emitted trace against the spec.  The generative
-    engine's per-scenario entry point. *)
-val run_one : Backend.t -> Workload.t -> seed:int -> run
+    [seed] and check the emitted trace against the spec; returns the
+    checked run and the trace.  The generative engine's per-scenario
+    entry point. *)
+val run_one :
+  Backend.t -> Workload.t -> seed:int -> run * Spec_trace.event list
 
 (** Aggregates over a summary's runs. *)
 

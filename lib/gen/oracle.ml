@@ -69,11 +69,11 @@ let run (backend : Bk.t) s =
          backend.Bk.name);
   match s.plan with
   | None -> (
-    let cell = Cc.run_one backend wl ~seed:s.seed in
+    let cell, _ = Cc.run_one backend wl ~seed:s.seed in
     match first_violation cell.Cc.report with
     | Some (action, detail) -> Fail (Violation action, detail)
     | None -> (
-      match cell.Cc.outcome.Bk.verdict with
+      match cell.Cc.verdict with
       | Bk.Completed -> Pass "conformant"
       | Bk.Deadlocked ->
         if Generate.deadlock_is_failure s.policy then

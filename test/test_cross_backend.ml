@@ -40,7 +40,7 @@ let naive_strands_broadcast () =
   let stranded =
     List.length
       (List.filter
-         (fun (r : Cc.run) -> r.outcome.Bk.verdict = Bk.Deadlocked)
+         (fun (r : Cc.run) -> r.verdict = Bk.Deadlocked)
          s.runs)
   in
   if stranded = 0 then
