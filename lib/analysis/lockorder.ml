@@ -134,8 +134,6 @@ let of_lock_events events =
     events;
   of_acquisitions (List.rev !acqs)
 
-let acyclic r = r.cycles = []
-
 let pp_cycle ~lock_name ppf cycle =
   Format.fprintf ppf "lock-order: cycle {%s}: the locks are acquired in \
                       incompatible orders (potential deadlock)"

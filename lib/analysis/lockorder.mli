@@ -32,7 +32,5 @@ val of_lock_events : (int * int * bool) list -> report
 (** Acquisitions from a hardware backend's [(tid, lock, acquired)] event
     log, replaying each thread's held set in program order. *)
 
-val acyclic : report -> bool
-
 val pp_cycle :
   lock_name:(int -> string) -> Format.formatter -> int list -> unit

@@ -45,7 +45,7 @@ let replay ~max_depth ~max_preemptions ~build path =
   build m;
   let nsteps = ref 0 and budget = ref max_preemptions in
   let last = ref 0 (* the thread that ran last, once [!nsteps > 0] *) in
-  let runnable tid = Machine.status m tid = Machine.Runnable in
+  let runnable = Machine.is_runnable m in
   let step tid =
     if !nsteps > 0 && !last <> tid && runnable !last then decr budget;
     last := tid;

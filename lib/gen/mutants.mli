@@ -24,13 +24,6 @@ type row = {
   r_killed : string option;  (** first killing evidence, [None] = survived *)
 }
 
-(** Straight-line abstraction of a generated program: workers become
-    programs [0..n-1] (matching [Alert_peer] indices), main becomes
-    program [n]; Mesa wait loops flatten to single Wait/AlertWait calls;
-    [Yield]/[Work] vanish.  [allow_deadlock] is on — the abstraction
-    drops the re-check loops, so stranding is expected, not a finding. *)
-val abstract : Prog.t -> Threads_model.Program.t
-
 (** [kill_table ~seed ()] — run every mutant against [scenarios]
     generated programs (default 12) per differential.  Deterministic in
     [seed]. *)

@@ -72,7 +72,6 @@ let create ?(label = "matrix") ?now ~jobs ~cells () =
     inflight_hw = Atomic.make 0;
   }
 
-let jobs t = Array.length t.workers
 let label t = t.label
 
 let rec atomic_max a v =

@@ -21,7 +21,6 @@ val create :
   ?label:string -> ?now:(unit -> float) -> jobs:int -> cells:int -> unit ->
   t
 
-val jobs : t -> int
 val label : t -> string
 
 (** The sink to pass as [?telemetry] to {!Threads_runner.Matrix}

@@ -81,7 +81,6 @@ let create ?now ?(interval = 0.5) ?dest ~label ~total ~jobs () =
     ];
   t
 
-let fleet t = t.fleet
 let fleet_report t = Fleet.snapshot t.fleet
 
 let phase t name ~cells =

@@ -26,9 +26,6 @@ val create :
   ?now:(unit -> float) -> ?interval:float -> ?dest:dest -> label:string ->
   total:int -> jobs:int -> unit -> t
 
-(** The underlying fleet collector. *)
-val fleet : t -> Fleet.t
-
 (** Snapshot of the underlying collector (see {!Fleet.snapshot}). *)
 val fleet_report : t -> Fleet.report
 

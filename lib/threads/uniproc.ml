@@ -40,6 +40,15 @@ let touch_alerts () = M.Probe.touch 0
 
 let block st = Ops.deschedule_and_clear st.scratch
 
+(* Ready [t], handing it object [obj] (the profiler's wake edge). *)
+let ready ~obj t =
+  M.Probe.handoff ~obj t;
+  Ops.ready t
+
+(* Hand the next queued acquirer of [m] a chance; it re-checks on wake. *)
+let ready_acquirer m =
+  match Tqueue.pop m.mq with Some t -> ready ~obj:m.mid t | None -> ()
+
 let take_woken st self =
   if Hashtbl.mem st.woken self then begin
     Hashtbl.remove st.woken self;
@@ -74,12 +83,7 @@ let unlock _st m ~event =
       m.holder <- None;
       M.Probe.lock_released m.mid;
       event ());
-  (* Hand the next queued acquirer a chance; it re-checks on wake. *)
-  match Tqueue.pop m.mq with
-  | Some t ->
-    M.Probe.handoff ~obj:m.mid t;
-    Ops.ready t
-  | None -> ()
+  ready_acquirer m
 
 let wait_generic st c m ~proc ~alertable =
   let self = Ops.self () in
@@ -102,17 +106,12 @@ let wait_generic st c m ~proc ~alertable =
                touch c.cid;
                ignore (Tqueue.remove c.cq self);
                Hashtbl.replace c.departing self ();
-               M.Probe.handoff ~obj:c.cid self;
-               Ops.ready self)
+               ready ~obj:c.cid self)
        end);
       m.holder <- None;
       M.Probe.lock_released m.mid;
       Some (Events.enqueue ~proc ~self ~m:m.mid ~c:c.cid));
-  (match Tqueue.pop m.mq with
-  | Some t ->
-    M.Probe.handoff ~obj:m.mid t;
-    Ops.ready t
-  | None -> ());
+  ready_acquirer m;
   if not !alerted_now then begin
     M.Probe.will_block c.cid;
     block st
@@ -147,11 +146,7 @@ let timed_wait_impl st c m ~timeout =
       m.holder <- None;
       M.Probe.lock_released m.mid;
       Some (Events.enqueue ~proc:"TimedWait" ~self ~m:m.mid ~c:c.cid));
-  (match Tqueue.pop m.mq with
-  | Some t ->
-    M.Probe.handoff ~obj:m.mid t;
-    Ops.ready t
-  | None -> ());
+  ready_acquirer m;
   M.Probe.set_timeout ~cycles:timeout;
   M.Probe.will_block c.cid;
   block st;
@@ -219,11 +214,7 @@ let wake_cond st c ~take_all ~self =
       Some
         (if take_all then Events.broadcast ~self ~c:c.cid ~removed
          else Events.signal ~self ~c:c.cid ~removed));
-  List.iter
-    (fun t ->
-      M.Probe.handoff ~obj:c.cid t;
-      Ops.ready t)
-    !to_ready
+  List.iter (ready ~obj:c.cid) !to_ready
 
 let rec p_loop st s ~alertable ~event =
   let self = Ops.self () in
@@ -246,8 +237,7 @@ let rec p_loop st s ~alertable ~event =
           Hashtbl.replace st.cancels self (fun () ->
               touch s.sid;
               ignore (Tqueue.remove s.sq self);
-              M.Probe.handoff ~obj:s.sid self;
-              Ops.ready self);
+              ready ~obj:s.sid self);
         None
       end);
   match !outcome with
@@ -337,11 +327,7 @@ let make () : sync =
           touch s.sid;
           s.avail <- true;
           Some (Events.v ~self ~s:s.sid));
-      match Tqueue.pop s.sq with
-      | Some t ->
-        M.Probe.handoff ~obj:s.sid t;
-        Ops.ready t
-      | None -> ()
+      match Tqueue.pop s.sq with Some t -> ready ~obj:s.sid t | None -> ()
 
     let alert target =
       let self = Ops.self () in
