@@ -241,14 +241,14 @@ let check_spec_crosscheck ~dynamic_file ~format ~out =
 
 let check_spec_full name iface locs ~demos ~format ~out =
   let rep = SC.Speccheck.check ~locs iface in
-  let prog_reports =
-    List.map (SC.Progcheck.check iface) (progcheck_catalogue ())
+  (* The whole-program pass evaluates the clauses, so it needs a spec the
+     linter found no error in. *)
+  let clean = SC.Finding.errors rep.SC.Speccheck.rep_lint = [] in
+  let analyze scenarios =
+    if clean then List.map (SC.Progcheck.check iface) scenarios else []
   in
-  let demo_reports =
-    if demos then
-      List.map (SC.Progcheck.check iface) SC.Progcheck.demo_scenarios
-    else []
-  in
+  let prog_reports = analyze (progcheck_catalogue ()) in
+  let demo_reports = if demos then analyze SC.Progcheck.demo_scenarios else [] in
   let all_findings =
     rep.SC.Speccheck.rep_findings
     @ List.concat_map (fun r -> r.SC.Progcheck.p_findings) prog_reports
@@ -338,6 +338,10 @@ let check_spec_full name iface locs ~demos ~format ~out =
       (fun (p, a, ci) ->
         emit (Printf.sprintf "  unreachable: case %d of %s.%s\n" (ci + 1) p a))
       rep.SC.Speccheck.rep_uncovered;
+    if not clean then
+      Printf.eprintf "%s: the spec has clause errors; whole-program \
+                      analysis skipped\n" name
+    else begin
     let pt =
       Threads_util.Table.create
         ~aligns:
@@ -374,6 +378,7 @@ let check_spec_full name iface locs ~demos ~format ~out =
             r.SC.Progcheck.p_findings)
         demo_reports;
       emit (Threads_util.Table.render dt)
+    end
     end;
     emit
       (Printf.sprintf "check-spec: %s: %d error(s), %d warning(s)\n" name
