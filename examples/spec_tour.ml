@@ -30,28 +30,26 @@ let () =
     |> State.add m (Value.Thread 1)
     |> State.add c (Value.Set (Tid.Set.singleton 2))
   in
-  let bindings = [ ("m", Term.Obj m); ("c", Term.Obj c) ] in
-  let resume = List.nth (Proc.actions wait) 1 in
+  let compiled = Semantics.compile iface in
+  let bindings = [ Term.Obj m; Term.Obj c ] in
+  let wait = Semantics.find compiled "Wait" in
+  (* Resume is Wait's action 1. *)
   let enabled_for self =
-    Semantics.enabled resume ~self ~bindings st <> []
+    Semantics.enabled (Semantics.call wait bindings st) ~self 1 st <> []
   in
   Printf.printf "Resume enabled for t2 while t1 holds m: %b\n" (enabled_for 2);
   let st' = State.set st m Value.Nil in
   let enabled_for' self =
-    Semantics.enabled resume ~self ~bindings st' <> []
+    Semantics.enabled (Semantics.call wait bindings st') ~self 1 st' <> []
   in
   Printf.printf "Resume enabled for t2 once m = NIL: %b (and t2 IN c blocks... %b)\n"
     (enabled_for' 2)
     (not (enabled_for' 2));
   (* t2 is still in c, so WHEN (m = NIL) & ~(SELF IN c) is false; a Signal
      must remove it first.  Enumerate what Signal may do: *)
-  let signal = Proc.find_proc iface "Signal" in
+  let signal = Semantics.find compiled "Signal" in
   let outs =
-    Semantics.outcomes iface signal
-      (List.hd (Proc.actions signal))
-      ~self:3
-      ~bindings:[ ("c", Term.Obj c) ]
-      st'
+    Semantics.outcomes (Semantics.call signal [ Term.Obj c ] st') ~self:3 0 st'
   in
   Printf.printf "Signal(c) with c = {t2} admits %d outcomes:\n"
     (List.length outs);

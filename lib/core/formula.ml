@@ -12,27 +12,6 @@ type t =
   | Implies of t * t
   | Unchanged of string list
 
-let rec eval env f =
-  match f with
-  | True -> true
-  | False -> false
-  | Truth t -> Value.as_bool (Term.eval env t)
-  | Eq (a, b) -> Value.equal (Term.eval env a) (Term.eval env b)
-  | Iff (a, b) -> eval env a = eval env b
-  | Member (x, s) -> Value.member (Term.eval env x) (Term.eval env s)
-  | Subset (a, b) -> Value.subset (Term.eval env a) (Term.eval env b)
-  | Not f -> not (eval env f)
-  | And (a, b) -> eval env a && eval env b
-  | Or (a, b) -> eval env a || eval env b
-  | Implies (a, b) -> (not (eval env a)) || eval env b
-  | Unchanged names ->
-    let same name =
-      Value.equal
-        (Term.eval env (Term.Ref (name, Term.Pre)))
-        (Term.eval env (Term.Ref (name, Term.Post)))
-    in
-    List.for_all same names
-
 let conj = function
   | [] -> True
   | f :: fs -> List.fold_left (fun acc g -> And (acc, g)) f fs

@@ -23,10 +23,6 @@ type t =
       (** [UNCHANGED \[x, y\]]: each named VAR formal/global has equal value
           in pre and post states *)
 
-(** [eval env f] — raises {!Term.Eval_error} on ill-formed references (e.g.
-    a two-state construct under a one-state environment). *)
-val eval : Term.env -> t -> bool
-
 (** [conj fs] is the conjunction of [fs] ([True] when empty). *)
 val conj : t list -> t
 

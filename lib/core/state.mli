@@ -1,10 +1,13 @@
-(** Abstract two-tier states: a persistent map from specification objects to
-    their values.
+(** Abstract two-tier states: the value of each specification object, one
+    slot per object in increasing oid order ([alerts], oid 0, among them).
 
-    States are persistent so the model checker can branch cheaply; [hash]
-    and [equal] let it memoize visited states. *)
+    States are persistent, so the model checker can branch cheaply: every
+    function returns a new state except [write], the one in-place update,
+    for the owner of a private {!copy}.  A state made from another by
+    [set], [set_slot] or [copy] has the same objects in the same slots. *)
 
-type t
+type t = private { objs : Spec_obj.t array; vals : Value.t array }
+(** Slot [i] holds [vals.(i)], the value of [objs.(i)]. *)
 
 (** The state binding nothing but [alerts = {}]. *)
 val empty : t
@@ -24,7 +27,14 @@ val set_alerts : t -> Threads_util.Tid.Set.t -> t
 (** [objects st] in increasing oid order ([alerts] first). *)
 val objects : t -> Spec_obj.t list
 
+(** [slot st obj] — raises [Not_found] if unbound. *)
+val slot : t -> Spec_obj.t -> int
+
+(** [set_slot st i v] is [set] by slot, without the sort check. *)
+val set_slot : t -> int -> Value.t -> t
+
+val copy : t -> t
+val write : t -> int -> Value.t -> unit
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 val pp : Format.formatter -> t -> unit

@@ -12,50 +12,7 @@ type t =
 
 type binding = Obj of Spec_obj.t | Const of Value.t
 
-type env = {
-  self : Threads_util.Tid.t;
-  bindings : (string * binding) list;
-  pre : State.t;
-  post : State.t option;
-  result : Value.t option;
-}
-
-let env ~self ~bindings ~pre ?post ?result () =
-  { self; bindings; pre; post; result }
-
 exception Eval_error of string
-
-let error fmt = Format.kasprintf (fun s -> raise (Eval_error s)) fmt
-
-let resolve env name =
-  match List.assoc_opt name env.bindings with
-  | Some b -> b
-  | None ->
-    if name = "alerts" then Obj Spec_obj.alerts
-    else error "unbound name %s" name
-
-let rec eval env t =
-  match t with
-  | Self -> Value.Thread env.self
-  | Nil_const -> Value.Nil
-  | Lit v -> v
-  | Empty_set -> Value.Set Threads_util.Tid.Set.empty
-  | Result -> (
-    match env.result with
-    | Some v -> v
-    | None -> error "RESULT referenced with no return value")
-  | Ref (name, stage) -> (
-    match resolve env name with
-    | Const v -> v
-    | Obj obj -> (
-      match stage with
-      | Pre -> State.get env.pre obj
-      | Post -> (
-        match env.post with
-        | Some post -> State.get post obj
-        | None -> error "%s_post referenced in a one-state predicate" name)))
-  | Insert (s, x) -> Value.insert (eval env s) (eval env x)
-  | Delete (s, x) -> Value.delete (eval env s) (eval env x)
 
 let rec equal a b =
   match (a, b) with
@@ -81,5 +38,3 @@ let rec pp ppf = function
   | Ref (name, Post) -> Format.fprintf ppf "%s_post" name
   | Insert (s, x) -> Format.fprintf ppf "insert(%a, %a)" pp s pp x
   | Delete (s, x) -> Format.fprintf ppf "delete(%a, %a)" pp s pp x
-
-let to_string t = Format.asprintf "%a" pp t

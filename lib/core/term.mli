@@ -18,40 +18,15 @@ type t =
   | Delete of t * t  (** [delete(set, thread)] *)
   | Empty_set
 
-(** How a formal name resolves during evaluation: a VAR formal denotes a
-    mutable object looked up in the state; a by-value formal (or a literal
-    binding) denotes the same value in both stages. *)
+(** What a formal is bound to in a call: a VAR formal denotes a mutable
+    object looked up in the state; a by-value formal (or a literal binding)
+    denotes the same value in both stages. *)
 type binding = Obj of Spec_obj.t | Const of Value.t
 
-type env = {
-  self : Threads_util.Tid.t;
-  bindings : (string * binding) list;
-  pre : State.t;
-  post : State.t option;  (** [None] when evaluating a one-state predicate *)
-  result : Value.t option;
-}
-
-(** [env ~self ~bindings ~pre ()] builds an evaluation environment. *)
-val env :
-  self:Threads_util.Tid.t ->
-  bindings:(string * binding) list ->
-  pre:State.t ->
-  ?post:State.t ->
-  ?result:Value.t ->
-  unit ->
-  env
-
+(** Raised by the compiled clauses of {!Semantics} on an unbound name, on a
+    [_post] reference in a one-state predicate, on [RESULT] with no return
+    value. *)
 exception Eval_error of string
-
-(** [eval env t] evaluates [t]; raises {!Eval_error} on unbound names, on
-    [Post]/[Result] references when the environment lacks a post
-    state/result, and on sort mismatches. *)
-val eval : env -> t -> Value.t
-
-(** [resolve env name] returns the binding of a formal or global name,
-    treating ["alerts"] as the distinguished global when not shadowed. *)
-val resolve : env -> string -> binding
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

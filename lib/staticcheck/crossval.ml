@@ -122,15 +122,17 @@ let hoare_handoff_classes iface =
     State.add m (Value.Thread waiter)
       (State.add c (Value.Set Threads_util.Tid.Set.empty) State.empty)
   in
-  let proc = Proc.find_proc iface "Wait" in
+  let wait = Semantics.find (Semantics.compile iface) "Wait" in
   let resume =
-    List.find (fun (a : Proc.action) -> a.Proc.a_name = "Resume")
-      (Proc.actions proc)
+    Option.get
+      (List.find_index
+         (fun (a : Proc.action) -> a.Proc.a_name = "Resume")
+         (Proc.actions (Semantics.spec wait)))
   in
-  let bindings = [ ("m", Term.Obj m); ("c", Term.Obj c) ] in
+  let call = Semantics.call wait [ Term.Obj m; Term.Obj c ] pre in
   match
-    Semantics.check_transition iface proc resume ~self:waiter ~bindings ~pre
-      ~post ~outcome:Proc.Returns ~result:None
+    Semantics.check_transition call ~self:waiter resume ~pre ~post
+      ~outcome:Proc.Returns ~result:None
   with
   | Ok _ -> []  (* hand-off admitted: the defect is NOT statically visible *)
   | Error _ -> [ "spec-conformance" ]

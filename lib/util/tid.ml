@@ -2,7 +2,6 @@ type t = int
 
 let equal = Int.equal
 let compare = Int.compare
-let hash x = x
 let pp ppf t = Format.fprintf ppf "t%d" t
 let to_string t = "t" ^ string_of_int t
 

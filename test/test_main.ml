@@ -26,6 +26,7 @@ let () =
       Test_parser.suite;
       Test_lsl.suite;
       Test_semantics.suite;
+      Test_compiled.suite;
       Test_machine.suite;
       Test_tqueue.suite;
       Test_backends.suite;

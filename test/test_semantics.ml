@@ -8,15 +8,20 @@ let iface = Threads_interface.final
 let set_of xs = Value.Set (Tid.Set.of_int_list xs)
 
 let proc name = Proc.find_proc iface name
-let action_of p = List.hd (Proc.actions p)
-let nth_action p n = List.nth (Proc.actions p) n
 
 let obj name sort = Spec_obj.create name sort
 
+(* Procedure [pname] of [iface], compiled and applied to [args] over
+   [st]'s layout. *)
+let call_of ?(iface = iface) pname args st =
+  Semantics.call
+    (Semantics.find (Semantics.compile iface) pname)
+    (Semantics.bindings_of_args iface (Proc.find_proc iface pname) args)
+    st
+
+(* The outcomes of the first action. *)
 let outcomes_of ?(self = 1) pname args st =
-  let p = proc pname in
-  let bindings = Semantics.bindings_of_args iface p args in
-  Semantics.outcomes iface p (action_of p) ~self ~bindings st
+  Semantics.outcomes (call_of pname args st) ~self 0 st
 
 let test_acquire () =
   let m = obj "m" Sort.Thread in
@@ -43,12 +48,11 @@ let test_release () =
 let test_requires () =
   let m = obj "m" Sort.Thread in
   let st = State.add m (Value.Thread 2) State.empty in
-  let p = proc "Release" in
-  let bindings = Semantics.bindings_of_args iface p [ `Obj m ] in
-  Alcotest.(check bool) "requires m=SELF false for t1" false
-    (Semantics.requires_holds p ~self:1 ~bindings st);
-  Alcotest.(check bool) "requires m=SELF true for t2" true
-    (Semantics.requires_holds p ~self:2 ~bindings st)
+  let requires self =
+    Semantics.requires_holds (call_of "Release" [ `Obj m ] st) ~self st
+  in
+  Alcotest.(check bool) "requires m=SELF false for t1" false (requires 1);
+  Alcotest.(check bool) "requires m=SELF true for t2" true (requires 2)
 
 let test_signal_outcomes () =
   let c = obj "c" Sort.Thread_set in
@@ -132,10 +136,9 @@ let test_wait_composition () =
   let st =
     State.empty |> State.add m (Value.Thread 1) |> State.add c (set_of [])
   in
-  let p = proc "Wait" in
-  let bindings = Semantics.bindings_of_args iface p [ `Obj m; `Obj c ] in
+  let wait st = call_of "Wait" [ `Obj m; `Obj c ] st in
   (* Enqueue *)
-  (match Semantics.outcomes iface p (nth_action p 0) ~self:1 ~bindings st with
+  (match Semantics.outcomes (wait st) ~self:1 0 st with
   | [ o ] ->
     Alcotest.(check bool) "enqueue effect" true
       (Value.equal (State.get o.Semantics.o_post m) Value.Nil
@@ -147,10 +150,10 @@ let test_wait_composition () =
   in
   Alcotest.(check int) "resume blocked" 0
     (List.length
-       (Semantics.outcomes iface p (nth_action p 1) ~self:1 ~bindings mid));
+       (Semantics.outcomes (wait mid) ~self:1 1 mid));
   (* Resume fires after removal *)
   let out = State.set mid c (set_of []) in
-  match Semantics.outcomes iface p (nth_action p 1) ~self:1 ~bindings out with
+  match Semantics.outcomes (wait out) ~self:1 1 out with
   | [ o ] ->
     Alcotest.(check bool) "resume takes mutex" true
       (Value.equal (State.get o.Semantics.o_post m) (Value.Thread 1))
@@ -174,12 +177,11 @@ let test_bindings_errors () =
 let test_check_transition () =
   let m = obj "m" Sort.Thread in
   let pre = State.add m Value.Nil State.empty in
-  let p = proc "Acquire" in
-  let bindings = Semantics.bindings_of_args iface p [ `Obj m ] in
+  let acquire pre = call_of "Acquire" [ `Obj m ] pre in
   let good = State.set pre m (Value.Thread 1) in
   (match
-     Semantics.check_transition iface p (action_of p) ~self:1 ~bindings ~pre
-       ~post:good ~outcome:Proc.Returns ~result:None
+     Semantics.check_transition (acquire pre) ~self:1 0 ~pre ~post:good
+       ~outcome:Proc.Returns ~result:None
    with
   | Ok 0 -> ()
   | Ok i -> Alcotest.fail (Printf.sprintf "wrong case %d" i)
@@ -187,8 +189,8 @@ let test_check_transition () =
   (* wrong thread claims the mutex *)
   let bad = State.set pre m (Value.Thread 9) in
   (match
-     Semantics.check_transition iface p (action_of p) ~self:1 ~bindings ~pre
-       ~post:bad ~outcome:Proc.Returns ~result:None
+     Semantics.check_transition (acquire pre) ~self:1 0 ~pre ~post:bad
+       ~outcome:Proc.Returns ~result:None
    with
   | Ok _ -> Alcotest.fail "should reject m_post <> SELF"
   | Error _ -> ());
@@ -199,8 +201,8 @@ let test_check_transition () =
     State.set (State.set pre2 m (Value.Thread 1)) c (set_of [ 7 ])
   in
   match
-    Semantics.check_transition iface p (action_of p) ~self:1 ~bindings
-      ~pre:pre2 ~post:post2 ~outcome:Proc.Returns ~result:None
+    Semantics.check_transition (acquire pre2) ~self:1 0 ~pre:pre2 ~post:post2
+      ~outcome:Proc.Returns ~result:None
   with
   | Ok _ -> Alcotest.fail "should reject frame violation"
   | Error msg ->
@@ -229,20 +231,19 @@ let prop_outcomes_satisfy_clauses =
                 if f.f_type = "Mutex" then `Obj m else `Obj c)
               p.Proc.p_formals
           in
-          let bindings = Semantics.bindings_of_args iface p args in
+          let call = call_of pname args st in
           List.for_all
-            (fun a ->
+            (fun k ->
               List.for_all
                 (fun (o : Semantics.outcome) ->
                   match
-                    Semantics.check_transition iface p a ~self ~bindings
-                      ~pre:st ~post:o.o_post ~outcome:o.o_outcome
-                      ~result:o.o_result
+                    Semantics.check_transition call ~self k ~pre:st ~post:o.o_post
+                      ~outcome:o.o_outcome ~result:o.o_result
                   with
                   | Ok _ -> true
                   | Error _ -> false)
-                (Semantics.outcomes iface p a ~self ~bindings st))
-            (Proc.actions p))
+                (Semantics.outcomes call ~self k st))
+            (List.init (List.length (Proc.actions p)) Fun.id))
         [ "Acquire"; "Release"; "Signal"; "Broadcast"; "Wait" ])
 
 let suite =
@@ -267,10 +268,6 @@ let suite =
 
 (* --- historical variants at the semantics level --- *)
 
-let variant_action variant pname aname =
-  let p = Proc.find_proc variant pname in
-  List.find (fun (a : Proc.action) -> a.a_name = aname) (Proc.actions p)
-
 let test_missing_guard_enables_raise_while_held () =
   let m = obj "m" Sort.Thread in
   let c = obj "c" Sort.Thread_set in
@@ -281,14 +278,10 @@ let test_missing_guard_enables_raise_while_held () =
     |> State.add c (set_of [ 1 ])
     |> fun st -> State.set_alerts st (Tid.Set.singleton 1)
   in
-  let p_final = Proc.find_proc Threads_interface.final "AlertWait" in
-  let bindings =
-    Semantics.bindings_of_args Threads_interface.final p_final
-      [ `Obj m; `Obj c ]
-  in
+  (* AlertResume is AlertWait's action 1. *)
   let enabled variant =
-    let a = variant_action variant "AlertWait" "AlertResume" in
-    Semantics.enabled a ~self:1 ~bindings st
+    Semantics.enabled
+      (call_of ~iface:variant "AlertWait" [ `Obj m; `Obj c ] st) ~self:1 1 st
   in
   Alcotest.(check (list int)) "final: blocked while held" []
     (enabled Threads_interface.final);
@@ -303,14 +296,10 @@ let test_nelson_keeps_self_in_c () =
     |> fun st -> State.set_alerts st (Tid.Set.singleton 1)
   in
   let outcomes variant =
-    let p = Proc.find_proc variant "AlertWait" in
-    let bindings =
-      Semantics.bindings_of_args variant p [ `Obj m; `Obj c ]
-    in
-    let a = variant_action variant "AlertWait" "AlertResume" in
     List.filter
       (fun (o : Semantics.outcome) -> o.o_outcome = Proc.Raises "Alerted")
-      (Semantics.outcomes variant p a ~self:1 ~bindings st)
+      (Semantics.outcomes
+         (call_of ~iface:variant "AlertWait" [ `Obj m; `Obj c ] st) ~self:1 1 st)
   in
   (* final: the raise removes self from c *)
   List.iter
@@ -334,11 +323,7 @@ let test_must_raise_disables_normal_return () =
     State.set_alerts st (Tid.Set.singleton 1)
   in
   let kinds variant =
-    let p = Proc.find_proc variant "AlertP" in
-    let bindings = Semantics.bindings_of_args variant p [ `Obj s ] in
-    Semantics.outcomes variant p
-      (List.hd (Proc.actions p))
-      ~self:1 ~bindings st
+    Semantics.outcomes (call_of ~iface:variant "AlertP" [ `Obj s ] st) ~self:1 0 st
     |> List.map (fun (o : Semantics.outcome) -> o.o_outcome)
     |> List.sort_uniq compare
   in

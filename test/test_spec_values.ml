@@ -87,49 +87,56 @@ let test_state_sort_check () =
     (try ignore (State.set st c (set_of [])); false
      with Invalid_argument _ -> true)
 
-let test_state_equality_hash () =
+let test_state_equality () =
   let m = fresh "m" Sort.Thread in
   let a = State.add m (Value.Thread 1) State.empty in
   let b = State.add m (Value.Thread 1) State.empty in
   let c = State.add m (Value.Thread 2) State.empty in
   Alcotest.(check bool) "equal" true (State.equal a b);
-  Alcotest.(check bool) "hash equal" true (State.hash a = State.hash b);
   Alcotest.(check bool) "not equal" false (State.equal a c)
 
 (* ---- terms and formulas ---- *)
 
-let env_for ?(self = 1) ?post ?result bindings pre =
-  Term.env ~self ~bindings ~pre ?post ?result ()
+(* A term or formula compiled for formals named as in [bindings] (in
+   order), two-state when there is a post state, and evaluated. *)
+let evaluate compile ?(self = 1) ?post ?result bindings pre x =
+  let formals = List.map fst bindings in
+  compile ~formals ~two_state:(post <> None) x
+    (Semantics.args (List.map snd bindings) pre)
+    (Value.Thread self) pre (Option.value post ~default:pre) result
+
+let term = evaluate Semantics.term
+let formula = evaluate Semantics.formula
 
 let test_term_eval () =
   let m = fresh "m" Sort.Thread in
   let pre = State.add m Value.Nil State.empty in
   let post = State.set pre m (Value.Thread 1) in
-  let env = env_for [ ("m", Term.Obj m) ] pre ~post in
-  Alcotest.check v "SELF" (Value.Thread 1) (Term.eval env Term.Self);
-  Alcotest.check v "NIL" Value.Nil (Term.eval env Term.Nil_const);
-  Alcotest.check v "pre ref" Value.Nil (Term.eval env (Term.Ref ("m", Term.Pre)));
+  let eval = term [ ("m", Term.Obj m) ] pre ~post in
+  Alcotest.check v "SELF" (Value.Thread 1) (eval Term.Self);
+  Alcotest.check v "NIL" Value.Nil (eval Term.Nil_const);
+  Alcotest.check v "pre ref" Value.Nil (eval (Term.Ref ("m", Term.Pre)));
   Alcotest.check v "post ref" (Value.Thread 1)
-    (Term.eval env (Term.Ref ("m", Term.Post)));
-  Alcotest.check v "empty set" (set_of []) (Term.eval env Term.Empty_set)
+    (eval (Term.Ref ("m", Term.Post)));
+  Alcotest.check v "empty set" (set_of []) (eval Term.Empty_set)
 
 let test_term_alerts_global () =
   let pre = State.set_alerts State.empty (Tid.Set.singleton 4) in
-  let env = env_for [] pre in
+  let eval = term [] pre in
   Alcotest.check v "alerts resolves" (set_of [ 4 ])
-    (Term.eval env (Term.Ref ("alerts", Term.Pre)))
+    (eval (Term.Ref ("alerts", Term.Pre)))
 
 let test_term_errors () =
   let pre = State.empty in
-  let env = env_for [] pre in
+  let eval = term [] pre in
   Alcotest.(check bool) "unbound" true
-    (try ignore (Term.eval env (Term.Ref ("zz", Term.Pre))); false
+    (try ignore (eval (Term.Ref ("zz", Term.Pre))); false
      with Term.Eval_error _ -> true);
   Alcotest.(check bool) "post in one-state" true
-    (try ignore (Term.eval env (Term.Ref ("alerts", Term.Post))); false
+    (try ignore (eval (Term.Ref ("alerts", Term.Post))); false
      with Term.Eval_error _ -> true);
   Alcotest.(check bool) "result missing" true
-    (try ignore (Term.eval env Term.Result); false
+    (try ignore (eval Term.Result); false
      with Term.Eval_error _ -> true)
 
 let test_formula_eval () =
@@ -139,34 +146,34 @@ let test_formula_eval () =
     State.empty |> State.add m Value.Nil |> State.add c (set_of [ 2 ])
   in
   let post = State.set pre m (Value.Thread 1) in
-  let env =
-    env_for [ ("m", Term.Obj m); ("c", Term.Obj c) ] pre ~post
+  let eval =
+    formula [ ("m", Term.Obj m); ("c", Term.Obj c) ] pre ~post
   in
   let f = Parser.formula_of_string in
-  Alcotest.(check bool) "when true" true (Formula.eval env (f "m = NIL"));
-  Alcotest.(check bool) "post eq" true (Formula.eval env (f "m_post = SELF"));
+  Alcotest.(check bool) "when true" true (eval (f "m = NIL"));
+  Alcotest.(check bool) "post eq" true (eval (f "m_post = SELF"));
   Alcotest.(check bool) "member" true
-    (Formula.eval env (f "~(SELF IN c)"));
+    (eval (f "~(SELF IN c)"));
   Alcotest.(check bool) "unchanged c" true
-    (Formula.eval env (f "UNCHANGED [c]"));
+    (eval (f "UNCHANGED [c]"));
   Alcotest.(check bool) "unchanged m false" false
-    (Formula.eval env (f "UNCHANGED [m]"));
+    (eval (f "UNCHANGED [m]"));
   Alcotest.(check bool) "subset" true
-    (Formula.eval env (f "c_post SUBSET c"));
+    (eval (f "c_post SUBSET c"));
   Alcotest.(check bool) "implication" true
-    (Formula.eval env (f "FALSE => m = SELF"))
+    (eval (f "FALSE => m = SELF"))
 
 let test_formula_iff_truth () =
   let pre = State.set_alerts State.empty (Tid.Set.singleton 1) in
   let post = State.set_alerts pre Tid.Set.empty in
-  let env = env_for [] pre ~post ~result:(Value.Bool true) in
+  let eval = formula [] pre ~post ~result:(Value.Bool true) in
   let f =
     Parser.formula_of_string ~ret:"b"
       "(b = (SELF IN alerts)) & (alerts_post = delete(alerts, SELF))"
   in
-  Alcotest.(check bool) "TestAlert ensures" true (Formula.eval env f);
-  let env_false = env_for [] pre ~post ~result:(Value.Bool false) in
-  Alcotest.(check bool) "wrong result" false (Formula.eval env_false f)
+  Alcotest.(check bool) "TestAlert ensures" true (eval f);
+  let eval_false = formula [] pre ~post ~result:(Value.Bool false) in
+  Alcotest.(check bool) "wrong result" false (eval_false f)
 
 let test_formula_names () =
   let f =
@@ -189,7 +196,7 @@ let suite =
       q prop_set_ops_model;
       Alcotest.test_case "state basics" `Quick test_state_basics;
       Alcotest.test_case "state sort check" `Quick test_state_sort_check;
-      Alcotest.test_case "state equality/hash" `Quick test_state_equality_hash;
+      Alcotest.test_case "state equality" `Quick test_state_equality;
       Alcotest.test_case "term eval" `Quick test_term_eval;
       Alcotest.test_case "alerts global" `Quick test_term_alerts_global;
       Alcotest.test_case "term errors" `Quick test_term_errors;
