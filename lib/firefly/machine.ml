@@ -810,15 +810,6 @@ let word_owner m a = Hashtbl.find_opt m.owners a
 
 let obs m = m.obs
 
-(* Two footprints conflict iff they share an address and at least one
-   side writes it — the machine-level dependence relation the explorer's
-   sleep sets are keyed on. *)
-let footprints_conflict f1 f2 =
-  List.exists
-    (fun (a1, w1) ->
-      List.exists (fun (a2, w2) -> a1 = a2 && (w1 || w2)) f2)
-    f1
-
 (* ---- timers (driver side) ----
 
    A timer is armed by the owning thread (Probe.set_timeout) and fired by

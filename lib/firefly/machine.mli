@@ -136,8 +136,8 @@ type event =
           own scheduler slot (read), then memory words, pseudo-addresses
           for scheduler interactions (waking, spawning, finishing or
           joining a thread writes the target's slot) and {!Probe.touch}
-          declarations.  Steps whose footprints do not conflict
-          ({!footprints_conflict}) commute. *)
+          declarations.  Steps whose footprints share no address that
+          either of them writes commute. *)
   | Ev_prof of { tid : Threads_util.Tid.t; t : int; kind : prof_kind }
       (** a causal edge, with [tid] and [t] as in {!prof_event}: one run
           segment per step (possibly empty), block edges annotated by
@@ -468,10 +468,6 @@ val word_owner : t -> int -> Threads_util.Tid.t option
     spans).  Snapshot it after a run for {!Obs.Report} or
     {!Obs.Chrome_trace}. *)
 val obs : t -> Obs.Instrument.t
-
-(** [footprints_conflict f1 f2] — do the footprints share an address with
-    at least one write? *)
-val footprints_conflict : (int * bool) list -> (int * bool) list -> bool
 
 (** {1 Timers (driver side)}
 
