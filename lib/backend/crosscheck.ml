@@ -157,9 +157,9 @@ type chaos_run = {
    either conform (complete, zero violations, no unexplained thread
    failures) or be diagnosed — terminate with zero violations and a
    non-empty fault log that names the injected fault blamed for the
-   deadlock, budget exhaustion or crash-stopped thread.  Anything else
-   (a spec violation, or a failure with an empty fault log) is a harness
-   red flag. *)
+   deadlock, livelock, budget exhaustion or crash-stopped thread.
+   Anything else (a spec violation, or a failure with an empty fault log)
+   is a harness red flag. *)
 let classify (outcome : Engine.outcome) (report : Conformance.report) =
   let failures = M.failures outcome.Engine.machine in
   let crash_only =
@@ -171,7 +171,8 @@ let classify (outcome : Engine.outcome) (report : Conformance.report) =
     match outcome.Engine.verdict with
     | Completed when failures = [] -> Conformant
     | Completed when crash_only && injected -> Diagnosed
-    | (Deadlock _ | Step_limit) when crash_only && injected -> Diagnosed
+    | (Deadlock _ | Step_limit | Livelock _) when crash_only && injected ->
+      Diagnosed
     | _ -> Unexplained
 
 let chaos_one (backend : Backend.t) (workload : Workload.t) ~seed
@@ -248,7 +249,8 @@ let render_run b ppf r =
   Format.fprintf ppf "=== %s plan#%d seed=%d: %s@\n" b r.c_plan.Plan.id
     r.c_seed (class_name r.c_class);
   Format.fprintf ppf "  plan: %s@\n" (Plan.describe r.c_plan);
-  Format.fprintf ppf "  verdict: %a after %d steps@\n" Engine.pp_verdict
+  Format.fprintf ppf "  verdict: %a after %d steps@\n"
+    (Engine.pp_verdict o.Engine.machine)
     o.Engine.verdict o.Engine.steps;
   (match r.c_observable with
   | Some obs -> Format.fprintf ppf "  observable: %s@\n" obs

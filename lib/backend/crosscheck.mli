@@ -72,15 +72,16 @@ val diff :
     Backend x workload x fault plan, the robustness contract of the
     fault-injection layer: every run must either complete conformant or
     terminate with a diagnosed fault report naming the injected fault —
-    never a silent hang (the engine's step budget is the watchdog) and
-    never a spec violation. *)
+    never a silent hang (a wedged run ends in a deadlock, a certified
+    livelock, or the engine's step budget) and never a spec
+    violation. *)
 
 type chaos_class =
   | Conformant
       (** completed, zero violations, no failed threads *)
   | Diagnosed
-      (** zero violations; the deadlock / budget exhaustion /
-          crash-stopped thread is attributed to a recorded injected
+      (** zero violations; the deadlock / livelock / budget exhaustion
+          / crash-stopped thread is attributed to a recorded injected
           fault *)
   | Violation  (** the trace broke the spec — always a bug *)
   | Unexplained

@@ -11,11 +11,16 @@ type outcome = {
 
 let tids ts = String.concat "," (List.map (Printf.sprintf "t%d") ts)
 
-let pp_verdict ppf : Firefly.Interleave.verdict -> unit = function
+let pp_verdict m ppf : Firefly.Interleave.verdict -> unit = function
   | Completed -> Format.pp_print_string ppf "completed"
   | Deadlock ts -> Format.fprintf ppf "deadlock [%s]" (tids ts)
   | Step_limit -> Format.pp_print_string ppf "step budget exhausted"
-  | Livelock _ -> Format.pp_print_string ppf "livelock"
+  | Livelock { spinner; word; holder; _ } ->
+    Format.fprintf ppf "livelock: t%d spins on %s held by %s" spinner
+      (M.word_name m word)
+      (match holder with
+      | Some h -> Printf.sprintf "t%d" h
+      | None -> "no recorded owner")
 
 let run ?(seed = 0) ~(plan : Plan.t) build =
   let strategy = Firefly.Sched.random seed in
@@ -138,7 +143,12 @@ let run ?(seed = 0) ~(plan : Plan.t) build =
             else
               (* -1 when every runnable thread is stalled: idle *)
               Firefly.Sched.choose ~among:unstalled strategy m);
-        after = (fun _ ~cost:_ ~steps:_ -> None);
+        (* Certify only once the plan can no longer act. *)
+        after =
+          (fun tid ~cost:_ ~steps ->
+            if !pending = [] && Hashtbl.length stalls = 0 then
+              Firefly.Interleave.certificate m strategy tid ~at_step:steps
+            else None);
         (* Fully blocked but plan triggers remain (e.g. a spurious wakeup
            aimed at exactly this situation): idle until they fire. *)
         waiting = (fun () -> !pending <> []);

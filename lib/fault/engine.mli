@@ -12,13 +12,15 @@
     injected fault is recorded in {!Firefly.Machine.faults} (and the
     [chaos.faults] counter) for blame attribution.  A plan with no
     actions injects nothing and leaves spin-lock backoff off, so its run
-    is the plain {!Firefly.Interleave.run} of the same seed.
+    is the plain {!Firefly.Interleave.run} of the same seed with
+    [~certify:true].
 
     Runs are deterministic: equal (seed, plan, build) yield equal
-    schedules, traces and fault records.  The step budget (300 000
-    steps) is the watchdog — a run that an injected fault has wedged
-    (e.g. a dropped wakeup or a crash-stop holding the package lock)
-    terminates with [Step_limit] or [Deadlock] instead of hanging. *)
+    schedules, traces and fault records.  A wedged run ends instead of
+    hanging: at rest in [Deadlock] (a dropped wakeup); in [Livelock] once
+    {!Firefly.Interleave.certificate} holds with no trigger pending and
+    no stall active (a crash-stopped spin-lock holder); else at the
+    300 000-step watchdog, in [Step_limit]. *)
 
 type outcome = {
   verdict : Firefly.Interleave.verdict;
@@ -29,8 +31,11 @@ type outcome = {
       (** every fault injected or observed, in sequence order *)
 }
 
-(** Prints [Step_limit] as "step budget exhausted". *)
-val pp_verdict : Format.formatter -> Firefly.Interleave.verdict -> unit
+(** [pp_verdict m] prints [Step_limit] as "step budget exhausted" and a
+    [Livelock] on [m] as "livelock: tN spins on <word name> held by tM"
+    (or "held by no recorded owner"). *)
+val pp_verdict :
+  Firefly.Machine.t -> Format.formatter -> Firefly.Interleave.verdict -> unit
 
 (** [run ~plan build] creates a machine, installs the wakeup filter,
     runs [build] (which must spawn the root workload thread), then

@@ -4,41 +4,42 @@ type verdict =
   | Completed
   | Deadlock of Tid.t list
   | Step_limit
-  | Livelock of { spinner : Tid.t; word : int; holder : Tid.t; at_step : int }
+  | Livelock of {
+      spinner : Tid.t;
+      word : int;
+      holder : Tid.t option;
+      at_step : int;
+    }
 
 type report = { verdict : verdict; steps : int; machine : Machine.t }
 
 (* The await reduction for declared spins.  While the runnable set stays
    the same, the strategy only ever picks among its candidates; if each of
-   them is in a declared spin on a word that is 1 and held by a thread
-   outside that set, every future step is a failed TAS (or its counter
-   bump) that changes nothing — and with no timer armed and no delayed
-   wakeup pending, nothing else can change the runnable set either. *)
+   them is in a declared spin on a word that is 1, every future step is a
+   failed TAS (or its counter bump, or a capped backoff's tick) that
+   changes nothing — and with no timer armed and no delayed wakeup
+   pending, nothing else can change the runnable set either. *)
 let certificate m strategy spinner ~at_step =
   match Machine.spin_word m spinner with
   | None -> None
   | Some _ when Machine.timers_pending m || Machine.delayed_pending m -> None
-  | Some word -> (
+  | Some word ->
     let cand = Sched.candidate strategy m in
     let stuck tid =
       (not (cand tid))
       ||
       match Machine.spin_word m tid with
+      | Some w -> Machine.word_value m w = 1
       | None -> false
-      | Some w -> (
-        Machine.word_value m w = 1
-        &&
-        match Machine.word_owner m w with
-        | Some holder -> not (cand holder)
-        | None -> false)
     in
     let rec all_stuck tid =
       tid >= Machine.thread_count m || (stuck tid && all_stuck (tid + 1))
     in
-    match Machine.word_owner m word with
-    | Some holder when all_stuck 0 ->
-      Some (Livelock { spinner; word; holder; at_step })
-    | _ -> None)
+    if all_stuck 0 then
+      Some
+        (Livelock
+           { spinner; word; holder = Machine.word_owner m word; at_step })
+    else None
 
 let at_rest m =
   if Machine.live m then Deadlock (Machine.blocked m) else Completed

@@ -16,17 +16,31 @@ type verdict =
   | Livelock of {
       spinner : Threads_util.Tid.t;  (** the thread whose step certified *)
       word : int;  (** the spin-lock word it spins on *)
-      holder : Threads_util.Tid.t;  (** that word's owner, never picked *)
+      holder : Threads_util.Tid.t option;
+          (** that word's recorded owner, if any: a witness only *)
       at_step : int;  (** steps taken when the certificate held *)
     }
-      (** certified under [~certify:true]: the run can only spin from
-          here on, see {!run} *)
+      (** certified by {!certificate}: the run can only spin from here
+          on *)
 
 type report = {
   verdict : verdict;
   steps : int;
   machine : Machine.t;  (** for trace/counter inspection *)
 }
+
+(** [certificate m strategy spinner ~at_step], asked after a step by
+    [spinner], is a [Livelock] when [m]'s future under [strategy] is a
+    spin forever: [spinner] is in a declared spin
+    ({!Machine.Probe.spin_on}), no timer is armed, no delayed wakeup is
+    pending, and every {!Sched.candidate} thread is in a declared spin on
+    a word that reads 1.  A declared spinner only retries its TAS, so no
+    candidate can clear a word, and every remaining step is a failed
+    TAS.  The word's owner is a witness, not a premise: a thread
+    crash-stopped between {!Machine.Probe.lock_released} and its clearing
+    store leaves the word 1 with no owner.  Read host-side only. *)
+val certificate :
+  Machine.t -> Sched.t -> Threads_util.Tid.t -> at_step:int -> verdict option
 
 (** [at_rest m] is the verdict of a machine with no runnable thread:
     [Deadlock (Machine.blocked m)] while a thread is live, else
@@ -69,18 +83,10 @@ val drive : max_steps:int -> hooks -> Machine.t -> report
     [Sched.random seed]), until completion, deadlock or [max_steps]
     (default 1_000_000).
 
-    With [~certify:true] (default [false]) a run whose future is a spin
-    forever ends early in [Livelock].  After each step by a thread in a
-    declared spin ({!Machine.Probe.spin_on}) the driver certifies when
-    no timer is armed, no delayed wakeup is pending, and every
-    {!Sched.candidate} thread spins on a word that is still 1 and whose known
-    owner is not a candidate.  Then no step can change the runnable set,
-    the strategy never picks the owner, and every remaining step is a
-    failed TAS: the same run without [certify] ends in [Step_limit].
-    The witness names the thread that just stepped, its word, the word's
-    owner and the step count.  Certifying reads state host-side only, so
-    a run that is not certified is step- and cycle-identical to one
-    without [certify].
+    With [~certify:true] (default [false]) the driver asks
+    {!certificate} after each step, and a run whose future is a spin
+    forever ends early in [Livelock].  A run that is not certified is
+    step- and cycle-identical to one without [certify].
 
     If a thread fails with an unexpected exception the failure is recorded
     in the machine ({!Machine.failures}) and the run continues — tests

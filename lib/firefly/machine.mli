@@ -316,8 +316,8 @@ module Probe : sig
       TAS on [w] failed, and until a TAS succeeds it only retries that TAS
       with unchanged local state.  [spin_end ()] clears the declaration.
       Host-side only: no cycle, no scheduling point.  The declaration is
-      a promise {!Interleave.run}'s livelock certificate relies on, so a
-      loop whose state changes between retries (backoff) must not make
+      a promise {!Interleave.certificate} relies on, so a loop whose
+      state changes between retries (a growing backoff) must not make
       it. *)
   val spin_on : int -> unit
 

@@ -97,5 +97,6 @@ let run (backend : Bk.t) s =
       Fail
         ( Unexplained,
           Format.asprintf "unexplained %a"
-            Threads_fault.Engine.pp_verdict
+            (Threads_fault.Engine.pp_verdict
+               r.Cc.c_outcome.Threads_fault.Engine.machine)
             r.Cc.c_outcome.Threads_fault.Engine.verdict ))

@@ -43,8 +43,12 @@ let verdict_check label (outcome : Firefly.Explore.outcome) =
   | Firefly.Interleave.Step_limit -> Some (label ^ ": step limit hit")
   | Firefly.Interleave.Livelock { spinner; word; holder; _ } ->
     Some
-      (Printf.sprintf "%s: livelock t%d spins on @%d held by t%d" label
-         spinner word holder)
+      (Printf.sprintf "%s: livelock t%d spins on %s held by %s" label
+         spinner
+         (M.word_name outcome.machine word)
+         (match holder with
+         | Some h -> Printf.sprintf "t%d" h
+         | None -> "no recorded owner"))
   | Firefly.Interleave.Completed -> None
 
 (* The spec trace of the replay in progress on this domain.  [traced]

@@ -31,14 +31,15 @@ let backoff_cap = 64
    The spin contract: after a failed TAS the bare loop declares
    [Probe.spin_on l.bit] — from here on it only retries the TAS, with its
    local state unchanged — and a successful TAS clears the declaration.
-   That is what lets [Interleave.run ~certify:true] prove a livelock
-   instead of running it out.  The backoff loop changes its state and
-   charges ticks between retries, so it never declares. *)
+   That is what lets [Interleave.certificate] prove a livelock instead of
+   running it out.  The backoff loop declares once [backoff] has reached
+   [backoff_cap]: from then on each retry is the same. *)
 let rec spin l obs ~t0 ~spun ~backoff =
   if Ops.tas l.bit then begin
     Ops.incr_counter spin_iterations;
     (match obs with Some o -> Probe.counter o.spin_iters 1 | None -> ());
     if Probe.chaos_active () then begin
+      if backoff = backoff_cap then Probe.spin_on l.bit;
       Ops.tick backoff;
       spin l obs ~t0 ~spun:true ~backoff:(min (backoff * 2) backoff_cap)
     end

@@ -25,7 +25,8 @@ val obs : string -> obs
     recorded in the instrument registry under its names (zero simulated
     cost).  After a failed TAS the bare loop declares
     {!Firefly.Machine.Probe.spin_on} on the lock bit and clears it once
-    the bit is won; the backoff loop of chaos runs never declares. *)
+    the bit is won; the backoff loop of chaos runs declares once its
+    backoff has reached its cap, from when each retry is the same. *)
 val acquire : ?obs:obs -> t -> unit
 
 val release : t -> unit

@@ -433,18 +433,23 @@ let test_spin_declaration () =
     (r.verdict = Firefly.Interleave.Step_limit);
   Alcotest.(check (option int)) "declared spin" (Some word)
     (M.spin_word r.machine spinner);
-  let r, spinner, word = spin_on_held ~chaos:false ~certify:true in
-  (match r.verdict with
-  | Firefly.Interleave.Livelock l ->
-    Alcotest.(check (list int)) "witness (spinner, word, holder)"
-      [ spinner; word; 0 ] [ l.spinner; l.word; l.holder ];
-    Alcotest.(check int) "at_step" r.steps l.at_step
-  | _ -> Alcotest.fail "expected Livelock");
-  let r, spinner, _ = spin_on_held ~chaos:true ~certify:true in
-  Alcotest.(check bool) "backoff: step limit" true
+  let certified ~chaos =
+    let r, spinner, word = spin_on_held ~chaos ~certify:true in
+    match r.verdict with
+    | Firefly.Interleave.Livelock l ->
+      Alcotest.(check (list int)) "witness (spinner, word)" [ spinner; word ]
+        [ l.spinner; l.word ];
+      Alcotest.(check (option int)) "witness holder" (Some 0) l.holder;
+      Alcotest.(check int) "at_step" r.steps l.at_step
+    | _ -> Alcotest.fail "expected Livelock"
+  in
+  certified ~chaos:false;
+  let r, spinner, word = spin_on_held ~chaos:true ~certify:false in
+  Alcotest.(check bool) "uncertified backoff: step limit" true
     (r.verdict = Firefly.Interleave.Step_limit);
-  Alcotest.(check (option int)) "backoff declares no spin" None
-    (M.spin_word r.machine spinner)
+  Alcotest.(check (option int)) "capped backoff declares its spin"
+    (Some word) (M.spin_word r.machine spinner);
+  certified ~chaos:true
 
 (* Deterministic cost pins: simulated cycles of seven fixed runs across
    the layers (the Threads package on the interleaving and timed
