@@ -163,27 +163,21 @@ let analyze_backend filter backend workload seed ~jobs ~format ~out ~fleet =
   Array.iteri
     (fun i (wl : Wl.t) ->
       match analyses.(i) with
-      | Some res -> (
-        match res.An.br_report with
-        | None ->
-          records := skipped_record wl.Wl.name "uninstrumented" :: !records;
-          Threads_util.Table.add_row t
-            [ wl.Wl.name; "-"; "-"; "-"; "-"; "-"; "-"; "uninstrumented" ]
-        | Some r ->
-          let verdict =
-            Format.asprintf "%a" Bk.pp_verdict res.An.br_outcome.Bk.verdict
-          in
-          findings :=
-            List.map (Printf.sprintf "  [%s] %s" wl.Wl.name)
-              (filtered_findings filter r)
-            :: !findings;
-          records :=
-            analyze_report_json wl.Wl.name r
-              [ ("verdict", Obs.Json.String verdict) ]
-              (filtered_findings filter r)
-            :: !records;
-          Threads_util.Table.add_row t
-            (report_summary_row wl.Wl.name r verdict))
+      | Some res ->
+        let r = res.An.br_report in
+        let verdict =
+          Format.asprintf "%a" Bk.pp_verdict res.An.br_outcome.Bk.verdict
+        in
+        findings :=
+          List.map (Printf.sprintf "  [%s] %s" wl.Wl.name)
+            (filtered_findings filter r)
+          :: !findings;
+        records :=
+          analyze_report_json wl.Wl.name r
+            [ ("verdict", Obs.Json.String verdict) ]
+            (filtered_findings filter r)
+          :: !records;
+        Threads_util.Table.add_row t (report_summary_row wl.Wl.name r verdict)
       | None ->
         records := skipped_record wl.Wl.name "skipped" :: !records;
         Threads_util.Table.add_row t

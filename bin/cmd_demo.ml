@@ -96,9 +96,12 @@ let demo_workload sync =
   S.join ponger
 
 let demo_snapshot ~seed =
-  let report = Taos_threads.Api.run ~seed demo_workload in
-  Obs.Instrument.snapshot
-    (Firefly.Machine.obs report.Firefly.Interleave.machine)
+  let reg = Obs.Instrument.create () in
+  ignore
+    (Firefly.Interleave.run ~seed (fun machine ->
+         Firefly.Record.instrument reg machine;
+         Taos_threads.Api.build demo_workload machine));
+  Obs.Instrument.snapshot reg
 
 let thread_names (snap : Obs.Instrument.snapshot) =
   List.sort_uniq compare
@@ -147,10 +150,10 @@ let trace =
          ~process_name:"firefly-sim" ~thread_names:(thread_names snap) snap)
   in
   let run seed variant format out =
+    let iface = Cli.variant variant in
     match format with
     | `Chrome -> chrome seed out
     | `Text ->
-    let iface = Cli.variant variant in
     (* a workload touching every primitive *)
     let _, trace =
       Taos_threads.Api.run_traced ~seed (fun sync ->

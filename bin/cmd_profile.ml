@@ -41,7 +41,7 @@ let cmd =
       exit 1
     end;
     match b.Bk.instrument with
-    | Bk.Lock_trace _ | Bk.No_instrument ->
+    | Bk.No_instrument ->
       Printf.eprintf
         "backend %s is not profilable (no simulator machine to observe)\n"
         b.Bk.name;

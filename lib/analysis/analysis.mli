@@ -1,9 +1,9 @@
 (** Facade: every applicable analyzer over one recorded execution.
 
     Simulator-hosted backends yield a full access stream, feeding
-    {!Lockset}, {!Hb} and {!Lockorder}; hardware backends capture lock
-    events only, feeding {!Lockorder} alone.  All outputs are
-    deterministic functions of the capture. *)
+    {!Lockset}, {!Hb} and {!Lockorder}; the hardware backend is analyzed
+    from the spec trace its [run] returns, which feeds {!Lockorder}
+    alone.  All outputs are deterministic functions of the capture. *)
 
 type report = {
   n_accesses : int;
@@ -27,11 +27,16 @@ val record : log -> Firefly.Machine.t -> unit
 val accesses : log -> Firefly.Machine.access list
 val of_run : log -> Firefly.Machine.t -> report
 
-val of_lock_events : Threads_backend.Backend.lock_event list -> report
+(** [of_trace trace] analyzes the lock order of a spec trace: Acquire
+    and the Resume/AlertResume actions of the waits acquire their mutex
+    [m]; Release and the waits' Enqueue release it.  Each thread's
+    events must be in its program order.  [n_accesses] counts those lock
+    events. *)
+val of_trace : Spec_trace.event list -> report
 
 type backend_result = {
   br_outcome : Threads_backend.Backend.outcome;
-  br_report : report option;  (** [None] if the backend is uninstrumented *)
+  br_report : report;
 }
 
 val run_backend :
@@ -40,7 +45,9 @@ val run_backend :
   Threads_backend.Workload.t ->
   backend_result
 (** Run the workload through the backend's instrumented entry point (same
-    seeds and schedules as its plain [run]) and analyze the capture. *)
+    seeds and schedules as its plain [run]) and analyze the capture; a
+    backend with no machine ({!Threads_backend.Backend.No_instrument}) is
+    run plainly and its spec trace analyzed ({!of_trace}). *)
 
 val cycles : report -> int list list
 val clean : report -> bool

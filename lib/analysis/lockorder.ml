@@ -113,9 +113,9 @@ let of_accesses ~word_kind accesses =
   in
   of_acquisitions acqs
 
-(* From a hardware backend's lock-event capture: replay each thread's
-   held set (events are in per-thread program order, which is all the
-   held-set reconstruction needs). *)
+(* From the mutex events of a spec trace: replay each thread's held set
+   (events are in per-thread program order, which is all the held-set
+   reconstruction needs). *)
 let of_lock_events events =
   let held : (int, int list) Hashtbl.t = Hashtbl.create 16 in
   let rec remove_first x = function

@@ -29,8 +29,9 @@ val of_accesses :
     TAS on a [W_lock] word. *)
 
 val of_lock_events : (int * int * bool) list -> report
-(** Acquisitions from a hardware backend's [(tid, lock, acquired)] event
-    log, replaying each thread's held set in program order. *)
+(** Acquisitions from [(tid, lock, acquired)] events, each thread's in
+    its program order (the mutex events of a spec trace,
+    {!Analysis.of_trace}), replaying each thread's held set. *)
 
 val pp_cycle :
   lock_name:(int -> string) -> Format.formatter -> int list -> unit

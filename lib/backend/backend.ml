@@ -11,15 +11,12 @@ type outcome = {
   steps : int option;  (** simulator backends only *)
 }
 
-type lock_event = { le_tid : int; le_lock : int; le_acquire : bool }
-
 type instrument =
   | Machine_access of
       (?observe:(Firefly.Machine.t -> unit) ->
       seed:int ->
       Workload.t ->
       outcome * Firefly.Machine.t)
-  | Lock_trace of (seed:int -> Workload.t -> outcome * lock_event list)
   | No_instrument
 
 type t = {
@@ -220,33 +217,6 @@ let multicore_run ~seed:_ (wl : Workload.t) =
       steps = None;
     }
 
-(* Hardware runs have no access stream; the lock-event capture feeds the
-   lock-order analyzer only. *)
-let multicore_lock_run ~seed:_ (wl : Workload.t) =
-  let module MC = Threads_multicore.Multicore in
-  match
-    MC.analyzed_run (fun () -> wl.body (module MC.Sync : Sync_intf.SYNC))
-  with
-  | observable, evs ->
-    ( {
-        verdict = Completed;
-        observable = Some observable;
-        trace = [];
-        steps = None;
-      },
-      List.map
-        (fun (e : MC.lock_event) ->
-          { le_tid = e.le_tid; le_lock = e.le_lock; le_acquire = e.le_acquire })
-        evs )
-  | exception e ->
-    ( {
-        verdict = Crashed (Printexc.to_string e);
-        observable = None;
-        trace = [];
-        steps = None;
-      },
-      [] )
-
 let all =
   [
     {
@@ -296,7 +266,7 @@ let all =
       conforming = true;
       supports = [ Workload.Alerts ];
       run = multicore_run;
-      instrument = Lock_trace multicore_lock_run;
+      instrument = No_instrument;
       chaos = None;
     };
   ]

@@ -27,25 +27,22 @@ type outcome = {
   steps : int option;  (** simulator backends only *)
 }
 
-(** One mutex acquisition/release from a hardware backend, for the
-    lock-order analyzer (each thread's events in its program order). *)
-type lock_event = { le_tid : int; le_lock : int; le_acquire : bool }
-
 (** How a backend exposes itself to [lib/analysis] and [lib/profile].
     Simulator-hosted backends run the workload on a machine whose
     recording stream [?observe] subscribes to, right after the machine is
     created, and return that machine with its word/lock registries:
     the access log feeds all three dynamic analyzers and the causal-edge
-    fold feeds the profiler.  Hardware backends capture only lock events,
-    feeding lock-order analysis.  Observed runs use the same seeds and
-    schedules as [run] (subscribers are host-side, not instructions). *)
+    fold feeds the profiler.  Observed runs use the same seeds and
+    schedules as [run] (subscribers are host-side, not instructions).
+    A backend with [No_instrument] (multicore, on real hardware) has no
+    machine: lock-order analysis reads the spec trace its [run]
+    returns. *)
 type instrument =
   | Machine_access of
       (?observe:(Firefly.Machine.t -> unit) ->
       seed:int ->
       Workload.t ->
       outcome * Firefly.Machine.t)
-  | Lock_trace of (seed:int -> Workload.t -> outcome * lock_event list)
   | No_instrument
 
 type t = {

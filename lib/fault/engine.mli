@@ -9,8 +9,8 @@
     threads} through the chaos hooks the package registered at object
     creation, so they execute real package code with real events; stalls
     and crash-stops act on the schedule and thread set directly.  Every
-    injected fault is recorded in {!Firefly.Machine.faults} (and the
-    [chaos.faults] counter) for blame attribution.  A plan with no
+    injected fault is recorded in {!Firefly.Machine.faults} for blame
+    attribution.  A plan with no
     actions injects nothing and leaves spin-lock backoff off, so its run
     is the plain {!Firefly.Interleave.run} of the same seed with
     [~certify:true].

@@ -91,6 +91,14 @@ type prof_event = {
   pr_kind : prof_kind;
 }
 
+type stat =
+  | St_count of string * int
+  | St_sample of string * int
+  | St_gauge of string * int
+  | St_begin of string * string  (* category, name *)
+  | St_end of string * string option  (* name, histogram of its duration *)
+  | St_span of string * string * int * int  (* category, name, start, end *)
+
 type event =
   | Ev_spec of Trace.event
   | Ev_access of {
@@ -101,8 +109,9 @@ type event =
     }
   | Ev_touch of (int * bool)
   | Ev_prof of { tid : Tid.t; t : int; kind : prof_kind }
+  | Ev_stat of { tid : Tid.t; t : int; stat : stat }
 
-type kind = K_spec | K_access | K_touch | K_prof
+type kind = K_spec | K_access | K_touch | K_prof | K_stat
 
 (* A memory operation bundled with trace emission; see Ops.mem_emit. *)
 type mem_op =
@@ -207,7 +216,6 @@ type t = {
   mutable nrunnable : int;
   mutable nrunnable_intr : int;  (* runnable interrupt-context threads *)
   mutable counts : int array;  (* index = interned counter id *)
-  obs : Obs.Instrument.t;
   mutable total_instr : int;
   mutable total_cycles : int;
   words : (int, word_kind * string) Hashtbl.t;  (* addr -> classification *)
@@ -237,6 +245,7 @@ type t = {
   mutable on_access : (event -> unit) list;
   mutable on_touch : (event -> unit) list;
   mutable on_prof : (event -> unit) list;
+  mutable on_stat : (event -> unit) list;
   mutable slot : t option;  (* [Some m] itself, built once for [step] *)
   mutable running : Tid.t;  (* the thread inside [step] *)
 }
@@ -314,7 +323,6 @@ let create ?(cost = Cost.default) () =
       nrunnable = 0;
       nrunnable_intr = 0;
       counts = [||];
-      obs = Obs.Instrument.create ();
       total_instr = 0;
       total_cycles = 0;
       words = Hashtbl.create 16;
@@ -336,6 +344,7 @@ let create ?(cost = Cost.default) () =
       on_access = [];
       on_touch = [];
       on_prof = [];
+      on_stat = [];
       slot = None;
       running = -1;
     }
@@ -349,6 +358,7 @@ let subscribe m kind f =
   | K_access -> m.on_access <- m.on_access @ [ f ]
   | K_touch -> m.on_touch <- m.on_touch @ [ f ]
   | K_prof -> m.on_prof <- m.on_prof @ [ f ]
+  | K_stat -> m.on_stat <- m.on_stat @ [ f ]
 
 let thread m tid =
   if tid < 0 || tid >= m.nthreads then
@@ -445,6 +455,13 @@ let record m tid addr kind =
   | subs ->
     publish subs (Ev_access { tid; addr; kind; locks = m.threads.(tid).held })
 
+(* Statistics for the [K_stat] stream, on [tid]'s track at this instant.
+   Callers test [stats_observed] first: building the statistic allocates. *)
+let stats_observed m = match m.on_stat with [] -> false | _ :: _ -> true
+
+let stat m tid st =
+  publish m.on_stat (Ev_stat { tid; t = m.total_cycles; stat = st })
+
 let rec remove_first x = function
   | [] -> []
   | y :: rest -> if x = y then rest else y :: remove_first x rest
@@ -482,13 +499,12 @@ let prof_waker m =
 
 (* Cycle-stamped fault log: one entry per injected fault (and per notable
    consequence, e.g. a stale delayed wakeup being discarded).  Host-side
-   bookkeeping, mirrored into an obs counter so metrics reports show it. *)
+   bookkeeping. *)
 let record_fault m desc =
   m.faults <-
     { f_seq = m.fault_count; f_cycle = m.total_cycles; f_desc = desc }
     :: m.faults;
-  m.fault_count <- m.fault_count + 1;
-  Obs.Instrument.incr m.obs "chaos.faults" 1
+  m.fault_count <- m.fault_count + 1
 
 let wake m tid =
   let t = thread m tid in
@@ -504,9 +520,10 @@ let wake m tid =
     if profiled m then
       prof_push m tid ~t:m.total_cycles
         (Pr_wake (prof_waker m, prof_take_wake_obj m tid));
-    Obs.Instrument.incr m.obs "machine.wakes" 1;
-    ignore
-      (Obs.Instrument.span_end m.obs ~track:tid "blocked" ~now:m.total_cycles)
+    if stats_observed m then begin
+      stat m tid (St_count ("machine.wakes", 1));
+      stat m tid (St_end ("blocked", None))
+    end
   | Runnable ->
     (* The target has decided to block but its deschedule instruction has
        not executed yet; record the wakeup so the deschedule becomes a
@@ -518,7 +535,8 @@ let wake m tid =
     if profiled m then
       prof_push m tid ~t:m.total_cycles
         (Pr_wake_pending (prof_waker m, prof_take_wake_obj m tid));
-    Obs.Instrument.incr m.obs "machine.wakeup_waiting_arms" 1
+    if stats_observed m then
+      stat m tid (St_count ("machine.wakeup_waiting_arms", 1))
   | Finished | Failed _ ->
     failwith (Printf.sprintf "Machine.ready: t%d already finished" tid)
 
@@ -594,7 +612,9 @@ let tas m t a =
   let old = m.mem.(a) in
   m.mem.(a) <- 1;
   fp m a ~w:true;
-  record m t.tid a (A_tas (old = 0));
+  (* two constant constructors: [A_tas (old = 0)] would allocate before
+     [record] tests for a subscriber *)
+  record m t.tid a (if old = 0 then A_tas true else A_tas false);
   charge m t m.cost.tas;
   old
 
@@ -619,9 +639,10 @@ let drop_held m t id =
 let note_block m t target owner =
   if profiled m then
     prof_push m t.tid ~t:m.total_cycles (Pr_block (target, owner));
-  Obs.Instrument.incr m.obs "machine.blocks" 1;
-  Obs.Instrument.span_begin m.obs ~track:t.tid ~cat:"sched" "blocked"
-    ~now:m.total_cycles
+  if stats_observed m then begin
+    stat m t.tid (St_count ("machine.blocks", 1));
+    stat m t.tid (St_begin ("sched", "blocked"))
+  end
 
 (* Execute the pending effect of [t]: mutate machine state, compute the
    result, account costs, and continue the thread to its next effect. *)
@@ -686,7 +707,8 @@ let execute_effect (type a) m t (eff : a Effect.t)
       record m t.tid a A_clear;
       t.paused <- Resume_unit k;
       charge m t m.cost.write;
-      Obs.Instrument.incr m.obs "machine.wakeup_waiting_saves" 1
+      if stats_observed m then
+        stat m t.tid (St_count ("machine.wakeup_waiting_saves", 1))
     end
     else begin
       let target, owner = prof_take_block_reason m t.tid in
@@ -807,8 +829,6 @@ let spin_word m tid =
 
 let word_value m a = m.mem.(a)
 let word_owner m a = Hashtbl.find_opt m.owners a
-
-let obs m = m.obs
 
 (* ---- timers (driver side) ----
 
@@ -957,39 +977,44 @@ module Probe = struct
     | Some m -> fp m (fp_obj id) ~w:write
     | None -> ()
 
+  (* Statistics publish on the stepping thread's track, and only when the
+     [K_stat] stream has a subscriber: the test comes before the
+     statistic is built. *)
   let counter name n =
     match current () with
-    | Some m -> Obs.Instrument.incr m.obs name n
-    | None -> ()
+    | Some ({ on_stat = _ :: _; _ } as m) ->
+      stat m m.running (St_count (name, n))
+    | _ -> ()
 
   let sample name v =
     match current () with
-    | Some m -> Obs.Instrument.sample m.obs name v
-    | None -> ()
+    | Some ({ on_stat = _ :: _; _ } as m) ->
+      stat m m.running (St_sample (name, v))
+    | _ -> ()
 
   let gauge_max name v =
     match current () with
-    | Some m -> Obs.Instrument.gauge_max m.obs name v
-    | None -> ()
+    | Some ({ on_stat = _ :: _; _ } as m) ->
+      stat m m.running (St_gauge (name, v))
+    | _ -> ()
 
-  let span_begin ?cat name =
+  let span_begin ?(cat = "span") name =
     match current () with
-    | Some m ->
-      Obs.Instrument.span_begin m.obs ~track:m.running ?cat name
-        ~now:m.total_cycles
-    | None -> ()
+    | Some ({ on_stat = _ :: _; _ } as m) ->
+      stat m m.running (St_begin (cat, name))
+    | _ -> ()
 
-  let span_end name =
+  let span_end ?sample name =
     match current () with
-    | Some m ->
-      Obs.Instrument.span_end m.obs ~track:m.running name ~now:m.total_cycles
-    | None -> None
+    | Some ({ on_stat = _ :: _; _ } as m) ->
+      stat m m.running (St_end (name, sample))
+    | _ -> ()
 
-  let span_add ?cat name ~t0 ~t1 =
+  let span_add ?(cat = "span") name ~t0 ~t1 =
     match current () with
-    | Some m ->
-      Obs.Instrument.span_add m.obs ~track:m.running ?cat name ~t0 ~t1
-    | None -> ()
+    | Some ({ on_stat = _ :: _; _ } as m) ->
+      stat m m.running (St_span (cat, name, t0, t1))
+    | _ -> ()
 
   (* ---- access-stream probes ----
 

@@ -54,14 +54,15 @@ type fault = { f_seq : int; f_cycle : int; f_desc : string }
     A run is observed through one stream of {!event}s.  A consumer
     {!subscribe}s to one {!kind} and folds it itself: the spec-trace
     collector ({!Record.trace}), the access log of [lib/analysis], the
-    causal-profile fold of [lib/profile] and the per-step footprints of
-    {!Explore.explore_dpor_parallel}.  The machine keeps none of it.  Each emission
+    causal-profile fold of [lib/profile], the per-step footprints of
+    {!Explore.explore_dpor_parallel} and the statistics registry
+    ({!Record.instrument}).  The machine keeps none of it.  Each emission
     site first tests whether its kind has a subscriber, so a kind nobody
     observes costs that test and allocates nothing.  Publishing charges
     no cycles, adds no scheduling points and draws no randomness, so an
     observed run is cycle- and schedule-identical to an unobserved one.
-    The {!obs} registry and the fault log are always-on aggregates, not
-    part of the stream. *)
+    The fault log and the interned counters ({!Ops.incr_counter}) are
+    the only always-on aggregates. *)
 
 (** Protocol role of a registered memory word (see
     {!Probe.register_word}).  The analyzers exempt synchronization words
@@ -123,6 +124,18 @@ type prof_event = {
   pr_kind : prof_kind;
 }
 
+(** One statistic, as the {!Probe} statistics and the machine's own
+    block and wake bookkeeping publish it ({!Ev_stat}). *)
+type stat =
+  | St_count of string * int  (** add to a counter *)
+  | St_sample of string * int  (** one histogram sample (a cycle count) *)
+  | St_gauge of string * int  (** raise a high-water gauge *)
+  | St_begin of string * string  (** open span [(category, name)] *)
+  | St_end of string * string option
+      (** close span [name]; its duration goes to the histogram, if named *)
+  | St_span of string * string * int * int
+      (** an already-delimited span: category, name, start, end *)
+
 type event =
   | Ev_spec of Spec_trace.event  (** a spec action at its linearization point *)
   | Ev_access of {
@@ -143,9 +156,15 @@ type event =
           segment per step (possibly empty), block edges annotated by
           {!Probe.will_block}, wake edges annotated by {!Probe.handoff},
           spawn/finish points and wakeup-waiting arms *)
+  | Ev_stat of { tid : Threads_util.Tid.t; t : int; stat : stat }
+      (** a statistic on thread [tid]'s track at cycle [t]: the {!Probe}
+          statistics of the stepping thread, and the machine's
+          ["machine.blocks"], ["machine.wakes"],
+          ["machine.wakeup_waiting_arms"]/["_saves"] counters and
+          per-thread ["blocked"] spans *)
 
 (** One kind per {!event} constructor. *)
-type kind = K_spec | K_access | K_touch | K_prof
+type kind = K_spec | K_access | K_touch | K_prof | K_stat
 
 (** Memory operation for {!Ops.mem_emit}.  [M_none] is a plain store-class
     instruction with no memory visible effect (used when the action commits
@@ -236,9 +255,9 @@ end
     Unlike {!Ops}, nothing here performs an effect: a probe call is not a
     scheduling point, charges no cycles, consumes no randomness, and is
     therefore invisible to the simulation — an instrumented run is
-    cycle-identical to an uninstrumented one.  Probes record into the
-    stepping machine's {!obs} registry or publish on its recording
-    stream, and may be called from anywhere in thread code, including
+    cycle-identical to an uninstrumented one.  Probes publish on the
+    stepping machine's recording stream, and may be called from
+    anywhere in thread code, including
     inside {!Ops.mem_emit} thunks (where [now] already includes the
     charged cost of the enclosing instruction).  Outside a simulated
     thread every probe is a no-op. *)
@@ -272,6 +291,12 @@ module Probe : sig
       no-op unless footprints are observed. *)
   val touch : ?write:bool -> int -> unit
 
+  (** {2 Statistics}
+
+      Each publishes one {!Ev_stat} on the stepping thread's track, and
+      only when {!K_stat} has a subscriber; {!Record.instrument} folds
+      them into a registry. *)
+
   (** [counter name n] adds [n]; [counter name 0] materializes the counter
       at 0 so it shows in reports. *)
   val counter : string -> int -> unit
@@ -283,11 +308,13 @@ module Probe : sig
   val gauge_max : string -> int -> unit
 
   (** Spans are keyed by (current thread, name); see
-      {!Obs.Instrument.span_begin}. *)
+      {!Obs.Instrument.span_begin}.  [cat] defaults to ["span"]. *)
   val span_begin : ?cat:string -> string -> unit
 
-  (** Returns the span duration in cycles, [None] without matching begin. *)
-  val span_end : string -> int option
+  (** [span_end ?sample name] closes the span; with [sample], the fold
+      also records its duration in that histogram.  A span with no
+      matching begin is dropped. *)
+  val span_end : ?sample:string -> string -> unit
 
   (** Record an already-delimited span on the current thread's track. *)
   val span_add : ?cat:string -> string -> t0:int -> t1:int -> unit
@@ -461,14 +488,6 @@ val word_value : t -> int -> int
 (** [word_owner m id] — the current holder of lock [id], if known. *)
 val word_owner : t -> int -> Threads_util.Tid.t option
 
-(** The machine's instrument registry (counters / histograms / gauges /
-    spans recorded by {!Probe} calls and by the machine itself:
-    ["machine.blocks"], ["machine.wakes"],
-    ["machine.wakeup_waiting_arms"/"_saves"], and per-thread ["blocked"]
-    spans).  Snapshot it after a run for {!Obs.Report} or
-    {!Obs.Chrome_trace}. *)
-val obs : t -> Obs.Instrument.t
-
 (** {1 Timers (driver side)}
 
     {!Interleave.drive} calls {!fire_due_timers} between steps; when
@@ -516,8 +535,7 @@ val kill : t -> Threads_util.Tid.t -> reason:string -> unit
 val set_chaos_active : t -> bool -> unit
 
 (** Driver-side fault record (the injector-thread equivalent is
-    {!Probe.inject_fault}): appends to {!faults} and bumps the
-    [chaos.faults] counter. *)
+    {!Probe.inject_fault}): appends to {!faults}. *)
 val record_fault : t -> string -> unit
 
 (** Package-registered injection entry points, in registration order. *)

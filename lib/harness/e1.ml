@@ -15,18 +15,23 @@ module Table = Threads_util.Table
 
 let iterations = 10_000
 
-let sim_numbers ~fast_path =
+(* The run's statistics go to [reg]. *)
+let sim_numbers ~fast_path reg =
   let report =
-    Taos_threads.Api.run ~fast_path ~seed:1 (fun sync ->
-        let module S =
-          (val sync : Taos_threads.Sync_intf.SYNC
-             with type thread = Threads_util.Tid.t)
-        in
-        let m = S.mutex () in
-        for _ = 1 to iterations do
-          S.acquire m;
-          S.release m
-        done)
+    Firefly.Interleave.run ~seed:1 (fun machine ->
+        Firefly.Record.instrument reg machine;
+        Taos_threads.Api.build ~fast_path
+          (fun sync ->
+            let module S =
+              (val sync : Taos_threads.Sync_intf.SYNC
+                 with type thread = Threads_util.Tid.t)
+            in
+            let m = S.mutex () in
+            for _ = 1 to iterations do
+              S.acquire m;
+              S.release m
+            done)
+          machine)
   in
   let machine = report.Firefly.Interleave.machine in
   let instr =
@@ -41,7 +46,7 @@ let sim_numbers ~fast_path =
     Firefly.Machine.counter machine "nub.acquire"
     + Firefly.Machine.counter machine "nub.release"
   in
-  (instr, cycles, Firefly.Cost.us_per_cycle *. cycles, nub, machine)
+  (instr, cycles, Firefly.Cost.us_per_cycle *. cycles, nub)
 
 let multicore_ns () =
   let module S = Threads_multicore.Multicore.Sync in
@@ -68,7 +73,8 @@ let multicore_ns () =
   (dt /. float_of_int n *. 1e9, dt_std /. float_of_int n *. 1e9)
 
 let run () =
-  let instr, cycles, us, nub, machine = sim_numbers ~fast_path:true in
+  let reg = Obs.Instrument.create () in
+  let instr, cycles, us, nub = sim_numbers ~fast_path:true reg in
   let t =
     Table.create ~title:"E1a: uncontended Acquire/Release pair (simulator)"
       ~aligns:[ Table.Left; Table.Right; Table.Right ]
@@ -94,7 +100,7 @@ let run () =
     "Shape check: in-line fast path, zero Nub entries; simulated pair cost\n\
      within 2x of the paper's 5 instructions / 10 us.";
   Exp.print_metrics
-    ~header:"--- observability (uncontended fast-path run) ---" machine
+    ~header:"--- observability (uncontended fast-path run) ---" reg
 
 let experiment =
   {

@@ -11,25 +11,30 @@ module Table = Threads_util.Table
 let processors = 5
 let ops_per_thread = 400
 
-let run_config ~threads ~cs_len ~think_len =
+(* One configuration, with [observe] subscribed to its machine. *)
+let run_observed observe ~threads ~cs_len ~think_len =
   let report =
-    Taos_threads.Api.run_timed ~processors ~seed:(threads * 7919) (fun sync ->
-        let module S =
-          (val sync : Taos_threads.Sync_intf.SYNC
-             with type thread = Threads_util.Tid.t)
-        in
-        let module Ops = Firefly.Machine.Ops in
-        let m = S.mutex () in
-        let worker () =
-          for _ = 1 to ops_per_thread do
-            S.acquire m;
-            Ops.tick cs_len;
-            S.release m;
-            Ops.tick think_len
-          done
-        in
-        let ts = List.init threads (fun _ -> S.fork worker) in
-        List.iter S.join ts)
+    Firefly.Timed.run ~processors ~seed:(threads * 7919) (fun machine ->
+        observe machine;
+        Taos_threads.Api.build
+          (fun sync ->
+            let module S =
+              (val sync : Taos_threads.Sync_intf.SYNC
+                 with type thread = Threads_util.Tid.t)
+            in
+            let module Ops = Firefly.Machine.Ops in
+            let m = S.mutex () in
+            let worker () =
+              for _ = 1 to ops_per_thread do
+                S.acquire m;
+                Ops.tick cs_len;
+                S.release m;
+                Ops.tick think_len
+              done
+            in
+            let ts = List.init threads (fun _ -> S.fork worker) in
+            List.iter S.join ts)
+          machine)
   in
   let machine = report.Firefly.Timed.machine in
   let total_ops = threads * ops_per_thread in
@@ -47,6 +52,8 @@ let run_config ~threads ~cs_len ~think_len =
     per_op "nub.acquire" +. per_op "nub.release",
     per_op "spin.iterations" )
 
+let run_config = run_observed ignore
+
 let run () =
   let t =
     Table.create
@@ -58,13 +65,15 @@ let run () =
       [ "threads"; "ops/ms (sim)"; "nub entries/op"; "spin iters/op";
         "ctx switches"; "utilization" ]
   in
-  let contended = ref None in
+  let contended = Obs.Instrument.create () in
   List.iter
     (fun threads ->
-      let report, throughput, nub, spin =
-        run_config ~threads ~cs_len:20 ~think_len:80
+      let observe =
+        if threads = 8 then Firefly.Record.instrument contended else ignore
       in
-      if threads = 8 then contended := Some report.Firefly.Timed.machine;
+      let report, throughput, nub, spin =
+        run_observed observe ~threads ~cs_len:20 ~think_len:80
+      in
       Table.add_row t
         [
           Table.cell_int threads;
@@ -101,10 +110,8 @@ let run () =
      entries and spinning grow with contention; longer critical sections\n\
      lower throughput but amortize the synchronization cost (fewer nub\n\
      entries per op matter less).";
-  Option.iter
-    (Exp.print_metrics
-       ~header:"--- observability (8 threads, cs=20, think=80) ---")
-    !contended
+  Exp.print_metrics
+    ~header:"--- observability (8 threads, cs=20, think=80) ---" contended
 
 let experiment =
   {

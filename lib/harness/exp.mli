@@ -12,8 +12,9 @@ type t = {
   run : unit -> unit;
 }
 
-(** [print_metrics ?header machine] appends the machine's instrument
-    registry ({!Firefly.Machine.obs}) as an observability section —
-    fast-path rates, counters, gauges, cycle histograms, span
-    aggregates — to the experiment's output. *)
-val print_metrics : ?header:string -> Firefly.Machine.t -> unit
+(** [print_metrics ?header reg] appends an instrument registry as an
+    observability section — fast-path rates, counters, gauges, cycle
+    histograms, span aggregates — to the experiment's output.  The
+    experiment fills [reg] by subscribing it ({!Firefly.Record.instrument})
+    to the machine of its representative run. *)
+val print_metrics : ?header:string -> Obs.Instrument.t -> unit

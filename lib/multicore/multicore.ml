@@ -76,29 +76,6 @@ let emit_opt = function Some ev -> emit ev | None -> ()
 let obj_ids = Atomic.make 0
 let new_obj_id () = Atomic.fetch_and_add obj_ids 1
 
-(* ---- lock-event capture (lib/analysis lock-order checking) ----
-
-   With a log installed, every mutex acquisition/release appends one
-   event (semaphores are excluded: V need not come from the P-ing thread,
-   so they carry no lock-order information).  The log has its own host
-   mutex rather than the nub so fast paths stay lock-free when no log is
-   installed and the nub is never held around the append.  Each thread's
-   own events appear in program order, which is all the lock-order
-   replay needs. *)
-type lock_event = { le_tid : int; le_lock : int; le_acquire : bool }
-
-let lock_log : lock_event list ref option Atomic.t = Atomic.make None
-let log_mu = Stdlib.Mutex.create ()
-
-let log_lock le_lock le_acquire =
-  match Atomic.get lock_log with
-  | None -> ()
-  | Some cell ->
-    let le_tid = (Domain.DLS.get key).tid in
-    Stdlib.Mutex.lock log_mu;
-    cell := { le_tid; le_lock; le_acquire } :: !cell;
-    Stdlib.Mutex.unlock log_mu
-
 let reset () =
   Spin.acquire nub;
   Hashtbl.reset pending;
@@ -257,13 +234,11 @@ module Sync = struct
 
   let acquire m =
     let ev () = Some (Events.acquire ~self:(self ()).tid ~m:m.id) in
-    (match lock m ~alertable:false ~ev ~on_alerted:no_alert with
+    match lock m ~alertable:false ~ev ~on_alerted:no_alert with
     | `Acquired -> ()
-    | `Alerted -> assert false);
-    log_lock m.id true
+    | `Alerted -> assert false
 
   let release m =
-    log_lock m.id false;
     unlock_ev m ~ev:(fun () -> Some (Events.release ~self:(self ()).tid ~m:m.id))
 
   let with_lock m f =
@@ -348,7 +323,6 @@ module Sync = struct
         i
       end
     in
-    log_lock m.id false;
     unlock m;
     let wake = block c i ~alertable in
     let raise_it =
@@ -375,7 +349,6 @@ module Sync = struct
     (match lock m ~alertable:false ~ev ~on_alerted:no_alert with
     | `Acquired -> ()
     | `Alerted -> assert false);
-    log_lock m.id true;
     ignore (Atomic.fetch_and_add c.interest (-1));
     if raise_it then begin
       Spin.acquire nub;
@@ -509,12 +482,3 @@ let traced_run body =
       Fun.protect ~finally:(fun () -> set_trace_sink None) (fun () ->
           let result = body () in
           (result, Spec_trace.Sink.events s)))
-
-let analyzed_run body =
-  exclusive (fun () ->
-      let cell = ref [] in
-      reset ();
-      Atomic.set lock_log (Some cell);
-      Fun.protect ~finally:(fun () -> Atomic.set lock_log None) (fun () ->
-          let result = body () in
-          (result, List.rev !cell)))

@@ -19,7 +19,12 @@
     nub spin-lock at the instant the action commits — so the sink's order
     is a legal linearization of the run and the trace replays against the
     formal specification with the same checker the simulator uses.
-    Untraced runs keep the lock-free fast paths untouched.
+    The same trace is all that lock-order analysis reads
+    ([Threads_analysis.Analysis.run_backend]): each thread's Acquire,
+    Release, Wait's Enqueue and Resume events in program order.
+    Untraced runs keep the lock-free fast paths untouched: besides its
+    test-and-set or clear, an Acquire or Release makes one atomic load,
+    of the sink.
 
     [fork] spawns a domain; keep thread counts near the core count. *)
 
@@ -33,7 +38,7 @@ exception Alerted
 module Sync : Taos_threads.Sync_intf.SYNC with type thread = thread
 
 (** The package state (nub lock, alert tables, trace sink) is global,
-    so [run]/[traced_run]/[analyzed_run] serialize on a package mutex:
+    so [run]/[traced_run] serialize on a package mutex:
     overlapping calls from different domains — e.g. parallel run-matrix
     cells — queue up rather than corrupt each other (a concurrent reset
     would wipe another run's pending alerts mid-wait).  The body inside
@@ -47,17 +52,6 @@ val run : (unit -> 'a) -> 'a
     run [body], uninstall the sink (even on exception) and return the
     result with the linearized event trace. *)
 val traced_run : (unit -> 'a) -> 'a * Spec_trace.event list
-
-(** One mutex acquisition or release, as captured by {!analyzed_run}.
-    Thread ids are the package's own; lock ids are mutex trace ids.
-    Semaphores are not captured (V need not come from the P-ing thread,
-    so they carry no lock-order information). *)
-type lock_event = { le_tid : int; le_lock : int; le_acquire : bool }
-
-(** [analyzed_run body] — clear residual alert state, capture every mutex
-    acquisition/release during [body], and return the result with the
-    events (each thread's events in its program order). *)
-val analyzed_run : (unit -> 'a) -> 'a * lock_event list
 
 (** Clear leftover pending alerts and cancellations from a previous run
     (thread ids are never reused, so this is hygiene, not correctness —

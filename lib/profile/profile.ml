@@ -15,10 +15,16 @@ type t = {
    in stream order, newest first.  A run segment merges into the
    immediately preceding edge when that is a segment of the same thread
    ending where it starts, so a burst of consecutive steps costs one
-   entry; zero-cycle segments add nothing. *)
-type recorder = { mutable rev : M.prof_event list; mutable count : int }
+   entry; zero-cycle segments add nothing.  [spins] keeps the spin-lock
+   acquire windows from the [Ev_stat] stream (the "spin" spans
+   [Spinlock.acquire] records), newest first. *)
+type recorder = {
+  mutable rev : M.prof_event list;
+  mutable count : int;
+  mutable spins : (Tid.t * int * int) list;
+}
 
-let recorder () = { rev = []; count = 0 }
+let recorder () = { rev = []; count = 0; spins = [] }
 
 let record r machine =
   let push tid t kind =
@@ -35,19 +41,18 @@ let record r machine =
           r.rev <- { h with pr_kind = kind } :: rest
         | _ -> push tid t0 kind)
     | M.Ev_prof { tid; t; kind } -> push tid t kind
+    | _ -> ());
+  M.subscribe machine M.K_stat (function
+    | M.Ev_stat { tid; stat = M.St_span ("spin", _, t0, t1); _ } ->
+      r.spins <- (tid, t0, t1) :: r.spins
     | _ -> ())
 
 let of_run r m =
   let makespan = M.total_cycles m in
   let events = List.rev r.rev in
-  let snap = Obs.Instrument.snapshot (M.obs m) in
-  let spin_spans =
-    List.filter_map
-      (fun (s : Obs.Instrument.span) ->
-        if s.cat = "spin" then Some (s.track, s.t0, s.t1) else None)
-      snap.spans
+  let timeline =
+    Timeline.build ~makespan ~spin_spans:(List.rev r.spins) events
   in
-  let timeline = Timeline.build ~makespan ~spin_spans events in
   {
     makespan;
     event_count = r.count;

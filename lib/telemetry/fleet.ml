@@ -248,7 +248,6 @@ let render r =
   Tb.render tb
 
 let round3 x = Float.round (x *. 1e3) /. 1e3
-let round1 x = Float.round (x *. 10.) /. 10.
 
 let worker_to_json w =
   Obs.Json.Obj
@@ -274,61 +273,24 @@ let to_json r =
       ("workers", Obs.Json.Arr (List.map worker_to_json r.r_workers));
     ]
 
-(* Chrome trace-event worker-occupancy timeline: one track (tid) per
-   worker domain, one complete ("X") event per coalesced busy segment.
-   Times are microseconds relative to collector creation.  Built on
-   Obs.Json directly rather than Obs.Chrome_trace because the latter's
-   clock is simulated integer cycles; fleet occupancy is host
-   wall-clock. *)
+(* Chrome trace-event worker-occupancy timeline, written by
+   Obs.Chrome_trace: one track per worker domain, one B/E pair per
+   coalesced busy segment, in whole microseconds relative to collector
+   creation. *)
 let chrome r =
-  let meta =
-    Obs.Json.Obj
-      [
-        ("name", Obs.Json.String "process_name");
-        ("ph", Obs.Json.String "M");
-        ("pid", Obs.Json.Int 1);
-        ( "args",
-          Obs.Json.Obj
-            [ ("name", Obs.Json.String ("fleet: " ^ r.r_label)) ] );
-      ]
-    :: List.map
-         (fun w ->
-           Obs.Json.Obj
-             [
-               ("name", Obs.Json.String "thread_name");
-               ("ph", Obs.Json.String "M");
-               ("pid", Obs.Json.Int 1);
-               ("tid", Obs.Json.Int w.ws_id);
-               ( "args",
-                 Obs.Json.Obj
-                   [
-                     ( "name",
-                       Obs.Json.String
-                         (Printf.sprintf "worker %d" w.ws_id) );
-                   ] );
-             ])
-         r.r_workers
-  in
-  let events =
-    List.concat_map
-      (fun w ->
-        List.map
-          (fun (s0, s1) ->
-            Obs.Json.Obj
-              [
-                ("name", Obs.Json.String "cells");
-                ("cat", Obs.Json.String "fleet");
-                ("ph", Obs.Json.String "X");
-                ("ts", Obs.Json.Float (round1 (s0 *. 1e6)));
-                ("dur", Obs.Json.Float (round1 ((s1 -. s0) *. 1e6)));
-                ("pid", Obs.Json.Int 1);
-                ("tid", Obs.Json.Int w.ws_id);
-              ])
-          w.ws_segments)
-      r.r_workers
-  in
-  Obs.Json.Obj
-    [
-      ("traceEvents", Obs.Json.Arr (meta @ events));
-      ("displayTimeUnit", Obs.Json.String "ms");
-    ]
+  let reg = Obs.Instrument.create () in
+  let us s = Float.to_int (Float.round (s *. 1e6)) in
+  List.iter
+    (fun w ->
+      List.iter
+        (fun (s0, s1) ->
+          Obs.Instrument.span_add reg ~track:w.ws_id ~cat:"fleet" "cells"
+            ~t0:(us s0) ~t1:(us s1))
+        w.ws_segments)
+    r.r_workers;
+  Obs.Chrome_trace.to_json
+    ~process_name:("fleet: " ^ r.r_label)
+    ~thread_names:
+      (List.map (fun w -> (w.ws_id, Printf.sprintf "worker %d" w.ws_id))
+         r.r_workers)
+    (Obs.Instrument.snapshot reg)

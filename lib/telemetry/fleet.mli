@@ -72,8 +72,8 @@ val render : report -> string
 val worker_to_json : worker_stats -> Obs.Json.t
 val to_json : report -> Obs.Json.t
 
-(** Chrome trace-event JSON (load in [chrome://tracing] / Perfetto):
-    worker-occupancy timeline, one track per domain, one complete event
-    per coalesced busy segment, microseconds relative to collector
-    creation. *)
+(** Chrome trace-event JSON (load in [chrome://tracing] / Perfetto),
+    written by {!Obs.Chrome_trace}: worker-occupancy timeline, one track
+    per domain, one B/E pair per coalesced busy segment, whole
+    microseconds relative to collector creation. *)
 val chrome : report -> Obs.Json.t

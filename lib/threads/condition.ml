@@ -8,7 +8,7 @@ type keys = {
   waits : string; timed_waits : string; blocks : string;
   stale_blocks : string; timeouts : string; signals : string;
   broadcasts : string; wakeup_waiting_hits : string; nub_skips : string;
-  queue_hwm : string; wakeup_cycles : string; wait_cycles : string;
+  queue_hwm : string; wakeup_cycles : string option; wait_cycles : string;
   wait_span : string; spin : Spinlock.obs option;
 }
 
@@ -18,7 +18,7 @@ let keys n =
     stale_blocks = k ".stale_blocks"; timeouts = k ".timeouts";
     signals = k ".signals"; broadcasts = k ".broadcasts";
     wakeup_waiting_hits = k ".wakeup_waiting_hits"; nub_skips = k ".nub_skips";
-    queue_hwm = k ".queue_hwm"; wakeup_cycles = k ".wakeup_cycles";
+    queue_hwm = k ".queue_hwm"; wakeup_cycles = Some (k ".wakeup_cycles");
     wait_cycles = k ".wait_cycles"; wait_span = "wait " ^ n;
     spin = Some (Spinlock.obs n) }
 
@@ -142,9 +142,7 @@ let enqueue_and_block ?timeout c m self ~proc ~count ~alertable =
   in
   Mutex.unlock_internal m ~event:(fun () -> None);
   let wake = block ?timeout c i ~alertable in
-  (match Probe.span_end c.k.wait_span with
-  | Some d -> Probe.sample c.k.wakeup_cycles d
-  | None -> ());
+  Probe.span_end ?sample:c.k.wakeup_cycles c.k.wait_span;
   wake
 
 (* After the re-acquire: the Wait latency, and our interest withdrawn. *)

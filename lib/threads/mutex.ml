@@ -2,11 +2,14 @@ module Ops = Firefly.Machine.Ops
 module M = Firefly.Machine
 module Probe = Firefly.Machine.Probe
 
-(* The instrument names of one mutex, built when it is created. *)
+(* The instrument names of one mutex, built when it is created.  The
+   histograms that sample a span's duration are options, passed straight
+   to [Probe.span_end ?sample]. *)
 type keys = {
   acquires : string; fast_path_hits : string; nub_acquires : string;
   nub_releases : string; blocks : string; releases : string;
-  queue_hwm : string; wait_cycles : string; hold_cycles : string;
+  queue_hwm : string; wait_cycles : string option;
+  hold_cycles : string option;
   wait_span : string; held_span : string; spin : Spinlock.obs option;
 }
 
@@ -15,7 +18,8 @@ let keys n =
   { acquires = k ".acquires"; fast_path_hits = k ".fast_path_hits";
     nub_acquires = k ".nub_acquires"; nub_releases = k ".nub_releases";
     blocks = k ".blocks"; releases = k ".releases"; queue_hwm = k ".queue_hwm";
-    wait_cycles = k ".wait_cycles"; hold_cycles = k ".hold_cycles";
+    wait_cycles = Some (k ".wait_cycles");
+    hold_cycles = Some (k ".hold_cycles");
     wait_span = "wait " ^ n; held_span = "held " ^ n;
     spin = Some (Spinlock.obs n) }
 
@@ -72,9 +76,7 @@ let block m =
   Probe.span_begin ~cat:"mutex" m.k.wait_span;
   Probe.will_block m.bit;
   Ops.deschedule_and_clear (Spinlock.addr m.pkg.lock);
-  match Probe.span_end m.k.wait_span with
-  | Some d -> Probe.sample m.k.wait_cycles d
-  | None -> ()
+  Probe.span_end ?sample:m.k.wait_cycles m.k.wait_span
 
 (* Nub subroutine for Acquire: under the spin-lock, enqueue the caller and
    re-test the Lock-bit.  Still held: block.  Free: dequeue ourselves,
@@ -132,9 +134,7 @@ let unlock_internal m ~event =
     (Ops.mem_emit (M.M_clear m.bit) (fun _ ->
          Probe.lock_released m.bit;
          Probe.counter m.k.releases 1;
-         (match Probe.span_end m.k.held_span with
-         | Some d -> Probe.sample m.k.hold_cycles d
-         | None -> ());
+         Probe.span_end ?sample:m.k.hold_cycles m.k.held_span;
          event ()));
   if m.pkg.fast_path then begin
     if Ops.read m.waiters <> 0 then nub_release m

@@ -7,7 +7,8 @@ type keys = {
   acquires : string; fast_path_hits : string; nub_acquires : string;
   nub_releases : string; blocks : string; releases : string;
   timeouts : string; timed_ps : string; queue_hwm : string;
-  p_block_cycles : string; p_block_span : string; spin : Spinlock.obs option;
+  p_block_cycles : string option; p_block_span : string;
+  spin : Spinlock.obs option;
 }
 
 let keys n =
@@ -16,8 +17,8 @@ let keys n =
     nub_acquires = k ".nub_acquires"; nub_releases = k ".nub_releases";
     blocks = k ".blocks"; releases = k ".releases"; timeouts = k ".timeouts";
     timed_ps = k ".timed_ps"; queue_hwm = k ".queue_hwm";
-    p_block_cycles = k ".p_block_cycles"; p_block_span = "P-block " ^ n;
-    spin = Some (Spinlock.obs n) }
+    p_block_cycles = Some (k ".p_block_cycles");
+    p_block_span = "P-block " ^ n; spin = Some (Spinlock.obs n) }
 
 type t = {
   pkg : Pkg.t;
@@ -65,9 +66,7 @@ let block s self ~alertable =
   Probe.span_begin ~cat:"sem" s.k.p_block_span;
   Probe.will_block s.bit;
   Ops.deschedule_and_clear (Spinlock.addr s.pkg.lock);
-  (match Probe.span_end s.k.p_block_span with
-  | Some d -> Probe.sample s.k.p_block_cycles d
-  | None -> ());
+  Probe.span_end ?sample:s.k.p_block_cycles s.k.p_block_span;
   alertable && Alerts.take_woken_by_alert s.pkg.alerts self
 
 (* Under the spin-lock: ready the first queued thread, if any. *)

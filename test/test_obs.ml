@@ -53,36 +53,47 @@ let test_spans () =
 (* -------------------------------------------------------------------- *)
 (* Simulator-backed workloads                                            *)
 
-let run_mutex_workload ~threads ~seed =
+(* The workload's machine, with [observe] subscribed to it. *)
+let run_mutex_workload ?(observe = ignore) ~threads ~seed () =
   let report =
-    Taos_threads.Api.run ~seed (fun sync ->
-        let module S =
-          (val sync : Taos_threads.Sync_intf.SYNC
-             with type thread = Threads_util.Tid.t)
-        in
-        let m = S.mutex () in
-        let worker () =
-          for _ = 1 to 50 do
-            S.acquire m;
-            Ops.tick 5;
-            S.release m;
-            Ops.tick 5
-          done
-        in
-        let ts = List.init threads (fun _ -> S.fork worker) in
-        List.iter S.join ts)
+    Firefly.Interleave.run ~seed (fun machine ->
+        observe machine;
+        Taos_threads.Api.build
+          (fun sync ->
+            let module S =
+              (val sync : Taos_threads.Sync_intf.SYNC
+                 with type thread = Threads_util.Tid.t)
+            in
+            let m = S.mutex () in
+            let worker () =
+              for _ = 1 to 50 do
+                S.acquire m;
+                Ops.tick 5;
+                S.release m;
+                Ops.tick 5
+              done
+            in
+            let ts = List.init threads (fun _ -> S.fork worker) in
+            List.iter S.join ts)
+          machine)
   in
   report.Firefly.Interleave.machine
 
-let snapshot_of machine = I.snapshot (Firefly.Machine.obs machine)
+(* The statistics of one run, folded by [Firefly.Record.instrument]. *)
+let snapshot_of ~threads ~seed =
+  let reg = I.create () in
+  ignore
+    (run_mutex_workload ~observe:(Firefly.Record.instrument reg) ~threads
+       ~seed ());
+  I.snapshot reg
 
 let test_snapshot_deterministic () =
-  let s1 = snapshot_of (run_mutex_workload ~threads:4 ~seed:7) in
-  let s2 = snapshot_of (run_mutex_workload ~threads:4 ~seed:7) in
+  let s1 = snapshot_of ~threads:4 ~seed:7 in
+  let s2 = snapshot_of ~threads:4 ~seed:7 in
   Alcotest.(check bool) "same seed, equal snapshots" true (s1 = s2);
   Alcotest.(check string) "same seed, byte-identical report"
     (Obs.Report.render s1) (Obs.Report.render s2);
-  let s3 = snapshot_of (run_mutex_workload ~threads:4 ~seed:8) in
+  let s3 = snapshot_of ~threads:4 ~seed:8 in
   Alcotest.(check bool) "different seed, different snapshot" true (s1 <> s3)
 
 let test_contended_spins_more () =
@@ -92,8 +103,8 @@ let test_contended_spins_more () =
         if Filename.check_suffix name ".spin_cycles" then acc + v else acc)
       0 snap.I.counters
   in
-  let uncontended = snapshot_of (run_mutex_workload ~threads:1 ~seed:5) in
-  let contended = snapshot_of (run_mutex_workload ~threads:8 ~seed:5) in
+  let uncontended = snapshot_of ~threads:1 ~seed:5 in
+  let contended = snapshot_of ~threads:8 ~seed:5 in
   Alcotest.(check int) "uncontended run never spins" 0 (spin uncontended);
   Alcotest.(check bool) "contended run spins" true (spin contended > 0);
   let fast name snap = List.assoc_opt name snap.I.counters in
@@ -106,25 +117,27 @@ let test_contended_spins_more () =
 
 let test_zero_sim_cost () =
   (* The whole point of the ambient-probe design: instrumented runs charge
-     exactly the cycles the workload charges.  A single thread doing 50
-     tick-5 + tick-5 iterations plus the acquire/release pairs has a cycle
-     count we can predict from the machine's own accounting — but the
-     sharper check is that two identical runs agree cycle-for-cycle even
-     though both recorded thousands of probe events. *)
-  let c1 =
-    Firefly.Machine.total_cycles (run_mutex_workload ~threads:8 ~seed:3)
+     exactly the cycles the workload charges.  An instrumented run, which
+     records thousands of statistics, agrees cycle-for-cycle and
+     instruction-for-instruction with the same run that nobody
+     instruments. *)
+  let reg = I.create () in
+  let observed =
+    run_mutex_workload ~observe:(Firefly.Record.instrument reg) ~threads:8
+      ~seed:3 ()
   in
-  let c2 =
-    Firefly.Machine.total_cycles (run_mutex_workload ~threads:8 ~seed:3)
-  in
-  Alcotest.(check int) "cycle-identical across runs" c1 c2
+  let plain = run_mutex_workload ~threads:8 ~seed:3 () in
+  Alcotest.(check bool) "statistics were recorded" true
+    ((I.snapshot reg).I.counters <> []);
+  Alcotest.(check (list int)) "cycle- and instruction-identical"
+    Firefly.Machine.[ total_cycles plain; total_instructions plain ]
+    Firefly.Machine.[ total_cycles observed; total_instructions observed ]
 
 (* -------------------------------------------------------------------- *)
 (* Chrome trace export, parsed back                                      *)
 
 let test_chrome_roundtrip () =
-  let machine = run_mutex_workload ~threads:4 ~seed:11 in
-  let snap = snapshot_of machine in
+  let snap = snapshot_of ~threads:4 ~seed:11 in
   Alcotest.(check bool) "workload produced spans" true (snap.I.spans <> []);
   let s =
     Obs.Chrome_trace.to_string ~cycle_us:Firefly.Cost.us_per_cycle

@@ -120,13 +120,19 @@ let test_fleet_render_and_chrome () =
   let trace = Fleet.chrome rep in
   match Obs.Json.find trace "traceEvents" with
   | Some (Obs.Json.Arr evs) ->
-    let xs =
-      List.filter
-        (fun e -> Obs.Json.find e "ph" = Some (Obs.Json.String "X"))
+    let phase ph =
+      List.filter_map
+        (fun e ->
+          if Obs.Json.find e "ph" = Some (Obs.Json.String ph) then
+            Obs.Json.find e "tid"
+          else None)
         evs
     in
     (* one coalesced segment for worker 0, one for worker 1 *)
-    Alcotest.(check int) "one X event per busy segment" 2 (List.length xs)
+    Alcotest.(check bool) "one B/E pair per busy segment, on its worker"
+      true
+      (phase "B" = [ Obs.Json.Int 0; Obs.Json.Int 1 ]
+      && phase "E" = phase "B")
   | _ -> Alcotest.fail "chrome trace lacks traceEvents"
 
 (* ---- progress stream ---- *)
