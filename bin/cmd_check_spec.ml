@@ -159,14 +159,20 @@ let dynamic_of_explore_json file =
     | _ -> fail "no scenarios array")
 
 let check_spec_crosscheck ~dynamic_file ~format ~out =
+  let expected =
+    List.map
+      (fun (s : Threads_harness.Explore_scenarios.t) -> (s.name, s.expect))
+      Threads_harness.Explore_scenarios.all
+  in
+  let observed =
+    if dynamic_file = "" then expected else dynamic_of_explore_json dynamic_file
+  in
   let dynamic =
-    match dynamic_file with
-    | "" -> None
-    | f -> Some (dynamic_of_explore_json f)
+    List.map
+      (fun (name, _) -> (name, Option.value (List.assoc_opt name observed) ~default:[]))
+      expected
   in
-  let entries =
-    SC.Crossval.run ?dynamic Spec_core.Threads_interface.final
-  in
+  let entries = SC.Crossval.run Spec_core.Threads_interface.final dynamic in
   let bad = List.filter (fun e -> not e.SC.Crossval.x_ok) entries in
   let emit, finish = Cli.make_emit out in
   (match format with

@@ -68,17 +68,20 @@ let of_run log machine =
   }
 
 (* A mutex acquisition or release in a spec trace, as (thread, mutex,
-   acquired): Acquire and the Resume actions of the waits take [m];
+   acquired): Acquire and the Resume actions of the waits take [m] (a
+   TimedResume in both outcomes, as the abstraction function writes it);
    Release and the waits' Enqueue give it up. *)
-let mutex_event (e : Spec_trace.event) =
-  match (e.action, List.assoc_opt "m" e.args) with
-  | ("Acquire" | "Resume" | "AlertResume"), Some (Spec_trace.Obj m) ->
-    Some (e.self, m, true)
-  | ("Release" | "Enqueue"), Some (Spec_trace.Obj m) -> Some (e.self, m, false)
-  | _ -> None
+let mutex_event ({ self; action } : Spec_trace.event) =
+  match action with
+  | Acquire { m } | Resume { m; _ } | AlertResume { m; _ } | TimedResume { m; _ } ->
+    Some (self, m, true)
+  | Release { m } | Enqueue { m; _ } -> Some (self, m, false)
+  | Signal _ | Broadcast _ | P _ | V _ | Alert _ | TestAlert _ | AlertP _
+  | TimedP _ ->
+    None
 
 (* A trace carries no memory accesses: no data words, no race checking —
-   lock-order analysis only. *)
+   lock-order analysis only, each thread's events in its program order. *)
 let of_trace trace =
   let events = List.filter_map mutex_event trace in
   {

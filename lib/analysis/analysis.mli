@@ -27,13 +27,6 @@ val record : log -> Firefly.Machine.t -> unit
 val accesses : log -> Firefly.Machine.access list
 val of_run : log -> Firefly.Machine.t -> report
 
-(** [of_trace trace] analyzes the lock order of a spec trace: Acquire
-    and the Resume/AlertResume actions of the waits acquire their mutex
-    [m]; Release and the waits' Enqueue release it.  Each thread's
-    events must be in its program order.  [n_accesses] counts those lock
-    events. *)
-val of_trace : Spec_trace.event list -> report
-
 type backend_result = {
   br_outcome : Threads_backend.Backend.outcome;
   br_report : report;
@@ -47,7 +40,8 @@ val run_backend :
 (** Run the workload through the backend's instrumented entry point (same
     seeds and schedules as its plain [run]) and analyze the capture; a
     backend with no machine ({!Threads_backend.Backend.No_instrument}) is
-    run plainly and its spec trace analyzed ({!of_trace}). *)
+    run plainly and the lock order of its spec trace analyzed, with
+    [n_accesses] counting the trace's mutex events. *)
 
 val cycles : report -> int list list
 val clean : report -> bool

@@ -1,5 +1,4 @@
 module Tid = Threads_util.Tid
-module Trace = Spec_trace
 
 type status = Runnable | Blocked | Finished | Failed of exn
 
@@ -100,7 +99,7 @@ type stat =
   | St_span of string * string * int * int  (* category, name, start, end *)
 
 type event =
-  | Ev_spec of Trace.event
+  | Ev_spec of Spec_trace.event
   | Ev_access of {
       tid : Tid.t;
       addr : int;
@@ -133,12 +132,11 @@ type _ Effect.t +=
   | E_join : Tid.t -> unit Effect.t
   | E_deschedule_and_clear : int -> unit Effect.t
   | E_ready : Tid.t -> unit Effect.t
-  | E_emit : Trace.event -> unit Effect.t
   | E_tick : int -> unit Effect.t
   | E_counter : int -> unit Effect.t
   | E_set_priority : int -> unit Effect.t
   | E_yield : unit Effect.t
-  | E_mem_emit : mem_op * (int -> Trace.event option) -> int Effect.t
+  | E_mem_emit : mem_op * (int -> unit) -> int Effect.t
 
 (* Counter names are interned once, process-wide, into dense ids; each
    machine counts into an array indexed by id.  Interning takes a lock
@@ -170,7 +168,6 @@ module Ops = struct
   let join t = Effect.perform (E_join t)
   let deschedule_and_clear a = Effect.perform (E_deschedule_and_clear a)
   let ready t = Effect.perform (E_ready t)
-  let emit ev = Effect.perform (E_emit ev)
   let tick n = Effect.perform (E_tick n)
   let incr_counter id = Effect.perform (E_counter id)
   let set_priority p = Effect.perform (E_set_priority p)
@@ -270,9 +267,6 @@ let set_current v = Domain.DLS.set current_key v
    so an unobserved kind costs one test and no allocation. *)
 let rec publish subs ev =
   match subs with [] -> () | f :: rest -> f ev; publish rest ev
-
-let emit_spec m ev =
-  match m.on_spec with [] -> () | subs -> publish subs (Ev_spec ev)
 
 (* ---- step footprints (DPOR dependence stream) ----
 
@@ -565,7 +559,7 @@ let handler m t =
         match eff with
         | E_read _ | E_write _ | E_tas _ | E_clear _ | E_faa _ | E_alloc _
         | E_self | E_spawn _ | E_join _ | E_deschedule_and_clear _
-        | E_ready _ | E_emit _ | E_tick _ | E_counter _
+        | E_ready _ | E_tick _ | E_counter _
         | E_set_priority _ | E_yield | E_mem_emit _ ->
           Some
             (fun (k : (a, unit) Effect.Deep.continuation) ->
@@ -735,9 +729,6 @@ let execute_effect (type a) m t (eff : a Effect.t)
           (Printf.sprintf "wakeup of t%d delayed by %d cycles" target d)
       | Drop -> record_fault m (Printf.sprintf "wakeup of t%d dropped" target)));
     continue k ()
-  | E_emit ev ->
-    emit_spec m ev;
-    continue k ()
   | E_tick n ->
     charge m t n;
     continue k ()
@@ -762,9 +753,9 @@ let execute_effect (type a) m t (eff : a Effect.t)
       | M_faa (a, n) -> faa m t a n
     in
     (* The thunk runs inside this step, atomically with the memory
-       operation; it may update package bookkeeping but must not perform
-       machine effects. *)
-    (match thunk result with Some ev -> emit_spec m ev | None -> ());
+       operation; it may update package bookkeeping and publish through
+       [Probe], but must not perform machine effects. *)
+    thunk result;
     continue k result
   | _ -> failwith "Machine: unknown effect"
 
@@ -939,13 +930,16 @@ module Probe = struct
   let now () =
     match current () with Some m -> m.total_cycles | None -> 0
 
-  (* Append a trace event at the current instant without an effect.  Meant
-     for [mem_emit] thunks that linearize more than one visible action in a
-     single instruction (e.g. Hoare's monitor handoff: Release + Acquire). *)
+  (* Publish a spec action at the current instant without an effect: how
+     [mem_emit] thunks emit the action their instruction linearizes.
+     Emission sites test [tracing] before they build the action. *)
   let emit ev =
     match current () with
-    | Some m -> emit_spec m ev
-    | None -> ()
+    | Some { on_spec = _ :: _ as subs; _ } -> publish subs (Ev_spec ev)
+    | _ -> ()
+
+  let tracing () =
+    match current () with Some { on_spec = _ :: _; _ } -> true | _ -> false
 
   (* The stepping thread's id, without the E_self effect (and so without a
      scheduling point): lets a [mem_emit] thunk name itself in an event. *)

@@ -223,10 +223,6 @@ module Ops : sig
       a finished thread is a simulation error ([Failure]). *)
   val ready : Threads_util.Tid.t -> unit
 
-  (** [emit ev] publishes spec action [ev] ({!Ev_spec}) at the current
-      instant (zero cost). *)
-  val emit : Spec_trace.event -> unit
-
   (** [tick n] consumes [n] cycles of pure computation (one instruction). *)
   val tick : int -> unit
 
@@ -241,13 +237,13 @@ module Ops : sig
   val yield : unit -> unit
 
   (** [mem_emit op thunk] performs memory operation [op] and, atomically in
-      the same instruction, calls [thunk result]; if it returns an event it
-      is published ({!Ev_spec}) at that instant.  This is how the Threads
+      the same instruction, calls [thunk result], which publishes the
+      action it linearizes with {!Probe.emit}.  This is how the Threads
       package linearizes its visible atomic actions: the event cannot be
       separated from the memory operation that commits the action.  The
       thunk may update package-level bookkeeping but must not perform
       machine effects. *)
-  val mem_emit : mem_op -> (int -> Spec_trace.event option) -> int
+  val mem_emit : mem_op -> (int -> unit) -> int
 end
 
 (** {1 Observation probes (thread code, zero simulated cost)}
@@ -266,11 +262,17 @@ module Probe : sig
   (** Current simulated time: the machine's running total-cycle clock. *)
   val now : unit -> int
 
-  (** [emit ev] publishes spec action [ev] at the current instant without
-      performing an effect.  For {!Ops.mem_emit} thunks whose single
-      instruction linearizes more than one visible action (e.g. a monitor
-      handoff: Release and the successor's Acquire commit together). *)
+  (** [emit ev] publishes spec action [ev] ({!Ev_spec}) at the current
+      instant without performing an effect: from an {!Ops.mem_emit} thunk,
+      atomically with its instruction.  One instruction may linearize more
+      than one action (a monitor handoff: Release and the successor's
+      Acquire commit together). *)
   val emit : Spec_trace.event -> unit
+
+  (** Whether the stepping machine's spec stream has a subscriber.  Every
+      emission site tests it before building its event (and any closure
+      that only builds it), so an unobserved run builds none. *)
+  val tracing : unit -> bool
 
   (** The thread currently inside {!step} — i.e. the caller's own id when
       invoked from package code or a [mem_emit] thunk; [None] outside a

@@ -90,8 +90,7 @@ let abstract (p : Prog.t) =
 let errors_sig (es : Conformance.error list) =
   List.map
     (fun (e : Conformance.error) ->
-      (e.Conformance.index, e.Conformance.event.Spec_trace.action,
-       e.Conformance.message))
+      (e.Conformance.index, e.Conformance.event.action, e.Conformance.message))
     es
 
 let conformance_sig iface trace =

@@ -54,10 +54,11 @@ let first_violation (report : Conformance.report) =
   match report.Conformance.errors with
   | [] -> None
   | e :: _ ->
+    let action = Spec_trace.action_name e.Conformance.event.action in
     Some
-      ( e.Conformance.event.Spec_trace.action,
-        Printf.sprintf "event %d (%s): %s" e.Conformance.index
-          e.Conformance.event.Spec_trace.action e.Conformance.message )
+      ( action,
+        Printf.sprintf "event %d (%s): %s" e.Conformance.index action
+          e.Conformance.message )
 
 let workload s = Prog.to_workload ~name:"gen" s.program
 

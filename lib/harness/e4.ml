@@ -54,7 +54,9 @@ let run () =
     in
     List.iter
       (fun (e : Spec_trace.event) ->
-        if e.proc = "Signal" then bump (List.length e.removed))
+        match e.action with
+        | Signal { removed; _ } -> bump (List.length removed)
+        | _ -> ())
       trace;
     if
       not

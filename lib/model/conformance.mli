@@ -3,18 +3,23 @@
 
     The checker replays a {!Spec_trace} event sequence, maintaining the
     specification-level abstract state itself (no ghost state in the
-    implementation): each event determines the abstract post state — e.g.
-    an Acquire event sets the mutex to the emitting thread, a Signal event
-    removes exactly the threads listed in [removed].  Every transition is
-    then validated against the interface's clauses with
-    {!Spec_core.Semantics.check_transition}:
+    implementation): each event's constructor determines the abstract post
+    state — e.g. an Acquire event sets the mutex to the emitting thread, a
+    Signal event removes exactly the threads listed in [removed].  Each
+    kind of event ({!Spec_trace.kind}) is mapped to its procedure and
+    action of the interface once per interface, and each distinct call
+    of a trace is bound to the formals once, so nothing is looked up by
+    name per event.  Every transition is then validated against the
+    interface's clauses with {!Spec_core.Semantics.check_transition}:
 
     - some case of the action must have the matching RETURNS/RAISES kind,
       its WHEN true in the pre state and its ENSURES true over (pre, post);
     - objects outside MODIFIES AT MOST must be unchanged;
     - REQUIRES is checked at the procedure's first action (a violation is
       the {e caller's} fault and reported separately);
-    - a composition's actions must occur in order, per thread.
+    - a composition's actions must occur in order, per thread;
+    - an event whose procedure the interface lacks is a violation ("no
+      such procedure in the interface").
 
     Checking the same trace against a buggy historical variant of the
     specification shows exactly which events that variant cannot explain —

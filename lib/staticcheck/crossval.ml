@@ -11,9 +11,9 @@
        every dynamically observed violation class must be statically
        reachable (dynamic ⊆ static).
 
-   The dynamic side defaults to the pinned expectation sets (kept in
-   sync with the explore scenarios by tests) and can be overridden with
-   violations parsed from an actual [repro explore --format=json] run. *)
+   The dynamic side is given per scenario: the explore scenarios' own
+   expectation sets, or violations parsed from an actual
+   [repro explore --format=json] run. *)
 
 open Spec_core
 module Program = Threads_model.Program
@@ -41,25 +41,6 @@ let classify s =
   else if contains s "admitted by no case" then "spec-conformance"
   else if contains s "invariant" then "invariant"
   else "violation"
-
-(* Pinned dynamic expectation sets of the five explore scenarios
-   (tests assert these stay in sync with the harness). *)
-let pinned =
-  [
-    ("wakeup-waiting", []);
-    ("alert-cancel", []);
-    ( "naive-broadcast",
-      [
-        "stranded waiter: deadlock blocked=[0,1]";
-        "stranded waiter: deadlock blocked=[0,2]";
-      ] );
-    ( "hoare-signal",
-      [
-        "hoare hand-off: Wait.Resume by t1 with outcome RETURNS admitted \
-         by no case: [RETURNS: when=false kind-match=true ensures=false]";
-      ] );
-    ("disjoint-locks", []);
-  ]
 
 (* The spec-level counterpart of the naive-broadcast scenario (E5): a
    condition variable encoded as a semaphore that starts unavailable;
@@ -149,14 +130,11 @@ let static_classes iface = function
     @ engine_classes iface disjoint_locks_counterpart
   | name -> failwith ("Crossval: unknown explore scenario " ^ name)
 
-(* [run iface ~dynamic] — [dynamic] maps scenario name to the violation
-   set an actual exploration produced; defaults to {!pinned}. *)
-let run ?(dynamic = pinned) iface =
+(* [run iface dynamic] — one entry per explore scenario of [dynamic],
+   which maps its name to the violation set exploration produces. *)
+let run iface dynamic =
   List.map
-    (fun (name, _) ->
-      let dyn =
-        match List.assoc_opt name dynamic with Some v -> v | None -> []
-      in
+    (fun (name, dyn) ->
       let dyn_classes = List.sort_uniq compare (List.map classify dyn) in
       let static = static_classes iface name in
       {
@@ -166,4 +144,4 @@ let run ?(dynamic = pinned) iface =
         x_static_classes = static;
         x_ok = List.for_all (fun c -> List.mem c static) dyn_classes;
       })
-    pinned
+    dynamic

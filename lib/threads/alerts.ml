@@ -38,7 +38,7 @@ let alert t ~lock ~self ~target =
          t.pending <- Tid.Set.add target t.pending;
          Probe.counter "alerts.sent" 1;
          Hashtbl.replace t.sent target (Probe.now ());
-         Some (Events.alert ~self ~target)));
+         if Probe.tracing () then Probe.emit { self; action = Alert { t = target } }));
   (match Hashtbl.find_opt t.cancels target with
   | Some cancel ->
     Hashtbl.remove t.cancels target;
@@ -54,7 +54,8 @@ let test_alert t ~self =
          was := Tid.Set.mem self t.pending;
          t.pending <- Tid.Set.remove self t.pending;
          if !was then note_delivered t self;
-         Some (Events.test_alert ~self ~result:!was)));
+         if Probe.tracing () then
+           Probe.emit { self; action = TestAlert { result = !was } }));
   !was
 
 let pending t tid = Tid.Set.mem tid t.pending

@@ -138,9 +138,10 @@ let enqueue_and_block ?timeout c m self ~proc ~count ~alertable =
       (M.M_read (Firefly.Eventcount.value_addr c.evc))
       (fun _ ->
         Hashtbl.replace c.window self ();
-        Some (Events.enqueue ~proc ~self ~m:(Mutex.id m) ~c:(id c)))
+        if Probe.tracing () then
+          Probe.emit { self; action = Enqueue { proc; m = Mutex.id m; c = id c } })
   in
-  Mutex.unlock_internal m ~event:(fun () -> None);
+  Mutex.unlock_internal m ~event:ignore;
   let wake = block ?timeout c i ~alertable in
   Probe.span_end ?sample:c.k.wakeup_cycles c.k.wait_span;
   wake
@@ -169,17 +170,18 @@ let wait_generic c m ~proc ~alertable =
      Mutex.lock_internal m ~event:(fun () ->
          Hashtbl.remove c.departing self;
          if raise_it then Alerts.consume_pending c.pkg.alerts self;
-         Some
-           (Events.alert_resume ~self ~m:(Mutex.id m) ~c:cid
-              ~alerted:raise_it))
+         if Probe.tracing () then
+           Probe.emit
+             { self;
+               action = AlertResume { m = Mutex.id m; c = cid; alerted = raise_it } })
    else
-     Mutex.lock_internal m ~event:(fun () ->
-         Some (Events.resume ~self ~m:(Mutex.id m) ~c:cid)));
+     Mutex.lock_internal m ~event:(if not (Probe.tracing ()) then ignore else fun () ->
+         Probe.emit { self; action = Resume { m = Mutex.id m; c = cid } }));
   left c ~t_start;
   if raise_it then raise Sync_intf.Alerted
 
-let wait c m = wait_generic c m ~proc:"Wait" ~alertable:false
-let alert_wait c m = wait_generic c m ~proc:"AlertWait" ~alertable:true
+let wait c m = wait_generic c m ~proc:Wait ~alertable:false
+let alert_wait c m = wait_generic c m ~proc:AlertWait ~alertable:true
 
 (* TimedWait = Enqueue; TimedResume.  The timer lives host-side in the
    machine; the driver fires it between steps and wakes us.  On waking we
@@ -193,7 +195,7 @@ let timed_wait c m ~timeout =
   let self = Ops.self () in
   let t_start = Probe.now () in
   let wake =
-    enqueue_and_block ~timeout c m self ~proc:"TimedWait"
+    enqueue_and_block ~timeout c m self ~proc:TimedWait
       ~count:c.k.timed_waits ~alertable:false
   in
   let timed_out =
@@ -211,7 +213,8 @@ let timed_wait c m ~timeout =
   let cid = id c in
   Mutex.lock_internal m ~event:(fun () ->
       Hashtbl.remove c.departing self;
-      Some (Events.timed_resume ~self ~m:(Mutex.id m) ~c:cid ~timed_out));
+      if Probe.tracing () then
+        Probe.emit { self; action = TimedResume { m = Mutex.id m; c = cid; timed_out } });
   left c ~t_start;
   if timed_out then begin
     Probe.counter c.k.timeouts 1;
@@ -226,14 +229,18 @@ let wake_some c ~take_all =
   let self = Ops.self () in
   Probe.counter (if take_all then c.k.broadcasts else c.k.signals) 1;
   Probe.counter c.k.wakeup_waiting_hits 0;
-  let event removed =
-    if take_all then Events.broadcast ~self ~c:(id c) ~removed
-    else Events.signal ~self ~c:(id c) ~removed
+  let emit removed =
+    let c = id c in
+    if Probe.tracing () then begin
+      let action =
+        if take_all then Spec_trace.Broadcast { c; removed } else Signal { c; removed }
+      in
+      Probe.emit { self; action }
+    end
   in
   let skipped =
     c.pkg.fast_path
-    && Ops.mem_emit (M.M_read c.interest) (fun v ->
-           if v = 0 then Some (event []) else None)
+    && Ops.mem_emit (M.M_read c.interest) (fun v -> if v = 0 then emit [])
        = 0
   in
   if skipped then Probe.counter c.k.nub_skips 1
@@ -261,7 +268,7 @@ let wake_some c ~take_all =
            if from_window <> [] then
              Probe.counter c.k.wakeup_waiting_hits
                (List.length from_window);
-           Some (event (from_q @ from_window @ from_departing))));
+           emit (from_q @ from_window @ from_departing)));
     List.iter
       (fun t ->
         Probe.handoff ~obj:(id c) t;

@@ -20,12 +20,14 @@ type cond = { mon : monitor; hq : Tqueue.t; cid : int }
    only on the run, not on how many runs this process (or a sibling
    domain) executed before it. *)
 
-let atomically f = ignore (Ops.mem_emit M.M_none (fun _ -> f (); None))
+let atomically f = ignore (Ops.mem_emit M.M_none (fun _ -> f ()))
 
 (* All events below are emitted with {!M.Probe.emit} from inside the
    atomic thunks: they cost no cycles and add no scheduling points, so
-   step counts are identical to the un-instrumented version. *)
+   step counts are identical to the un-instrumented version.  Each is
+   built only when the run is traced. *)
 let emit = M.Probe.emit
+let tracing = M.Probe.tracing
 
 let monitor () =
   let scratch = Ops.alloc 1 in
@@ -58,7 +60,7 @@ let enter mon =
       | None ->
         mon.holder <- Some self;
         M.Probe.lock_acquired mon.scratch;
-        emit (Events.acquire ~self ~m:mon.scratch);
+        if tracing () then emit { self; action = Acquire { m = mon.scratch } };
         got := true
       | Some _ ->
         M.Probe.lock_attempted mon.scratch;
@@ -77,7 +79,7 @@ let pass_on mon =
   let grant t =
     mon.holder <- Some t;
     M.Probe.lock_acquired ~tid:t mon.scratch;
-    emit (Events.acquire ~self:t ~m:mon.scratch);
+    if tracing () then emit { self = t; action = Acquire { m = mon.scratch } };
     Some t
   in
   match Tqueue.pop mon.urgent with
@@ -94,8 +96,9 @@ let exit mon =
   atomically (fun () ->
       M.Probe.touch mon.scratch;
       (match M.Probe.self () with
-      | Some self -> emit (Events.release ~self ~m:mon.scratch)
-      | None -> ());
+      | Some self when tracing () ->
+        emit { self; action = Release { m = mon.scratch } }
+      | _ -> ());
       M.Probe.lock_released mon.scratch;
       next := pass_on mon);
   match !next with
@@ -115,7 +118,8 @@ let wait c =
       M.Probe.touch c.mon.scratch;
       M.Probe.touch c.cid;
       Tqueue.push c.hq self;
-      emit (Events.enqueue ~proc:"Wait" ~self ~m:c.mon.scratch ~c:c.cid);
+      if tracing () then
+        emit { self; action = Enqueue { proc = Wait; m = c.mon.scratch; c = c.cid } };
       M.Probe.lock_released c.mon.scratch;
       next := pass_on c.mon);
   (match !next with
@@ -148,10 +152,13 @@ let do_signal c =
         M.Probe.lock_acquired ~tid:w c.mon.scratch;
         Tqueue.push c.mon.urgent self;
         c.mon.switch_count <- c.mon.switch_count + 2;
-        emit (Events.signal ~self ~c:c.cid ~removed:[ w ]);
-        emit (Events.resume ~self:w ~m:c.mon.scratch ~c:c.cid);
+        if tracing () then begin
+          emit { self; action = Signal { c = c.cid; removed = [ w ] } };
+          emit { self = w; action = Resume { m = c.mon.scratch; c = c.cid } }
+        end;
         woke := Some w
-      | None -> emit (Events.signal ~self ~c:c.cid ~removed:[]));
+      | None ->
+        if tracing () then emit { self; action = Signal { c = c.cid; removed = [] } });
   match !woke with
   | Some w ->
     Ops.incr_counter hoare_switches;

@@ -47,7 +47,7 @@ let id m = m.bit
 
 (* The test-and-set.  A win records the acquisition — per-object counters
    and the start of the "held" span whose duration feeds the hold-time
-   histogram — and emits [event], atomically with the instruction.
+   histogram — and runs [event], atomically with the instruction.
    Returns the old bit. *)
 let tas m ~fast ~event =
   Ops.mem_emit (M.M_tas m.bit) (fun old ->
@@ -57,8 +57,7 @@ let tas m ~fast ~event =
         Probe.counter m.k.fast_path_hits (if fast then 1 else 0);
         Probe.span_begin ~cat:"mutex" m.k.held_span;
         event ()
-      end
-      else None)
+      end)
 
 let enter_nub m =
   Ops.incr_counter nub_acquire_count;
@@ -143,11 +142,13 @@ let unlock_internal m ~event =
 
 let acquire m =
   let self = Ops.self () in
-  lock_internal m ~event:(fun () -> Some (Events.acquire ~self ~m:m.bit))
+  lock_internal m ~event:(if not (Probe.tracing ()) then ignore else fun () ->
+      Probe.emit { self; action = Acquire { m = m.bit } })
 
 let release m =
   let self = Ops.self () in
-  unlock_internal m ~event:(fun () -> Some (Events.release ~self ~m:m.bit))
+  unlock_internal m ~event:(if not (Probe.tracing ()) then ignore else fun () ->
+      Probe.emit { self; action = Release { m = m.bit } })
 
 let with_lock m f =
   acquire m;

@@ -40,10 +40,11 @@ val with_lock : t -> (unit -> 'a) -> 'a
     Wait's unlock/relock must not emit Acquire/Release events — their
     visible effects belong to Wait's own Enqueue/Resume actions. *)
 
-(** [lock_internal m ~event] — acquire, emitting [event ()] (if any)
-    atomically with the winning test-and-set. *)
-val lock_internal : t -> event:(unit -> Spec_trace.event option) -> unit
+(** [lock_internal m ~event] — acquire, running [event ()] (which emits
+    the caller's action, if any) atomically with the winning
+    test-and-set. *)
+val lock_internal : t -> event:(unit -> unit) -> unit
 
-(** [unlock_internal m ~event] — release, emitting [event ()] atomically
+(** [unlock_internal m ~event] — release, running [event ()] atomically
     with the bit clear. *)
-val unlock_internal : t -> event:(unit -> Spec_trace.event option) -> unit
+val unlock_internal : t -> event:(unit -> unit) -> unit

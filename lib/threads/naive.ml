@@ -36,5 +36,3 @@ let broadcast t =
   for _ = 1 to n do
     Semaphore.v t.sem
   done
-
-let waiters t = Ops.read t.nwaiters

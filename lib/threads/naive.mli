@@ -22,6 +22,3 @@ val signal : t -> unit
 
 (** Best-effort broadcast: one V per waiter registered at entry. *)
 val broadcast : t -> unit
-
-(** Waiters currently registered (racy, for metrics). *)
-val waiters : t -> int

@@ -108,8 +108,7 @@ let try_tas s ~fast ~event =
         Probe.counter s.k.acquires 1;
         Probe.counter s.k.fast_path_hits (if fast then 1 else 0);
         event ()
-      end
-      else None)
+      end)
   = 0
 
 let rec p_loop s ~first ~alertable ~event =
@@ -145,8 +144,8 @@ let rec p_loop s ~first ~alertable ~event =
 let p s =
   let self = Ops.self () in
   match
-    p_loop s ~first:true ~alertable:false ~event:(fun () ->
-        Some (Events.p ~self ~s:s.bit))
+    p_loop s ~first:true ~alertable:false ~event:(if not (Probe.tracing ()) then ignore
+      else fun () -> Probe.emit { self; action = P { s = s.bit } })
   with
   | `Acquired -> ()
   | `Alerted -> assert false
@@ -156,7 +155,7 @@ let v s =
   ignore
     (Ops.mem_emit (M.M_clear s.bit) (fun _ ->
          Probe.counter s.k.releases 1;
-         Some (Events.v ~self ~s:s.bit)));
+         if Probe.tracing () then Probe.emit { self; action = V { s = s.bit } }));
   if (not s.pkg.fast_path) || Ops.read s.waiters <> 0 then begin
     Ops.incr_counter nub_release_count;
     Probe.counter s.k.nub_releases 1;
@@ -174,7 +173,8 @@ let v s =
    next waiter, so a V that raced with our expiry is never lost. *)
 let timed_p s ~timeout =
   let self = Ops.self () in
-  let event () = Some (Events.timed_p ~self ~s:s.bit ~timed_out:false) in
+  let event = if not (Probe.tracing ()) then ignore else fun () ->
+      Probe.emit { self; action = TimedP { s = s.bit; timed_out = false } } in
   Probe.set_timeout ~cycles:timeout;
   let expire () =
     Spinlock.acquire ?obs:s.k.spin s.pkg.lock;
@@ -183,7 +183,8 @@ let timed_p s ~timeout =
     if Ops.read s.bit = 0 then ready_next s;
     ignore
       (Ops.mem_emit M.M_none (fun _ ->
-           Some (Events.timed_p ~self ~s:s.bit ~timed_out:true)));
+           if Probe.tracing () then
+             Probe.emit { self; action = TimedP { s = s.bit; timed_out = true } }));
     Spinlock.release s.pkg.lock;
     Probe.cancel_timeout ();
     Probe.counter s.k.timeouts 1;
@@ -206,8 +207,8 @@ let timed_p s ~timeout =
 let alert_p s =
   let self = Ops.self () in
   match
-    p_loop s ~first:true ~alertable:true ~event:(fun () ->
-        Some (Events.alert_p ~self ~s:s.bit ~alerted:false))
+    p_loop s ~first:true ~alertable:true ~event:(if not (Probe.tracing ()) then ignore
+      else fun () -> Probe.emit { self; action = AlertP { s = s.bit; alerted = false } })
   with
   | `Acquired -> ()
   | `Alerted ->
@@ -215,5 +216,6 @@ let alert_p s =
     ignore
       (Ops.mem_emit M.M_none (fun _ ->
            Alerts.consume_pending s.pkg.alerts self;
-           Some (Events.alert_p ~self ~s:s.bit ~alerted:true)));
+           if Probe.tracing () then
+             Probe.emit { self; action = AlertP { s = s.bit; alerted = true } }));
     raise Sync_intf.Alerted

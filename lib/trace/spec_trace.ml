@@ -1,49 +1,85 @@
 module Tid = Threads_util.Tid
 
-type arg = Obj of int | Thr of Tid.t
+type wait = Wait | AlertWait | TimedWait
 
-type outcome = Ret | Raise of string
+type action =
+  | Acquire of { m : int }
+  | Release of { m : int }
+  | Enqueue of { proc : wait; m : int; c : int }
+  | Resume of { m : int; c : int }
+  | AlertResume of { m : int; c : int; alerted : bool }
+  | TimedResume of { m : int; c : int; timed_out : bool }
+  | Signal of { c : int; removed : Tid.t list }
+  | Broadcast of { c : int; removed : Tid.t list }
+  | P of { s : int }
+  | V of { s : int }
+  | Alert of { t : Tid.t }
+  | TestAlert of { result : bool }
+  | AlertP of { s : int; alerted : bool }
+  | TimedP of { s : int; timed_out : bool }
 
-type event = {
-  proc : string;
-  action : string;
-  self : Tid.t;
-  args : (string * arg) list;
-  outcome : outcome;
-  result_bool : bool option;
-  removed : Tid.t list;
-}
+type event = { self : Tid.t; action : action }
 
-let make ~proc ?action ~self ~args ?(outcome = Ret) ?result_bool
-    ?(removed = []) () =
-  {
-    proc;
-    action = Option.value action ~default:proc;
-    self;
-    args;
-    outcome;
-    result_bool;
-    removed;
-  }
+let kind = function
+  | Acquire _ -> 0 | Release _ -> 1 | Enqueue { proc = Wait; _ } -> 2
+  | Enqueue { proc = AlertWait; _ } -> 3 | Enqueue { proc = TimedWait; _ } -> 4
+  | Resume _ -> 5 | AlertResume _ -> 6 | TimedResume _ -> 7 | Signal _ -> 8
+  | Broadcast _ -> 9 | P _ -> 10 | V _ -> 11 | Alert _ -> 12 | TestAlert _ -> 13
+  | AlertP _ -> 14 | TimedP _ -> 15
 
-let pp_arg ppf = function
-  | Obj id -> Format.fprintf ppf "#%d" id
-  | Thr t -> Tid.pp ppf t
+let names =
+  [| ("Acquire", "Acquire"); ("Release", "Release"); ("Wait", "Enqueue");
+     ("AlertWait", "Enqueue"); ("TimedWait", "Enqueue"); ("Wait", "Resume");
+     ("AlertWait", "AlertResume"); ("TimedWait", "TimedResume");
+     ("Signal", "Signal"); ("Broadcast", "Broadcast"); ("P", "P"); ("V", "V");
+     ("Alert", "Alert"); ("TestAlert", "TestAlert"); ("AlertP", "AlertP");
+     ("TimedP", "TimedP") |]
 
-let pp_event ppf e =
-  Format.fprintf ppf "%a: %s.%s(%a)" Tid.pp e.self e.proc e.action
+let kinds = Array.length names
+let kind_names k = names.(k)
+let proc_name a = fst names.(kind a)
+let action_name a = snd names.(kind a)
+
+let args = function
+  | Acquire { m } | Release { m } -> [ ("m", m) ]
+  | Enqueue { m; c; _ } | Resume { m; c } | AlertResume { m; c; _ }
+  | TimedResume { m; c; _ } ->
+    [ ("m", m); ("c", c) ]
+  | Signal { c; _ } | Broadcast { c; _ } -> [ ("c", c) ]
+  | P { s } | V { s } | AlertP { s; _ } | TimedP { s; _ } -> [ ("s", s) ]
+  | Alert { t } -> [ ("t", t) ]
+  | TestAlert _ -> []
+
+let raises = function
+  | AlertResume { alerted = true; _ } | AlertP { alerted = true; _ } ->
+    Some "Alerted"
+  | TimedResume { timed_out = true; _ } | TimedP { timed_out = true; _ } ->
+    Some "TimedOut"
+  | _ -> None
+
+let result = function TestAlert { result } -> Some result | _ -> None
+
+let removed = function
+  | Signal { removed; _ } | Broadcast { removed; _ } -> removed
+  | _ -> []
+
+let pp_event ppf { self; action } =
+  let pp_arg ppf (name, id) =
+    match action with
+    | Alert _ -> Format.fprintf ppf "%s=%a" name Tid.pp id
+    | _ -> Format.fprintf ppf "%s=#%d" name id
+  in
+  Format.fprintf ppf "%a: %s.%s(%a)" Tid.pp self (proc_name action)
+    (action_name action)
     (Format.pp_print_list
        ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       (fun ppf (name, a) -> Format.fprintf ppf "%s=%a" name pp_arg a))
-    e.args;
-  (match e.outcome with
-  | Ret -> ()
-  | Raise exc -> Format.fprintf ppf " raises %s" exc);
-  (match e.result_bool with
-  | Some b -> Format.fprintf ppf " -> %b" b
-  | None -> ());
-  if e.removed <> [] then
-    Format.fprintf ppf " removed=%a" Tid.Set.pp (Tid.Set.of_list e.removed)
+       pp_arg)
+    (args action);
+  Option.iter (Format.fprintf ppf " raises %s") (raises action);
+  Option.iter (Format.fprintf ppf " -> %b") (result action);
+  match removed action with
+  | [] -> ()
+  | r -> Format.fprintf ppf " removed=%a" Tid.Set.pp (Tid.Set.of_list r)
 
 let event_to_string e = Format.asprintf "%a" pp_event e
 

@@ -40,8 +40,6 @@ let int t bound =
   assert (bound > 0);
   draw t bound (0x3FFFFFFFFFFFFFFF / bound * bound)
 
-let bool t = Int64.logand (next64 t) 1L = 1L
-
 let float t = float_of_int (next t) *. (1.0 /. 4611686018427387904.0)
 
 let pick t arr =

@@ -24,11 +24,8 @@ val copy : t -> t
 val next : t -> int
 
 (** [int t bound] is uniform in [\[0, bound)].  Requires [bound > 0].
-    [next], [int] and [bool] allocate nothing. *)
+    [next] and [int] allocate nothing. *)
 val int : t -> int -> int
-
-(** [bool t] is a uniform boolean. *)
-val bool : t -> bool
 
 (** [float t] is uniform in [\[0, 1)]. *)
 val float : t -> float

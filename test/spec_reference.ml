@@ -340,12 +340,12 @@ module Conformance = struct
   let bindings_of ctx (proc : Proc.t) (ev : Spec_trace.event) =
     List.map
       (fun (f : Proc.formal) ->
-        match List.assoc_opt f.f_name ev.args with
-        | None -> failwith (Printf.sprintf "event lacks argument %s" f.f_name)
-        | Some (Spec_trace.Obj impl_id) ->
+        match (List.assoc_opt f.f_name (Spec_trace.args ev.action), f.f_mode) with
+        | None, _ -> failwith (Printf.sprintf "event lacks argument %s" f.f_name)
+        | Some impl_id, Proc.By_var ->
           let sort = Proc.sort_of_type ctx.iface f.f_type in
           (f.f_name, Term.Obj (obj_for ctx ~sort ~impl_id))
-        | Some (Spec_trace.Thr t) -> (f.f_name, Term.Const (Value.Thread t)))
+        | Some t, Proc.By_value -> (f.f_name, Term.Const (Value.Thread t)))
       proc.p_formals
 
   let arg_obj bindings name =
@@ -367,7 +367,8 @@ module Conformance = struct
     let self = ev.self in
     let set_obj name v st = State.set st (arg_obj bindings name) v in
     let alerts_del st = State.set_alerts st (Tid.Set.remove self (State.alerts st)) in
-    match (ev.proc, ev.action, ev.outcome) with
+    let raised = Spec_trace.raises ev.action <> None in
+    match (Spec_trace.proc_name ev.action, Spec_trace.action_name ev.action, raised) with
     | "Acquire", _, _ -> set_obj "m" (Value.Thread self) st
     | "Release", _, _ -> set_obj "m" Value.Nil st
     | ("Wait" | "AlertWait" | "TimedWait"), "Enqueue", _ ->
@@ -376,16 +377,16 @@ module Conformance = struct
       let st = State.set st c (Value.Set (Tid.Set.add self members)) in
       set_obj "m" Value.Nil st
     | "Wait", "Resume", _ -> set_obj "m" (Value.Thread self) st
-    | "TimedWait", "TimedResume", Spec_trace.Ret ->
+    | "TimedWait", "TimedResume", false ->
       set_obj "m" (Value.Thread self) st
-    | "TimedWait", "TimedResume", Spec_trace.Raise _ ->
+    | "TimedWait", "TimedResume", true ->
       let c = arg_obj bindings "c" in
       let members = Value.as_set (State.get st c) in
       let st = State.set st c (Value.Set (Tid.Set.remove self members)) in
       set_obj "m" (Value.Thread self) st
-    | "AlertWait", "AlertResume", Spec_trace.Ret ->
+    | "AlertWait", "AlertResume", false ->
       set_obj "m" (Value.Thread self) st
-    | "AlertWait", "AlertResume", Spec_trace.Raise _ ->
+    | "AlertWait", "AlertResume", true ->
       let c = arg_obj bindings "c" in
       let members = Value.as_set (State.get st c) in
       let st = State.set st c (Value.Set (Tid.Set.remove self members)) in
@@ -395,7 +396,8 @@ module Conformance = struct
       let c = arg_obj bindings "c" in
       let members = Value.as_set (State.get st c) in
       let members =
-        List.fold_left (fun acc t -> Tid.Set.remove t acc) members ev.removed
+        List.fold_left (fun acc t -> Tid.Set.remove t acc) members
+          (Spec_trace.removed ev.action)
       in
       State.set st c (Value.Set members)
     | "P", _, _ -> set_obj "s" (Value.Sem Value.Unavailable) st
@@ -404,11 +406,11 @@ module Conformance = struct
       let target = arg_thread bindings "t" in
       State.set_alerts st (Tid.Set.add target (State.alerts st))
     | "TestAlert", _, _ -> alerts_del st
-    | "AlertP", _, Spec_trace.Ret ->
+    | "AlertP", _, false ->
       set_obj "s" (Value.Sem Value.Unavailable) st
-    | "AlertP", _, Spec_trace.Raise _ -> alerts_del st
-    | "TimedP", _, Spec_trace.Ret -> set_obj "s" (Value.Sem Value.Unavailable) st
-    | "TimedP", _, Spec_trace.Raise _ -> st
+    | "AlertP", _, true -> alerts_del st
+    | "TimedP", _, false -> set_obj "s" (Value.Sem Value.Unavailable) st
+    | "TimedP", _, true -> st
     | proc, action, _ ->
       failwith (Printf.sprintf "unknown event %s.%s" proc action)
 
@@ -428,8 +430,10 @@ module Conformance = struct
     List.iteri
       (fun index (ev : Spec_trace.event) ->
         incr count;
+        let ev_proc = Spec_trace.proc_name ev.action
+        and ev_action = Spec_trace.action_name ev.action in
         let fail message = ctx.errors <- { index; event = ev; message } :: ctx.errors in
-        match Proc.find_proc iface ev.proc with
+        match Proc.find_proc iface ev_proc with
         | exception Not_found -> fail "no such procedure in the interface"
         | proc -> (
           match bindings_of ctx proc ev with
@@ -439,14 +443,14 @@ module Conformance = struct
           let action_or_error =
             match Hashtbl.find_opt ctx.in_progress ev.self with
             | Some (pname, next :: rest) ->
-              if pname <> ev.proc then
+              if pname <> ev_proc then
                 Error
                   (Printf.sprintf
-                     "thread is mid-%s but emitted a %s event" pname ev.proc)
-              else if next.Proc.a_name <> ev.action then
+                     "thread is mid-%s but emitted a %s event" pname ev_proc)
+              else if next.Proc.a_name <> ev_action then
                 Error
                   (Printf.sprintf "expected action %s of %s, got %s"
-                     next.Proc.a_name pname ev.action)
+                     next.Proc.a_name pname ev_action)
               else begin
                 (if rest = [] then Hashtbl.remove ctx.in_progress ev.self
                  else Hashtbl.replace ctx.in_progress ev.self (pname, rest));
@@ -458,11 +462,11 @@ module Conformance = struct
               match actions with
               | [] -> Error "procedure with no actions"
               | first :: rest ->
-                if first.Proc.a_name <> ev.action then
+                if first.Proc.a_name <> ev_action then
                   Error
                     (Printf.sprintf
                        "expected first action %s of %s, got %s"
-                       first.Proc.a_name ev.proc ev.action)
+                       first.Proc.a_name ev_proc ev_action)
                 else begin
                   (* REQUIRES is the caller's obligation at the first
                      action. *)
@@ -475,7 +479,7 @@ module Conformance = struct
                       { index; event = ev; message = "REQUIRES violated by caller" }
                       :: ctx.requires_violations;
                   if rest <> [] then
-                    Hashtbl.replace ctx.in_progress ev.self (ev.proc, rest);
+                    Hashtbl.replace ctx.in_progress ev.self (ev_proc, rest);
                   Ok first
                 end)
           in
@@ -487,11 +491,13 @@ module Conformance = struct
             | exception Failure message -> fail message
             | post -> (
               let outcome =
-                match ev.outcome with
-                | Spec_trace.Ret -> Proc.Returns
-                | Spec_trace.Raise e -> Proc.Raises e
+                match Spec_trace.raises ev.action with
+                | None -> Proc.Returns
+                | Some e -> Proc.Raises e
               in
-              let result = Option.map (fun b -> Value.Bool b) ev.result_bool in
+              let result =
+                Option.map (fun b -> Value.Bool b) (Spec_trace.result ev.action)
+              in
               ctx.state <- post;
               observe proc action ~self:ev.self ~bindings ~pre ~post ~outcome
                 ~result;

@@ -63,7 +63,9 @@ let hoare_violates_resume () =
     (fun (r : Cc.run) ->
       List.iter
         (fun (e : Threads_model.Conformance.error) ->
-          if e.event.Spec_trace.action <> "Resume" then
+          match e.event.action with
+          | Resume _ -> ()
+          | _ ->
             Alcotest.failf "non-Resume violation: %a" Spec_trace.pp_event
               e.event)
         r.report.Threads_model.Conformance.errors)

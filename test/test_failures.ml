@@ -68,7 +68,9 @@ let test_wait_without_holding () =
   Alcotest.(check bool) "caller blamed" true
     (List.exists
        (fun (e : Threads_model.Conformance.error) ->
-         e.event.Spec_trace.proc = "Wait")
+         match e.event.action with
+         | Enqueue { proc = Wait; _ } | Resume _ -> true
+         | _ -> false)
        rep.requires_violations)
 
 let test_double_release_harmless_at_impl_level () =

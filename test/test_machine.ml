@@ -178,10 +178,7 @@ let test_mem_emit_atomicity () =
                    ignore
                      (Ops.mem_emit (M.M_tas a) (fun old ->
                           if old = 0 then
-                            Some
-                              (Spec_trace.make ~proc:"Win" ~self ~args:[]
-                                 ())
-                          else None))
+                            M.Probe.emit { self; action = Acquire { m = a } }))
                  in
                  let t1 = Ops.spawn contender in
                  let t2 = Ops.spawn contender in
@@ -207,9 +204,8 @@ let test_determinism () =
                    for _ = 1 to 10 do
                      ignore (Ops.faa a 1)
                    done;
-                   Ops.emit
-                     (Spec_trace.make ~proc:"done" ~self:(Ops.self ())
-                        ~args:[] ())
+                   let self = Ops.self () in
+                   M.Probe.emit { self; action = TestAlert { result = false } }
                  in
                  let ts = List.init 3 (fun _ -> Ops.spawn worker) in
                  List.iter Ops.join ts)))
@@ -596,8 +592,8 @@ let test_schedule_pins () =
    stand for the simulator's hot paths — the uncontended fast path on the
    interleaving driver, a spin livelock run out to its step bound, and
    the 5-processor timed driver.  Within one build the counts repeat
-   exactly; each bound is 1.25 times the count measured once statistics
-   were published only to a subscriber, so a regression cannot creep in
+   exactly; each bound is 1.25 times the count measured once spec events
+   were built only for a subscriber, so a regression cannot creep in
    unseen. *)
 let words_per_step run =
   let w0 = Gc.minor_words () in
@@ -627,14 +623,14 @@ let test_allocation_budget () =
         Alcotest.failf "%s: %.2f minor words per step, budget %.2f" name w
           bound)
     [
-      ( "E1 pairs, interleaving driver", 1.25 *. 28.21,
+      ( "E1 pairs, interleaving driver", 1.25 *. 19.01,
         fun () ->
           (Taos_threads.Api.run ~seed:1 pairs).Firefly.Interleave.steps );
-      ( "E10 livelock to the step bound", 1.25 *. 15.01,
+      ( "E10 livelock to the step bound", 1.25 *. 15.00,
         fun () ->
           (E10.pv_run ~prefer:true ~seed:livelock ()).Firefly.Interleave.steps
       );
-      ( "E2 body, 5-processor timed driver", 1.25 *. 20.51,
+      ( "E2 body, 5-processor timed driver", 1.25 *. 17.57,
         fun () ->
           (Taos_threads.Api.run_timed ~processors:5 ~seed:7 timed_workers)
             .Firefly.Timed.steps );

@@ -41,7 +41,9 @@ let test_multi_unblock_exists_and_conforms () =
     let multi =
       List.exists
         (fun (e : Spec_trace.event) ->
-          e.proc = "Signal" && List.length e.removed > 1)
+          match e.action with
+          | Signal { removed; _ } -> List.length removed > 1
+          | _ -> false)
         trace
     in
     if multi then begin

@@ -184,22 +184,13 @@ let test_lock_order_edges () =
 
 (* ---- DPOR soundness cross-check ---- *)
 
-let test_crossval_pinned_in_sync () =
-  (* the pinned dynamic sets must match the harness's expectations *)
-  List.iter
-    (fun (name, expect) ->
-      match Threads_harness.Explore_scenarios.find name with
-      | None -> Alcotest.fail ("explore scenario missing: " ^ name)
-      | Some sc ->
-        Alcotest.(check (list string)) (name ^ " expectations")
-          sc.Threads_harness.Explore_scenarios.expect expect)
-    SC.Crossval.pinned;
-  Alcotest.(check int) "all explore scenarios covered"
-    (List.length Threads_harness.Explore_scenarios.all)
-    (List.length SC.Crossval.pinned)
-
 let test_crossval_sound () =
-  let entries = SC.Crossval.run Threads_interface.final in
+  let entries =
+    SC.Crossval.run Threads_interface.final
+      (List.map
+         (fun (s : Threads_harness.Explore_scenarios.t) -> (s.name, s.expect))
+         Threads_harness.Explore_scenarios.all)
+  in
   List.iter
     (fun (e : SC.Crossval.entry) ->
       Alcotest.(check bool)
@@ -254,8 +245,6 @@ let suite =
         test_progcheck_harness_clean;
       Alcotest.test_case "defect demos flagged" `Quick test_progcheck_demos;
       Alcotest.test_case "lock-order edges" `Quick test_lock_order_edges;
-      Alcotest.test_case "crossval pinned in sync" `Quick
-        test_crossval_pinned_in_sync;
       Alcotest.test_case "crossval sound" `Quick test_crossval_sound;
       Alcotest.test_case "dynamic classification" `Quick test_classify;
     ] )
