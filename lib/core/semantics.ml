@@ -146,23 +146,27 @@ module Names = Map.Make (String)
 
 type t = proc Names.t
 
-(* The last 32 interfaces compiled, by identity.  Any domain may read the
-   list; a domain that compiles publishes its result with a
+(* The results for the last 32 interfaces, by identity.  Any domain may
+   read the list; a domain that computes publishes its result with a
    compare-and-set, and if it loses a race the result is just not kept. *)
-let compiled = Atomic.make []
+let memo f =
+  let results = Atomic.make [] in
+  fun (iface : Proc.interface) ->
+    let seen = Atomic.get results in
+    match List.assq_opt iface seen with
+    | Some t -> t
+    | None ->
+      let t = f iface in
+      let kept = List.filteri (fun i _ -> i < 31) seen in
+      ignore (Atomic.compare_and_set results seen ((iface, t) :: kept));
+      t
 
-let compile (iface : Proc.interface) =
-  let seen = Atomic.get compiled in
-  match List.assq_opt iface seen with
-  | Some t -> t
-  | None ->
-    let add t (p : Proc.t) =
-      if Names.mem p.p_name t then t else Names.add p.p_name (compile_proc p) t
-    in
-    let t = List.fold_left add Names.empty iface.i_procs in
-    let kept = List.filteri (fun i _ -> i < 31) seen in
-    ignore (Atomic.compare_and_set compiled seen ((iface, t) :: kept));
-    t
+let compile =
+  memo (fun iface ->
+      let add t (p : Proc.t) =
+        if Names.mem p.p_name t then t else Names.add p.p_name (compile_proc p) t
+      in
+      List.fold_left add Names.empty iface.i_procs)
 
 let find t name = Names.find name t
 

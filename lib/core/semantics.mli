@@ -55,6 +55,10 @@ val spec : proc -> Proc.t
 
 type t
 
+(** [memo f] is [f], with its results for the last 32 interfaces kept by
+    their identity; safe to call from any domain. *)
+val memo : (Proc.interface -> 'a) -> Proc.interface -> 'a
+
 (** [compile iface], memoized on the identity of [iface]. *)
 val compile : Proc.interface -> t
 
