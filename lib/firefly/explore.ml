@@ -98,13 +98,14 @@ let explore ?(max_preemptions = max_int) ?(stop_at_first = false)
       in
       steps := !steps + nsteps;
       peak := max !peak nsteps;
-      match res with
+      (match res with
       | `Branch candidates ->
         stack := List.map (fun t -> t :: path) candidates @ rest
       | `End verdict ->
         incr executions;
         if verdict = Interleave.Step_limit then incr truncated;
-        note found (check { verdict; machine = m }))
+        note found (check { verdict; machine = m }));
+      Machine.dispose m)
   done;
   ( List.sort_uniq String.compare !found,
     { executions = !executions; sleep_blocked = 0; dpor_truncated = !truncated;
@@ -327,7 +328,8 @@ let dpor ~max_depth ~max_runs ~prefix ~sleep:sleep0 ?hand_off ?progress
             take (!plen - 1) nd;
             extend ()))
     in
-    extend ()
+    extend ();
+    Machine.dispose m
   in
   (* Pop to the deepest node with an unexplored backtrack candidate;
      candidates already in the node's sleep set are pruned outright. *)

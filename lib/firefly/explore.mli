@@ -2,9 +2,9 @@
 
     Continuations are one-shot, so the machine cannot be forked; instead
     the program is re-run from scratch under each schedule prefix (the
-    standard replay technique of systematic concurrency testers).  The
-    state space is a tree of scheduling choices, walked depth first up to
-    a depth bound.
+    standard replay technique of systematic concurrency testers), and
+    each run's machine is disposed of ({!Machine.dispose}) once [check]
+    has seen it.  The state space is a tree of scheduling choices.
 
     Complexity is exponential in program length — use it on the small
     scenarios of the model-checking experiments (2-4 threads, a handful of

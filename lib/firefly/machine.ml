@@ -243,7 +243,8 @@ type t = {
   mutable on_touch : (event -> unit) list;
   mutable on_prof : (event -> unit) list;
   mutable on_stat : (event -> unit) list;
-  mutable slot : t option;  (* [Some m] itself, built once for [step] *)
+  mutable slot : t option;
+      (* [Some m] itself, built once for [step]; [None] once disposed *)
   mutable running : Tid.t;  (* the thread inside [step] *)
 }
 
@@ -552,8 +553,8 @@ let finish m t st =
    Used both to start a fresh thread and to resume one (via [continue]). *)
 let handler m t =
   {
-    Effect.Deep.retc = (fun () -> finish m t Finished);
-    exnc = (fun e -> finish m t (Failed e));
+    Effect.Deep.retc = (fun () -> if m.slot != None then finish m t Finished);
+    exnc = (fun e -> if m.slot != None then finish m t (Failed e));
     effc =
       (fun (type a) (eff : a Effect.t) ->
         match eff with
@@ -795,6 +796,28 @@ let step m tid =
   | exception e ->
     set_current saved;
     raise e
+
+(* A continuation dropped unresumed keeps its fiber stack for good, so
+   [dispose] raises [Disposed] at each paused thread's pending effect.
+   With no ambient machine and a handler that finishes nothing, no event
+   is published and no count or status moves.  Effects performed while
+   unwinding are discontinued too, at most 64 times per thread. *)
+exception Disposed
+
+let dispose m =
+  let saved = current () in
+  set_current None;
+  m.slot <- None;
+  let rec unwind t n =
+    let paused = t.paused in
+    t.paused <- Gone;
+    match paused with
+    | At_effect (_, k) when n > 0 -> Effect.Deep.discontinue k Disposed; unwind t (n - 1)
+    | Resume_unit k when n > 0 -> Effect.Deep.discontinue k Disposed; unwind t (n - 1)
+    | _ -> ()
+  in
+  for i = 0 to m.nthreads - 1 do unwind m.threads.(i) 64 done;
+  set_current saved
 
 let counter m name =
   let id = counter_id name in

@@ -455,6 +455,11 @@ val live : t -> bool
     Raises [Failure] if [t] is not runnable. *)
 val step : t -> Threads_util.Tid.t -> int
 
+(** [dispose m] unwinds every paused thread of [m], which will not be
+    stepped again, to free its stack (a dropped continuation never frees
+    it).  It publishes nothing and moves no count or status. *)
+val dispose : t -> unit
+
 (** {1 Observation} *)
 
 (** [subscribe m kind f] calls [f] on every event of [kind] that [m]

@@ -57,11 +57,12 @@ let cancels : (int, unit -> unit) Hashtbl.t = Hashtbl.create 16
    the sink's order is a legal linearization of the run, so the trace can
    be replayed against the specification by the same checker the
    simulator uses.  Untraced runs keep the lock-free fast paths — the
-   [traced ()] test is one atomic load. *)
+   [traced ()] test is one atomic load.  Inlined, with closed [ev] and
+   [on_alerted] hooks that take the object, they allocate nothing. *)
 let sink : Spec_trace.Sink.t option Atomic.t = Atomic.make None
 
 let set_trace_sink s = Atomic.set sink s
-let traced () = Atomic.get sink <> None
+let traced () = match Atomic.get sink with Some _ -> true | None -> false
 
 let emit ev =
   match Atomic.get sink with
@@ -132,23 +133,23 @@ module Sync = struct
   let try_bit m = Atomic.compare_and_set m.bit false true
 
   (* Traced acquisition point: take the nub so the winning test-and-set
-     and its event append are one atomic step.  [ev] emits the event; it
+     and its event append are one atomic step.  [ev m] emits the event; it
      runs only on the winning CAS of a traced run and may carry
      bookkeeping that must be atomic with the event (departing/pending
      consumption). *)
-  let try_bit_ev m ~ev =
+  let[@inline] try_bit_ev m ~ev =
     if not (traced ()) then try_bit m
     else begin
       Spin.acquire nub;
       let ok = try_bit m in
-      if ok then ev ();
+      if ok then ev m;
       Spin.release nub;
       ok
     end
 
   (* The Nub subroutine for Acquire/P: enqueue, re-test, park or retry.
      [alertable] adds the pending check and cancellation registration.
-     Returns [`Alerted] only for alertable calls; [on_alerted] is the
+     Returns [`Alerted] only for alertable calls; [on_alerted m] is the
      traced-run hook for that outcome — invoked under the nub hold that
      decided it, it consumes the pending alert and returns the Raise
      event. *)
@@ -156,7 +157,7 @@ module Sync = struct
     let me = self () in
     Spin.acquire nub;
     if alertable && Hashtbl.mem pending me.tid then begin
-      if traced () then emit (on_alerted ());
+      if traced () then emit (on_alerted m);
       Spin.release nub;
       `Alerted
     end
@@ -180,7 +181,7 @@ module Sync = struct
             Hashtbl.remove cancels me.tid;
             let w = me.woken_by_alert in
             me.woken_by_alert <- false;
-            if w && traced () then emit (on_alerted ());
+            if w && traced () then emit (on_alerted m);
             Spin.release nub;
             w
           end
@@ -198,21 +199,21 @@ module Sync = struct
       end
     end
 
-  let lock m ~alertable ~ev ~on_alerted =
+  let[@inline] lock m ~alertable ~ev ~on_alerted =
     if try_bit_ev m ~ev then `Acquired
     else slow_lock m ~alertable ~ev ~on_alerted
 
-  let no_alert () = assert false
+  let no_alert _ = assert false
 
-  (* [ev] emits the Release/V event of a traced run; [ignore] for the
+  (* [ev m] emits the Release/V event of a traced run; [ignore] for the
      internal release inside Wait, whose abstract transition already
      happened at the Enqueue event. *)
-  let unlock_ev m ~ev =
+  let[@inline] unlock_ev m ~ev =
     (if not (traced ()) then Atomic.set m.bit false
      else begin
        Spin.acquire nub;
        Atomic.set m.bit false;
-       ev ();
+       ev m;
        Spin.release nub
      end);
     if Atomic.get m.waiters <> 0 then begin
@@ -228,33 +229,42 @@ module Sync = struct
 
   let unlock m = unlock_ev m ~ev:ignore
 
-  let acquire m =
-    let ev () = emit { self = (self ()).tid; action = Acquire { m = m.id } } in
+  let[@inline] lock_plain m ~ev =
     match lock m ~alertable:false ~ev ~on_alerted:no_alert with
     | `Acquired -> ()
     | `Alerted -> assert false
 
+  let acquire m =
+    lock_plain m ~ev:(fun m ->
+        emit { self = (self ()).tid; action = Acquire { m = m.id } })
+
   let release m =
-    unlock_ev m ~ev:(fun () ->
+    unlock_ev m ~ev:(fun m ->
         emit { self = (self ()).tid; action = Release { m = m.id } })
 
+  (* Not [Fun.protect], which allocates its own closures. *)
   let with_lock m f =
     acquire m;
-    Fun.protect ~finally:(fun () -> release m) f
+    match f () with
+    | x ->
+      release m;
+      x
+    | exception e ->
+      release m;
+      raise e
 
   let p s =
-    let ev () = emit { self = (self ()).tid; action = P { s = s.id } } in
-    match lock s ~alertable:false ~ev ~on_alerted:no_alert with
-    | `Acquired -> ()
-    | `Alerted -> assert false
+    lock_plain s ~ev:(fun s -> emit { self = (self ()).tid; action = P { s = s.id } })
 
   let v s =
-    unlock_ev s ~ev:(fun () -> emit { self = (self ()).tid; action = V { s = s.id } })
+    unlock_ev s ~ev:(fun s -> emit { self = (self ()).tid; action = V { s = s.id } })
 
   let alert_p s =
-    let me = self () in
-    let ev () = emit { self = me.tid; action = AlertP { s = s.id; alerted = false } } in
-    let on_alerted () =
+    let ev s =
+      emit { self = (self ()).tid; action = AlertP { s = s.id; alerted = false } }
+    in
+    let on_alerted s =
+      let me = self () in
       Hashtbl.remove pending me.tid;
       { Spec_trace.self = me.tid; action = AlertP { s = s.id; alerted = true } }
     in
@@ -262,7 +272,7 @@ module Sync = struct
     | `Acquired -> ()
     | `Alerted ->
       Spin.acquire nub;
-      Hashtbl.remove pending me.tid;
+      Hashtbl.remove pending (self ()).tid;
       Spin.release nub;
       raise Alerted
 
@@ -333,7 +343,7 @@ module Sync = struct
         Spin.release nub;
         w
     in
-    let ev () =
+    let ev _ =
       if alertable then begin
         Hashtbl.remove c.departing me.tid;
         if raise_it then Hashtbl.remove pending me.tid;
@@ -343,9 +353,7 @@ module Sync = struct
       end
       else emit { self = me.tid; action = Resume { m = m.id; c = c.cid } }
     in
-    (match lock m ~alertable:false ~ev ~on_alerted:no_alert with
-    | `Acquired -> ()
-    | `Alerted -> assert false);
+    lock_plain m ~ev;
     ignore (Atomic.fetch_and_add c.interest (-1));
     if raise_it then begin
       Spin.acquire nub;

@@ -22,9 +22,10 @@
     The same trace is all that lock-order analysis reads
     ([Threads_analysis.Analysis.run_backend]): each thread's Acquire,
     Release, Wait's Enqueue and Resume events in program order.
-    Untraced runs keep the lock-free fast paths untouched: besides its
-    test-and-set or clear, an Acquire or Release makes one atomic load,
-    of the sink.
+    An untraced, uncontended operation allocates nothing and never takes
+    the nub: Acquire, P and AlertP load the sink and test-and-set the bit;
+    Release and V load the sink, clear the bit and load the waiter count;
+    Signal and Broadcast with no waiter load the sink and the interest.
 
     [fork] spawns a domain; keep thread counts near the core count. *)
 

@@ -636,6 +636,74 @@ let test_allocation_budget () =
             .Firefly.Timed.steps );
     ]
 
+(* Both explorers dispose of every machine they abandon.  Every thread of
+   the scenario runs inside a host-side [Fun.protect] and ends blocked for
+   good, so each thread a replay started is unwound exactly once; one more
+   thread swallows every exception and blocks again, and disposal must
+   still end.  Disposal comes after [check] and changes nothing it read:
+   each checked machine reads the same counts, statuses and events
+   afterwards, and the search reports what it reported before machines
+   were disposed. *)
+let test_explore_disposes () =
+  let entered = ref 0 and unwound = ref 0 in
+  let events = ref [] and checked = ref [] in
+  let guarded body =
+    Fun.protect ~finally:(fun () -> incr unwound) (fun () ->
+        incr entered;
+        body ())
+  in
+  let build machine =
+    let n = ref 0 in
+    events := (machine, n) :: !events;
+    List.iter
+      (fun k -> M.subscribe machine k (fun _ -> incr n))
+      M.[ K_spec; K_access; K_touch; K_prof; K_stat ];
+    ignore
+      (M.spawn_root machine (fun () ->
+           guarded (fun () ->
+               let a = Ops.alloc 2 in
+               let child () =
+                 guarded (fun () ->
+                     Ops.write a 1;
+                     Ops.deschedule_and_clear (a + 1))
+               in
+               let rec swallow () =
+                 (try Ops.deschedule_and_clear (a + 1) with _ -> ());
+                 swallow ()
+               in
+               let t1 = Ops.spawn child in
+               ignore (Ops.spawn swallow);
+               Ops.write a 2;
+               Ops.join t1)))
+  in
+  let reading m =
+    ( M.total_cycles m, M.total_instructions m, M.runnable m, M.blocked m,
+      List.length (M.failures m), !(List.assq m !events) )
+  in
+  let check (o : Firefly.Explore.outcome) =
+    checked := (o.machine, reading o.machine) :: !checked;
+    match o.verdict with
+    | Firefly.Interleave.Deadlock ts -> Some (Printf.sprintf "%d blocked" (List.length ts))
+    | _ -> None
+  in
+  let stats (s : Firefly.Explore.stats) =
+    [ s.executions; s.sleep_blocked; s.dpor_truncated; s.dpor_steps; s.peak_depth ]
+  in
+  let dfs_found, dfs = Firefly.Explore.explore ~build check in
+  let dpor_found, dpor =
+    Firefly.Explore.explore_dpor_parallel ~jobs:1 ~build check
+  in
+  Alcotest.(check (list string)) "dfs violations" [ "3 blocked" ] dfs_found;
+  Alcotest.(check (list string)) "dpor violations" [ "3 blocked" ] dpor_found;
+  Alcotest.(check (list int)) "dfs stats" [ 336; 0; 0; 5966; 11 ] (stats dfs);
+  Alcotest.(check (list int)) "dpor stats" [ 5; 4; 0; 65; 11 ] (stats dpor);
+  Alcotest.(check bool) "threads were unwound" true (!unwound > 0);
+  Alcotest.(check int) "every started thread unwound once" !entered !unwound;
+  List.iter
+    (fun (m, before) ->
+      if reading m <> before then Alcotest.fail "disposal changed a checked machine")
+    !checked
+
 let suite =
   ( "machine",
     [
@@ -671,4 +739,6 @@ let suite =
       Alcotest.test_case "schedule-identity pins" `Quick test_schedule_pins;
       Alcotest.test_case "allocation budget per step" `Quick
         test_allocation_budget;
+      Alcotest.test_case "explorers dispose abandoned machines" `Quick
+        test_explore_disposes;
     ] )

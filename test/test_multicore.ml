@@ -155,6 +155,72 @@ let test_signal_wakes_enough () =
   List.iter S.join ws;
   Alcotest.(check int) "all tickets taken" 0 !tickets
 
+(* Every workload multicore supports, run untraced (no sink), gives the
+   observable of its traced run: the fast paths that skip the nub and the
+   event closures compute the same result. *)
+let test_untraced_workloads () =
+  let module MC = Threads_multicore.Multicore in
+  let module B = Threads_backend.Backend in
+  let mc = Option.get (B.find "multicore") in
+  List.iter
+    (fun (wl : Threads_backend.Workload.t) ->
+      if B.supports mc wl then begin
+        let traced = (mc.B.run ~seed:0 wl).B.observable in
+        let untraced =
+          MC.run (fun () -> wl.body (module MC.Sync : Taos_threads.Sync_intf.SYNC))
+        in
+        Alcotest.(check (option string)) wl.name traced (Some untraced)
+      end)
+    Threads_backend.Workload.all
+
+(* An untraced, uncontended operation allocates nothing.  Each loop runs
+   100 000 times; the only words allowed are the boxed floats that the
+   two [Gc.minor_words] readings return. *)
+let test_untraced_allocation () =
+  let n = 100_000 in
+  let words name body =
+    Threads_multicore.Multicore.run (fun () ->
+        body ();
+        let w0 = Gc.minor_words () in
+        body ();
+        let w = Gc.minor_words () -. w0 in
+        if w > 8. then Alcotest.failf "%s: %.0f minor words in %d iterations" name w n)
+  in
+  let m = S.mutex () and s = S.semaphore () and c = S.condition () in
+  let nothing () = () in
+  words "Acquire/Release" (fun () ->
+      for _ = 1 to n do
+        S.acquire m;
+        S.release m
+      done);
+  words "with_lock" (fun () ->
+      for _ = 1 to n do
+        S.with_lock m nothing
+      done);
+  words "P/V" (fun () ->
+      for _ = 1 to n do
+        S.p s;
+        S.v s
+      done);
+  words "AlertP/V" (fun () ->
+      for _ = 1 to n do
+        S.alert_p s;
+        S.v s
+      done);
+  words "Signal/Broadcast, no waiter" (fun () ->
+      for _ = 1 to n do
+        S.signal c;
+        S.broadcast c
+      done)
+
+(* [with_lock] releases the mutex and re-raises when its body raises. *)
+let test_with_lock_exception () =
+  let m = S.mutex () in
+  (match S.with_lock m (fun () -> failwith "boom") with
+  | () -> Alcotest.fail "with_lock swallowed the exception"
+  | exception Failure msg -> Alcotest.(check string) "re-raised" "boom" msg);
+  Alcotest.(check bool) "released" true (S.with_lock m (fun () -> true))
+
 let suite =
   ( "multicore",
     [
@@ -167,4 +233,9 @@ let suite =
       Alcotest.test_case "alert_p" `Quick test_alert_p;
       Alcotest.test_case "test_alert" `Quick test_test_alert;
       Alcotest.test_case "signal wakes enough" `Quick test_signal_wakes_enough;
+      Alcotest.test_case "untraced workloads" `Quick test_untraced_workloads;
+      Alcotest.test_case "untraced fast paths allocate nothing" `Quick
+        test_untraced_allocation;
+      Alcotest.test_case "with_lock releases on exception" `Quick
+        test_with_lock_exception;
     ] )
