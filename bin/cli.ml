@@ -158,8 +158,8 @@ let fleet_file_arg =
     & info [ "fleet" ] ~docv:"FILE"
         ~doc:
           "After the run, write the per-worker fleet utilization table \
-           (cells executed, steals won/failed, idle spins, busy time, \
-           in-flight high-water) to $(docv)")
+           (cells executed, throttle spins, busy time, in-flight \
+           high-water) to $(docv)")
 
 let fleet_trace_arg =
   Arg.(

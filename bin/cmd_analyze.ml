@@ -15,29 +15,23 @@ let report_summary_row name (r : An.report) shown =
     Threads_util.Table.cell_int r.An.n_exempt_words;
     Threads_util.Table.cell_int (List.length r.An.lockset);
     Threads_util.Table.cell_int (List.length r.An.hb);
-    (match r.An.lock_order with
-    | None -> "-"
-    | Some lo -> Threads_util.Table.cell_int (List.length lo.Threads_analysis.Lockorder.cycles));
+    Threads_util.Table.cell_int (List.length (An.cycles r));
     shown;
   ]
 
 type analyzer_filter = All | Races_only | Lock_order_only
 
 let filtered_findings filter (r : An.report) =
-  let races =
+  match filter with
+  | All -> An.findings r
+  | Races_only ->
     List.map (Format.asprintf "%a" Threads_analysis.Lockset.pp_race) r.An.lockset
     @ List.map (Format.asprintf "%a" Threads_analysis.Hb.pp_race) r.An.hb
-  in
-  let cycles =
+  | Lock_order_only ->
     List.map
       (Format.asprintf "%a"
          (Threads_analysis.Lockorder.pp_cycle ~lock_name:r.An.lock_name))
       (An.cycles r)
-  in
-  match filter with
-  | All -> races @ cycles
-  | Races_only -> races
-  | Lock_order_only -> cycles
 
 let analyze_report_json name (r : An.report) extra findings =
   let open Obs.Json in

@@ -33,14 +33,6 @@ let sc_finding_json (f : SC.Finding.t) =
       ("where", Obs.Json.String f.SC.Finding.where);
       ("msg", Obs.Json.String f.SC.Finding.msg) ]
 
-(* The spec-level scenario catalogue the whole-program pass analyzes. *)
-let progcheck_catalogue () =
-  [ Threads_harness.Scenarios.mutex_contention 2;
-    Threads_harness.Scenarios.wait_signal 1;
-    Threads_harness.Scenarios.alert_wait_mutual_exclusion ();
-    Threads_harness.Scenarios.nelson ();
-    Threads_harness.Scenarios.semaphore_pingpong () ]
-
 (* The clause-level pass alone (check-spec --lint-only). *)
 let lint_only name iface locs ~out =
   let findings = Lint.lint ~locs iface in
@@ -253,7 +245,7 @@ let check_spec_full name iface locs ~demos ~format ~out =
   let analyze scenarios =
     if clean then List.map (SC.Progcheck.check iface) scenarios else []
   in
-  let prog_reports = analyze (progcheck_catalogue ()) in
+  let prog_reports = analyze (Threads_harness.Scenarios.progcheck_catalogue ()) in
   let demo_reports = if demos then analyze SC.Progcheck.demo_scenarios else [] in
   let all_findings =
     rep.SC.Speccheck.rep_findings

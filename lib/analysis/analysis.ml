@@ -11,8 +11,7 @@ type report = {
   n_exempt_words : int;  (** registered synchronization/atomic words *)
   lockset : Lockset.race list;
   hb : Hb.race list;
-  lock_order : Lockorder.report option;
-      (** [None] when the capture has no lock information at all *)
+  lock_order : Lockorder.report;
   lock_name : int -> string;
 }
 
@@ -63,7 +62,7 @@ let of_run log machine =
     n_exempt_words = n_exempt;
     lockset = Lockset.check ~word_kind ~word_name accesses;
     hb = Hb.check ~word_kind ~word_name accesses;
-    lock_order = Some (Lockorder.of_accesses ~word_kind accesses);
+    lock_order = Lockorder.of_accesses ~word_kind accesses;
     lock_name = M.lock_name machine;
   }
 
@@ -90,7 +89,7 @@ let of_trace trace =
     n_exempt_words = 0;
     lockset = [];
     hb = [];
-    lock_order = Some (Lockorder.of_lock_events events);
+    lock_order = Lockorder.of_lock_events events;
     lock_name = (fun id -> Printf.sprintf "lock#%d" id);
   }
 
@@ -106,7 +105,7 @@ let run_backend (b : B.t) ~seed workload =
     let outcome = b.B.run ~seed workload in
     { br_outcome = outcome; br_report = of_trace outcome.B.trace }
 
-let cycles r = match r.lock_order with None -> [] | Some lo -> lo.Lockorder.cycles
+let cycles r = r.lock_order.Lockorder.cycles
 let clean r = r.lockset = [] && r.hb = [] && cycles r = []
 
 let findings r =

@@ -11,8 +11,7 @@ type report = {
   n_exempt_words : int;  (** registered synchronization/atomic words *)
   lockset : Lockset.race list;
   hb : Hb.race list;
-  lock_order : Lockorder.report option;
-      (** [None] when the capture has no lock information at all *)
+  lock_order : Lockorder.report;
   lock_name : int -> string;
 }
 

@@ -58,15 +58,17 @@ let events s =
 let completed s =
   List.for_all (fun r -> r.verdict = Backend.Completed) s.runs
 
+(* Count one more [key].  A new key goes to the back and a key counted
+   again moves to the front: completed, deadlock, deadlock tallies as
+   [deadlock 2; completed 1].  Reports print tallies in this order. *)
+let tally acc key =
+  match List.assoc_opt key acc with
+  | Some n -> (key, n + 1) :: List.remove_assoc key acc
+  | None -> acc @ [ (key, 1) ]
+
 let verdicts s =
   List.fold_left
-    (fun acc r ->
-      let key =
-        Format.asprintf "%a" Backend.pp_verdict r.verdict
-      in
-      match List.assoc_opt key acc with
-      | Some n -> (key, n + 1) :: List.remove_assoc key acc
-      | None -> acc @ [ (key, 1) ])
+    (fun acc r -> tally acc (Format.asprintf "%a" Backend.pp_verdict r.verdict))
     [] s.runs
 
 let observables s =
@@ -95,9 +97,8 @@ let first_error s =
 
 (* Run every registered backend able to take the workload.  The whole
    backend x seed matrix is flattened into one cell array so the
-   work-stealing executor balances load across backends of very
-   different costs, then regrouped into per-backend summaries in
-   registration order. *)
+   executor's workers share cells of backends of very different costs,
+   then regrouped into per-backend summaries in registration order. *)
 let diff ?telemetry ?(jobs = 1) (workload : Workload.t) ~seeds =
   let supported =
     List.map (fun b -> (b, Backend.supports b workload)) Backend.all
@@ -194,52 +195,11 @@ let chaos_one (backend : Backend.t) (workload : Workload.t) ~seed
       c_class = classify outcome report;
     }
 
-type chaos_summary = {
-  cs_backend : Backend.t;
-  cs_workload : Workload.t;
-  cs_skipped : bool;
-  cs_runs : chaos_run list;
-}
-
 (* Plan-major cell numbering: cell [i] is plan [i / seeds], seed
    [i mod seeds] — the same order the sequential nest produced. *)
 let chaos_cell backend workload ~seeds i =
   let plan = Plan.generate ~plan_id:(i / seeds) () in
   chaos_one backend workload ~seed:(i mod seeds) plan
-
-let chaos ?telemetry ?(jobs = 1) (backend : Backend.t) (workload : Workload.t)
-    ~plans
-    ~seeds =
-  if backend.Backend.chaos = None || not (Backend.supports backend workload)
-  then
-    { cs_backend = backend; cs_workload = workload; cs_skipped = true;
-      cs_runs = [] }
-  else
-    let runs =
-      Array.to_list
-        (Matrix.map ?telemetry ~jobs ~n:(plans * seeds)
-           (fun i -> chaos_cell backend workload ~seeds i))
-    in
-    { cs_backend = backend; cs_workload = workload; cs_skipped = false;
-      cs_runs = runs }
-
-(* Every run landed in one of the two acceptable classes. *)
-let chaos_ok s =
-  (not s.cs_skipped)
-  && List.for_all
-       (fun r -> match r.c_class with
-         | Conformant | Diagnosed -> true
-         | Violation | Unexplained -> false)
-       s.cs_runs
-
-let chaos_classes s =
-  List.fold_left
-    (fun acc r ->
-      let key = class_name r.c_class in
-      match List.assoc_opt key acc with
-      | Some n -> (key, n + 1) :: List.remove_assoc key acc
-      | None -> acc @ [ (key, 1) ])
-    [] s.cs_runs
 
 (* Deterministic rendering of one chaos run — the structured fault
    report.  Equal (backend, workload, plan, seed) must render equal
@@ -282,22 +242,6 @@ let render_run b ppf r =
           f.M.f_desc)
       faults
 
-let render_chaos ppf s =
-  if s.cs_skipped then
-    Format.fprintf ppf "%s x %s: skipped (no chaos driver or feature)@\n"
-      s.cs_backend.Backend.name s.cs_workload.Workload.name
-  else begin
-    Format.fprintf ppf "--- chaos: %s x %s (%d runs) ---@\n"
-      s.cs_backend.Backend.name s.cs_workload.Workload.name
-      (List.length s.cs_runs);
-    List.iter (render_run s.cs_backend.Backend.name ppf) s.cs_runs;
-    Format.fprintf ppf "summary: %s@\n"
-      (String.concat ", "
-         (List.map
-            (fun (k, n) -> Printf.sprintf "%d %s" n k)
-            (chaos_classes s)))
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Streaming chaos: million-run matrices at flat memory.               *)
 
@@ -306,19 +250,18 @@ type chaos_totals = {
   ct_workload : Workload.t;
   ct_skipped : bool;
   ct_runs : int;
-  ct_classes : (string * int) list;  (* class name -> count, first-seen *)
+  ct_classes : (string * int) list;  (* class name -> count, as [tally] orders *)
   ct_failures : (int * int * chaos_class) list;
       (* (plan, seed, class) of every Violation / Unexplained run *)
 }
 
 let chaos_totals_ok t = (not t.ct_skipped) && t.ct_failures = []
 
-(* Same cells, same order and same rendered bytes as [chaos] +
-   [render_chaos], but each run is classified, rendered through [emit]
-   and dropped as soon as its turn comes: the resident set holds only
-   the bounded in-flight window of the executor plus the class counters,
-   independent of the matrix size.  [emit] is called on the calling
-   domain, in deterministic cell order, for any [jobs]. *)
+(* Each run is classified, rendered through [emit] and dropped as soon
+   as its turn comes: the resident set holds only the bounded in-flight
+   window of the executor plus the class counters, independent of the
+   matrix size.  [emit] is called on the calling domain, in
+   deterministic cell order, for any [jobs]. *)
 let chaos_stream ?telemetry ?(jobs = 1) ~emit (backend : Backend.t)
     (workload : Workload.t) ~plans ~seeds =
   if backend.Backend.chaos = None || not (Backend.supports backend workload)
@@ -336,17 +279,11 @@ let chaos_stream ?telemetry ?(jobs = 1) ~emit (backend : Backend.t)
          backend.Backend.name workload.Workload.name n);
     let classes = ref [] in
     let failures = ref [] in
-    let bump key =
-      classes :=
-        (match List.assoc_opt key !classes with
-        | Some c -> (key, c + 1) :: List.remove_assoc key !classes
-        | None -> !classes @ [ (key, 1) ])
-    in
     Matrix.iter_ordered ?telemetry ~jobs ~n
       ~f:(fun i -> chaos_cell backend workload ~seeds i)
       ~consume:(fun i r ->
         emit (Format.asprintf "%a" (render_run backend.Backend.name) r);
-        bump (class_name r.c_class);
+        classes := tally !classes (class_name r.c_class);
         match r.c_class with
         | Violation | Unexplained ->
           failures := (i / seeds, i mod seeds, r.c_class) :: !failures

@@ -26,7 +26,7 @@ type summary = {
 
 (** [conform ?jobs b w ~seeds] — run seeds [0..seeds-1] and check each
     trace.  [jobs] > 1 distributes the seed matrix over that many OCaml
-    domains with the work-stealing executor; every cell is an isolated
+    domains with {!Threads_runner.Matrix}; every cell is an isolated
     machine with its own per-seed RNG and domain-local probe slot, and
     results keep index order, so the summary is identical for any
     [jobs].  [?telemetry] attaches a host-side observation sink to the
@@ -49,7 +49,9 @@ val violations : summary -> int
 val events : summary -> int
 val completed : summary -> bool
 
-(** Verdict string -> occurrence count, in first-seen order. *)
+(** Verdict string -> occurrence count.  A new verdict goes to the back
+    and a verdict counted again moves to the front: completed, deadlock,
+    deadlock gives [[deadlock 2; completed 1]]. *)
 val verdicts : summary -> (string * int) list
 
 (** Distinct observables, sorted. *)
@@ -62,7 +64,7 @@ val ok : summary -> bool
 val first_error : summary -> string option
 
 (** [diff ?jobs w ~seeds] — [conform] on every registered backend; the
-    whole backend x seed matrix is one work-stealing pool. *)
+    whole backend x seed matrix is one executor matrix. *)
 val diff :
   ?telemetry:Threads_runner.Telemetry.sink -> ?jobs:int -> Workload.t ->
   seeds:int -> summary list
@@ -98,39 +100,11 @@ type chaos_run = {
   c_class : chaos_class;
 }
 
-type chaos_summary = {
-  cs_backend : Backend.t;
-  cs_workload : Workload.t;
-  cs_skipped : bool;  (** no chaos driver, or missing workload feature *)
-  cs_runs : chaos_run list;
-}
-
 (** [chaos_one b w ~seed plan] — one run under the fault engine, trace
     checked against the spec and classified.  Raises [Invalid_argument]
     if [b] has no chaos driver. *)
 val chaos_one :
   Backend.t -> Workload.t -> seed:int -> Threads_fault.Plan.t -> chaos_run
-
-(** [chaos ?jobs b w ~plans ~seeds] — plans [0..plans-1] x seeds
-    [0..seeds-1], parallelized like {!conform}. *)
-val chaos :
-  ?telemetry:Threads_runner.Telemetry.sink -> ?jobs:int -> Backend.t ->
-  Workload.t -> plans:int -> seeds:int -> chaos_summary
-
-(** Every run classified [Conformant] or [Diagnosed]. *)
-val chaos_ok : chaos_summary -> bool
-
-(** Deterministic fault report: equal (backend, workload, plan, seed)
-    render byte-equal reports. *)
-val render_chaos : Format.formatter -> chaos_summary -> unit
-
-(** {1 Streaming chaos}
-
-    The list-returning {!chaos} retains every run's machine; for
-    million-run matrices use {!chaos_stream}, which renders and drops
-    each run as its turn comes, keeping memory flat (the executor's
-    bounded in-flight window) while emitting exactly the bytes
-    {!render_chaos} would. *)
 
 type chaos_totals = {
   ct_backend : Backend.t;
@@ -138,7 +112,7 @@ type chaos_totals = {
   ct_skipped : bool;
   ct_runs : int;
   ct_classes : (string * int) list;
-      (** class name -> count, first-seen order *)
+      (** class name -> count, ordered as {!verdicts} orders verdicts *)
   ct_failures : (int * int * chaos_class) list;
       (** (plan, seed, class) of every Violation / Unexplained run *)
 }
@@ -146,10 +120,13 @@ type chaos_totals = {
 (** Every run classified [Conformant] or [Diagnosed]. *)
 val chaos_totals_ok : chaos_totals -> bool
 
-(** [chaos_stream ?jobs ~emit b w ~plans ~seeds] — the streaming
-    equivalent of [render_chaos ppf (chaos b w ~plans ~seeds)]: [emit]
-    receives the report in deterministic chunks (called on the calling
-    domain, in cell order, for any [jobs]). *)
+(** [chaos_stream ?jobs ~emit b w ~plans ~seeds] — plans
+    [0..plans-1] x seeds [0..seeds-1], parallelized like {!conform}.
+    [emit] receives the deterministic fault report in chunks (called on
+    the calling domain, in cell order, for any [jobs]): a header, one
+    block per run, and a summary of the class counts.  Equal (backend,
+    workload, plan, seed) render byte-equal blocks.  Each run is dropped
+    once rendered, so memory stays flat at any matrix size. *)
 val chaos_stream :
   ?telemetry:Threads_runner.Telemetry.sink ->
   ?jobs:int ->

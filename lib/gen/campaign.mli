@@ -1,4 +1,4 @@
-(** Generation matrices: N scenarios over the work-stealing executor.
+(** Generation matrices: N scenarios over the run-matrix executor.
 
     Cell [i] of a campaign draws its program from the
     [Rng.cell ~base:seed ~index:i] stream (and, in chaos mode, a fault

@@ -97,3 +97,7 @@ let semaphore_pingpong () =
         [ P.call "P" [ P.Aobj "s" ]; P.call "V" [ P.Aobj "s" ] ];
       ]
     ()
+
+let progcheck_catalogue () =
+  [ mutex_contention 2; wait_signal 1; alert_wait_mutual_exclusion ();
+    nelson (); semaphore_pingpong () ]

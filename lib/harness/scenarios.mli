@@ -24,3 +24,6 @@ val nelson : unit -> Threads_model.Program.t
 
 (** P/V ping-pong over one semaphore, no holder notion. *)
 val semaphore_pingpong : unit -> Threads_model.Program.t
+
+(** The scenarios [check-spec]'s whole-program pass analyzes. *)
+val progcheck_catalogue : unit -> Threads_model.Program.t list

@@ -1,14 +1,10 @@
-(* Domain-parallel run-matrix executor: contiguous-block work stealing.
+(* Domain-parallel run-matrix executor: one shared cursor.
 
-   Each worker owns a block descriptor — one Atomic.t packing the block's
-   (next, limit) half-open interval into a single int — from which it
-   claims indices at the front.  A worker whose block runs dry steals the
-   back half of a victim's remainder and publishes it as its own block.
-   Packing both cursors into one CAS word makes claim and steal linearize
-   against each other, so an index is executed exactly once without locks
-   or a Chase-Lev deque; contiguity keeps each worker walking ascending
-   indices.  Results are keyed by cell index, so the output is
-   scheduling-independent by construction. *)
+   Workers claim cells with a fetch-and-add on one ascending cursor and
+   publish each result into a ring slot keyed by its cell index.  The
+   calling domain is worker 0 and the only consumer: it drains the ring
+   strictly in index order, so the output is scheduling-independent by
+   construction. *)
 
 let recommended_jobs () = Domain.recommended_domain_count ()
 let resolve_jobs j = if j <= 0 then recommended_jobs () else j
@@ -23,8 +19,6 @@ module Telemetry = struct
   type sink = {
     cell_start : worker:int -> cell:int -> unit;
     cell_done : worker:int -> cell:int -> unit;
-    steal : worker:int -> victim:int -> cells:int -> unit;
-    steal_fail : worker:int -> unit;
     idle_spin : worker:int -> unit;
     in_flight : count:int -> unit;
   }
@@ -33,80 +27,10 @@ module Telemetry = struct
     {
       cell_start = (fun ~worker:_ ~cell:_ -> ());
       cell_done = (fun ~worker:_ ~cell:_ -> ());
-      steal = (fun ~worker:_ ~victim:_ ~cells:_ -> ());
-      steal_fail = (fun ~worker:_ -> ());
       idle_spin = (fun ~worker:_ -> ());
       in_flight = (fun ~count:_ -> ());
     }
 end
-
-(* (next, limit) packed as next lsl 31 lor limit; both < 2^31. *)
-module Block = struct
-  let half_bits = 31
-  let mask = (1 lsl half_bits) - 1
-  let pack ~next ~limit = (next lsl half_bits) lor limit
-  let next v = v lsr half_bits
-  let limit v = v land mask
-  let make ~lo ~hi = Atomic.make (pack ~next:lo ~limit:hi)
-
-  (* Claim the front index of [b], if any. *)
-  let rec claim b =
-    let v = Atomic.get b in
-    let n = next v and l = limit v in
-    if n >= l then None
-    else if Atomic.compare_and_set b v (pack ~next:(n + 1) ~limit:l) then
-      Some n
-    else claim b
-
-  (* Steal the back half of [b]'s remainder.  Remainders of one are left
-     alone — not worth a CAS storm over a single cell the owner is about
-     to claim anyway. *)
-  let rec steal b =
-    let v = Atomic.get b in
-    let n = next v and l = limit v in
-    let avail = l - n in
-    if avail <= 1 then None
-    else
-      let l' = l - (avail / 2) in
-      if Atomic.compare_and_set b v (pack ~next:n ~limit:l') then
-        Some (l', l)
-      else steal b
-end
-
-(* Initial contiguous partition of [0, n) into [w] blocks. *)
-let partition ~n ~w =
-  Array.init w (fun i ->
-      let lo = i * n / w and hi = (i + 1) * n / w in
-      Block.make ~lo ~hi)
-
-(* The worker loop shared by [map] and [iter_ordered]'s producers:
-   [execute idx] runs one cell.  Returns when no block has work left —
-   safe even if another worker still holds unexecuted stolen indices,
-   because those live in that worker's own published block and it drains
-   them itself. *)
-let worker_loop ?telemetry blocks ~me ~execute ~stop =
-  let ev f = match telemetry with Some s -> f s | None -> () in
-  let w = Array.length blocks in
-  let rec drain_own () =
-    if not (Atomic.get stop) then
-      match Block.claim blocks.(me) with
-      | Some idx ->
-        execute idx;
-        drain_own ()
-      | None -> hunt 0
-  and hunt tried =
-    if tried < w && not (Atomic.get stop) then
-      let victim = (me + 1 + tried) mod w in
-      match Block.steal blocks.(victim) with
-      | Some (lo, hi) ->
-        ev (fun s -> s.Telemetry.steal ~worker:me ~victim ~cells:(hi - lo));
-        Atomic.set blocks.(me) (Block.pack ~next:lo ~limit:hi);
-        drain_own ()
-      | None ->
-        ev (fun s -> s.Telemetry.steal_fail ~worker:me);
-        hunt (tried + 1)
-  in
-  drain_own ()
 
 let run_cell f idx =
   match f idx with
@@ -114,50 +38,6 @@ let run_cell f idx =
   | exception exn -> Error (exn, Printexc.get_raw_backtrace ())
 
 module Matrix = struct
-  let map ?telemetry ?(jobs = 1) ~n f =
-    let ev g = match telemetry with Some s -> g s | None -> () in
-    if n = 0 then [||]
-    else
-      let jobs = max 1 (min jobs n) in
-      if jobs = 1 then
-        match telemetry with
-        | None -> Array.init n f
-        | Some s ->
-          (* Same evaluation order and values as the bare sequential
-             path; only the observation callbacks are added. *)
-          Array.init n (fun i ->
-              s.Telemetry.cell_start ~worker:0 ~cell:i;
-              let v = f i in
-              s.Telemetry.cell_done ~worker:0 ~cell:i;
-              v)
-      else begin
-        let results = Array.init n (fun _ -> Atomic.make None) in
-        let stop = Atomic.make false (* never set: all cells run *) in
-        let blocks = partition ~n ~w:jobs in
-        let execute me idx =
-          ev (fun s -> s.Telemetry.cell_start ~worker:me ~cell:idx);
-          Atomic.set results.(idx) (Some (run_cell f idx));
-          ev (fun s -> s.Telemetry.cell_done ~worker:me ~cell:idx)
-        in
-        let body me () =
-          worker_loop ?telemetry blocks ~me ~execute:(execute me) ~stop
-        in
-        let domains =
-          Array.init (jobs - 1) (fun i -> Domain.spawn (body (i + 1)))
-        in
-        body 0 ();
-        Array.iter Domain.join domains;
-        (* Failures surface as the lowest-indexed failing cell, exactly
-           as the sequential path would report them. *)
-        Array.map
-          (fun slot ->
-            match Atomic.get slot with
-            | Some (Ok v) -> v
-            | Some (Error (exn, bt)) -> Printexc.raise_with_backtrace exn bt
-            | None -> failwith "Runner.Matrix.map: unexecuted cell")
-          results
-      end
-
   (* Producers run at most [window] cells ahead of the consumer, so the
      in-flight result set — the only thing that outlives a cell — stays
      bounded whatever the matrix size (flat RSS for million-run chaos
@@ -180,55 +60,79 @@ module Matrix = struct
         done
       else begin
         let ring = Array.init window (fun _ -> Atomic.make None) in
-        let stop = Atomic.make false in
+        let cursor = Atomic.make 0 in
         let consumed = Atomic.make 0 in
-        let blocks = partition ~n ~w:jobs in
-        let execute me idx =
-          while
-            idx - Atomic.get consumed >= window && not (Atomic.get stop)
-          do
-            (* The consumer runs on the caller's domain, so a spinning
-               producer always gets out of the way eventually. *)
-            ev (fun s -> s.Telemetry.idle_spin ~worker:me);
-            Domain.cpu_relax ()
-          done;
-          if not (Atomic.get stop) then begin
-            ev (fun s -> s.Telemetry.cell_start ~worker:me ~cell:idx);
-            let r = run_cell f idx in
-            ev (fun s -> s.Telemetry.cell_done ~worker:me ~cell:idx);
-            Atomic.set ring.(idx mod window) (Some (idx, r));
-            ev (fun s ->
-                s.Telemetry.in_flight ~count:(idx + 1 - Atomic.get consumed))
+        let stop = Atomic.make false in
+        let failure = ref None in
+        (* Worker 0 only: consume every ready result in index order,
+           dropping each slot so a drained prefix holds no live results.
+           Failures are met in index order too, so the first one seen is
+           the lowest-indexed failing cell. *)
+        let rec drain () =
+          let next = Atomic.get consumed in
+          if next < n && Option.is_none !failure then
+            let slot = ring.(next mod window) in
+            match Atomic.get slot with
+            | Some (idx, r) when idx = next ->
+              Atomic.set slot None;
+              Atomic.set consumed (next + 1);
+              (match r with
+              | Ok v -> consume next v
+              | Error e ->
+                failure := Some e;
+                Atomic.set stop true);
+              drain ()
+            | _ -> ()
+        in
+        let rec work me =
+          let idx = Atomic.fetch_and_add cursor 1 in
+          if idx < n && not (Atomic.get stop) then begin
+            while
+              idx - Atomic.get consumed >= window && not (Atomic.get stop)
+            do
+              ev (fun s -> s.Telemetry.idle_spin ~worker:me);
+              if me = 0 then drain ();
+              Domain.cpu_relax ()
+            done;
+            if not (Atomic.get stop) then begin
+              ev (fun s -> s.Telemetry.cell_start ~worker:me ~cell:idx);
+              let r = run_cell f idx in
+              ev (fun s -> s.Telemetry.cell_done ~worker:me ~cell:idx);
+              Atomic.set ring.(idx mod window) (Some (idx, r));
+              ev (fun s ->
+                  s.Telemetry.in_flight ~count:(idx + 1 - Atomic.get consumed));
+              if me = 0 then drain ();
+              work me
+            end
           end
         in
-        let body me () =
-          worker_loop ?telemetry blocks ~me ~execute:(execute me) ~stop
+        let domains =
+          Array.init (jobs - 1) (fun i -> Domain.spawn (fun () -> work (i + 1)))
         in
-        let domains = Array.init jobs (fun i -> Domain.spawn (body i)) in
-        let failure = ref None in
-        let next = ref 0 in
-        (* Consume strictly in index order on this domain, dropping each
-           slot as it goes so a drained prefix holds no live results.
-           The consumer meets failures in index order too, so the first
-           one it sees is the lowest-indexed failing cell. *)
-        while !next < n && !failure = None do
-          let slot = ring.(!next mod window) in
-          match Atomic.get slot with
-          | Some (idx, r) when idx = !next ->
-            Atomic.set slot None;
-            incr next;
-            Atomic.set consumed !next;
-            (match r with
-            | Ok v -> consume (!next - 1) v
-            | Error (exn, bt) ->
-              failure := Some (exn, bt);
-              Atomic.set stop true)
-          | _ -> Domain.cpu_relax ()
-        done;
-        Array.iter Domain.join domains;
-        match !failure with
-        | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
-        | None -> ()
+        Fun.protect
+          ~finally:(fun () ->
+            Atomic.set stop true;
+            Array.iter Domain.join domains)
+          (fun () ->
+            work 0;
+            while Atomic.get consumed < n && Option.is_none !failure do
+              drain ();
+              Domain.cpu_relax ()
+            done);
+        Option.iter
+          (fun (exn, bt) -> Printexc.raise_with_backtrace exn bt)
+          !failure
       end
+    end
+
+  let map ?telemetry ?(jobs = 1) ~n f =
+    if jobs <= 1 && Option.is_none telemetry then Array.init n f
+    else begin
+      let out = ref [||] in
+      iter_ordered ?telemetry ~jobs ~n ~f
+        ~consume:(fun i v ->
+          if i = 0 then out := Array.make n v else !out.(i) <- v)
+        ();
+      !out
     end
 end

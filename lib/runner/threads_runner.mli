@@ -3,9 +3,10 @@
     The verification pipeline is matrices of deterministic, independent
     runs: conformance sweeps (backend × workload × seed), chaos sweeps
     (plan × seed), analysis passes, DPOR frontier prefixes.  This module
-    fans a matrix out over OCaml 5 domains with contiguous-block work
-    stealing and returns results keyed by cell index, so every report is
-    byte-identical whatever the worker count.
+    fans a matrix out over OCaml 5 domains: workers claim cells with a
+    fetch-and-add on one shared cursor, and the calling domain consumes
+    the results in cell-index order, so every report is byte-identical
+    whatever the worker count.
 
     Isolation contract: the cell function must confine mutable state to
     the cell (fresh machine, fresh {!Threads_util.Rng.cell} instance) —
@@ -20,8 +21,8 @@ val resolve_jobs : int -> int
 
 (** Host-side observation points for the executor.
 
-    The runner itself stays clock-free: it only announces events
-    (cell started, cell finished, block stolen, …) and a sink — see
+    The runner itself stays clock-free: it only announces events (cell
+    started, cell finished, producer throttled, …) and a sink — see
     [lib/telemetry] — timestamps and aggregates them.  Observation is
     strictly host-side: a sink never changes which cells run, in what
     order results are keyed, or anything the simulated machines can
@@ -32,13 +33,8 @@ module Telemetry : sig
         (** Worker [worker] begins executing cell [cell]. *)
     cell_done : worker:int -> cell:int -> unit;
         (** Worker [worker] finished cell [cell] (Ok or Error alike). *)
-    steal : worker:int -> victim:int -> cells:int -> unit;
-        (** Worker won [cells] indices from [victim]'s block. *)
-    steal_fail : worker:int -> unit;
-        (** A steal attempt found nothing worth taking. *)
     idle_spin : worker:int -> unit;
-        (** One producer throttle spin in {!Matrix.iter_ordered} (the
-            in-flight window is full). *)
+        (** One producer throttle spin (the in-flight window is full). *)
     in_flight : count:int -> unit;
         (** Produced-but-unconsumed results after a production, for the
             window high-water mark. *)
@@ -49,38 +45,34 @@ module Telemetry : sig
 end
 
 module Matrix : sig
-  (** [map ~jobs ~n f] computes [|f 0; ...; f (n-1)|].
-
-      [jobs = 1] (the default) runs on the calling domain with no domain
-      spawned — bit-for-bit the sequential semantics.  [jobs > 1] spawns
-      that many worker domains; each starts with a contiguous block of
-      indices and steals half of a victim's remaining block when its own
-      runs dry.  Results land in the slot of their index, so the output
-      array is independent of scheduling.
-
-      If any cell raises, the exception of the lowest-indexed failing
-      cell is re-raised on the caller (after all workers stop), keeping
-      failure reports deterministic too.
-
-      [?telemetry] attaches a host-side observation sink (defaults to
-      none, at zero cost); the result array is identical with or
-      without it, at any [jobs]. *)
-  val map :
-    ?telemetry:Telemetry.sink -> ?jobs:int -> n:int -> (int -> 'a) ->
-    'a array
-
   (** [iter_ordered ~jobs ~n ~f ~consume ()] computes [f i] for every
       cell and calls [consume i (f i)] for [i = 0, 1, ..., n-1] {e in
       index order, on the calling domain}.
 
-      Unlike {!map} it never materializes the whole result array: with
-      [jobs = 1] each result is consumed as soon as it is produced; with
-      [jobs > 1] workers throttle against the consumer so at most a
-      bounded window of results is in flight.  This is the streaming
-      primitive for million-run chaos matrices — render each run to its
-      classification line eagerly, consume it into the report, and let
-      the machine behind it be collected. *)
+      [jobs = 1] (the default) runs each cell and consumes it at once,
+      on the calling domain with no domain spawned.  [jobs > 1] spawns
+      [jobs - 1] domains; with the caller as worker 0 they claim cells
+      in ascending order from one shared cursor.  Producers throttle
+      against the consumer, so at most a bounded window of results is
+      in flight; a throttled caller consumes instead of waiting.  This
+      is the streaming primitive for million-run chaos matrices: render
+      each run eagerly, consume it into the report, and let the machine
+      behind it be collected.
+
+      If any cell raises, the cells before it are consumed and the
+      exception of the lowest-indexed failing cell is re-raised on the
+      caller after all workers stop, as the sequential path would.
+
+      [?telemetry] attaches a host-side observation sink (defaults to
+      none, at zero cost); what [consume] sees is identical with or
+      without it, at any [jobs]. *)
   val iter_ordered :
     ?telemetry:Telemetry.sink -> ?jobs:int -> n:int -> f:(int -> 'a) ->
     consume:(int -> 'a -> unit) -> unit -> unit
+
+  (** [map ~jobs ~n f] computes [|f 0; ...; f (n-1)|]: {!iter_ordered}
+      consuming into an array. *)
+  val map :
+    ?telemetry:Telemetry.sink -> ?jobs:int -> n:int -> (int -> 'a) ->
+    'a array
 end

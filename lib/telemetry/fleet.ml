@@ -23,9 +23,6 @@ let seg_gap = 0.0005
 
 type worker = {
   mutable w_cells : int;
-  mutable w_steals_won : int;
-  mutable w_stolen_cells : int;
-  mutable w_steals_failed : int;
   mutable w_idle_spins : int;
   mutable w_busy_s : float;
   mutable w_max_cell_s : float;
@@ -39,9 +36,6 @@ type worker = {
 let fresh_worker () =
   {
     w_cells = 0;
-    w_steals_won = 0;
-    w_stolen_cells = 0;
-    w_steals_failed = 0;
     w_idle_spins = 0;
     w_busy_s = 0.;
     w_max_cell_s = 0.;
@@ -114,18 +108,6 @@ let sink t =
               w.w_nsegs <- w.w_nsegs + 1
             end);
           w.w_cur_start <- Float.nan);
-    steal =
-      (fun ~worker ~victim:_ ~cells ->
-        match get t worker with
-        | None -> ()
-        | Some w ->
-          w.w_steals_won <- w.w_steals_won + 1;
-          w.w_stolen_cells <- w.w_stolen_cells + cells);
-    steal_fail =
-      (fun ~worker ->
-        match get t worker with
-        | None -> ()
-        | Some w -> w.w_steals_failed <- w.w_steals_failed + 1);
     idle_spin =
       (fun ~worker ->
         match get t worker with
@@ -137,9 +119,6 @@ let sink t =
 type worker_stats = {
   ws_id : int;
   ws_cells : int;
-  ws_steals_won : int;
-  ws_stolen_cells : int;
-  ws_steals_failed : int;
   ws_idle_spins : int;
   ws_busy_s : float;
   ws_max_cell_s : float;
@@ -165,9 +144,6 @@ let snapshot t =
            {
              ws_id = i;
              ws_cells = w.w_cells;
-             ws_steals_won = w.w_steals_won;
-             ws_stolen_cells = w.w_stolen_cells;
-             ws_steals_failed = w.w_steals_failed;
              ws_idle_spins = w.w_idle_spins;
              ws_busy_s = w.w_busy_s;
              ws_max_cell_s = w.w_max_cell_s;
@@ -202,8 +178,7 @@ let render r =
            (r.r_elapsed_s *. 1e3)
            r.r_inflight_hw)
       [
-        "worker"; "cells"; "steals"; "stolen"; "fails"; "idle"; "busy ms";
-        "util"; "max cell ms";
+        "worker"; "cells"; "idle"; "busy ms"; "util"; "max cell ms";
       ]
   in
   let ms s = Tb.cell_float ~decimals:2 (s *. 1e3) in
@@ -217,9 +192,6 @@ let render r =
         [
           Tb.cell_int w.ws_id;
           Tb.cell_int w.ws_cells;
-          Tb.cell_int w.ws_steals_won;
-          Tb.cell_int w.ws_stolen_cells;
-          Tb.cell_int w.ws_steals_failed;
           Tb.cell_int w.ws_idle_spins;
           ms w.ws_busy_s;
           util w.ws_busy_s;
@@ -234,9 +206,6 @@ let render r =
     [
       "all";
       Tb.cell_int (total_cells r);
-      Tb.cell_int (sum (fun w -> w.ws_steals_won));
-      Tb.cell_int (sum (fun w -> w.ws_stolen_cells));
-      Tb.cell_int (sum (fun w -> w.ws_steals_failed));
       Tb.cell_int (sum (fun w -> w.ws_idle_spins));
       ms busy;
       (* Aggregate utilization: busy time over worker-seconds. *)
@@ -254,9 +223,6 @@ let worker_to_json w =
     [
       ("worker", Obs.Json.Int w.ws_id);
       ("cells", Obs.Json.Int w.ws_cells);
-      ("steals_won", Obs.Json.Int w.ws_steals_won);
-      ("stolen_cells", Obs.Json.Int w.ws_stolen_cells);
-      ("steals_failed", Obs.Json.Int w.ws_steals_failed);
       ("idle_spins", Obs.Json.Int w.ws_idle_spins);
       ("busy_ms", Obs.Json.Float (round3 (w.ws_busy_s *. 1e3)));
       ("max_cell_ms", Obs.Json.Float (round3 (w.ws_max_cell_s *. 1e3)));

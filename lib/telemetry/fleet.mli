@@ -1,9 +1,9 @@
 (** Per-worker fleet statistics for the run-matrix executor.
 
     A collector turns the {!Threads_runner.Telemetry} event stream into
-    per-domain counters (cells executed, steals won/failed, idle spins,
-    busy wall time, in-flight window high-water) plus a coalesced busy
-    timeline per worker.  Observation is host-side only: attaching a
+    per-domain counters (cells executed, throttle spins, busy wall
+    time, in-flight window high-water) plus a coalesced busy timeline
+    per worker.  Observation is host-side only: attaching a
     collector never changes a matrix's results, so final reports stay
     byte-identical at any [--jobs].
 
@@ -35,9 +35,6 @@ val last_cell_s : t -> worker:int -> float
 type worker_stats = {
   ws_id : int;
   ws_cells : int;
-  ws_steals_won : int;
-  ws_stolen_cells : int;
-  ws_steals_failed : int;
   ws_idle_spins : int;
   ws_busy_s : float;
   ws_max_cell_s : float;

@@ -143,13 +143,7 @@ let test_progcheck_harness_clean () =
         (rep.SC.Progcheck.p_scenario ^ " clean")
         ""
         (pp_findings rep.SC.Progcheck.p_findings))
-    [
-      Threads_harness.Scenarios.mutex_contention 2;
-      Threads_harness.Scenarios.wait_signal 1;
-      Threads_harness.Scenarios.alert_wait_mutual_exclusion ();
-      Threads_harness.Scenarios.nelson ();
-      Threads_harness.Scenarios.semaphore_pingpong ();
-    ]
+    (Threads_harness.Scenarios.progcheck_catalogue ())
 
 let test_progcheck_demos () =
   let iface = Threads_interface.final in
