@@ -23,8 +23,8 @@ let () =
         ignore
           (Firefly.Machine.spawn_root machine (fun () ->
                let pkg = Taos_threads.Pkg.create () in
-               let sem = Taos_threads.Semaphore.create pkg in
-               Taos_threads.Semaphore.p sem;
+               let sem = Taos_threads.Mutex.semaphore pkg in
+               Taos_threads.Mutex.p sem;
                (* sem now unavailable: P blocks until the device Vs *)
                let m = Taos_threads.Mutex.create pkg in
                let ready = Taos_threads.Condition.create pkg in
@@ -42,7 +42,7 @@ let () =
                    command_pending := true;
                    (* start the operation *)
                    Ops.tick 1;
-                   Taos_threads.Semaphore.p sem;
+                   Taos_threads.Mutex.p sem;
                    (* completion interrupt arrived *)
                    let data = !device_data in
                    Taos_threads.Mutex.with_lock m (fun () ->
@@ -74,7 +74,7 @@ let () =
                    (Firefly.Machine.spawn_root machine ~interrupt:true
                       (fun () ->
                         device_data := i * 100;
-                        Taos_threads.Semaphore.v sem))
+                        Taos_threads.Mutex.v sem))
                done;
                Ops.join d;
                Ops.join c)))

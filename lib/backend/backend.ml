@@ -123,20 +123,20 @@ let naive_make pkg : (module Sync_intf.SYNC) =
 
     type mutex = T.Mutex.t
     type condition = T.Naive.t
-    type semaphore = T.Semaphore.t
+    type semaphore = T.Mutex.t
     type thread = Tid.t
 
     let mutex () = T.Mutex.create pkg
     let condition () = T.Naive.create pkg
-    let semaphore () = T.Semaphore.create pkg
+    let semaphore () = T.Mutex.semaphore pkg
     let acquire = T.Mutex.acquire
     let release = T.Mutex.release
     let with_lock = T.Mutex.with_lock
     let wait m c = T.Naive.wait c m
     let signal = T.Naive.signal
     let broadcast = T.Naive.broadcast
-    let p = T.Semaphore.p
-    let v = T.Semaphore.v
+    let p = T.Mutex.p
+    let v = T.Mutex.v
 
     let alert target =
       T.Alerts.alert pkg.T.Pkg.alerts ~lock:pkg.T.Pkg.lock ~self:(Ops.self ())
@@ -144,9 +144,9 @@ let naive_make pkg : (module Sync_intf.SYNC) =
 
     let test_alert () = T.Alerts.test_alert pkg.T.Pkg.alerts ~self:(Ops.self ())
     let alert_wait _ _ = failwith "naive backend: alert_wait unsupported"
-    let alert_p = T.Semaphore.alert_p
+    let alert_p = T.Mutex.alert_p
     let timed_wait _ _ ~timeout:_ = failwith "naive backend: timed_wait unsupported"
-    let timed_p = T.Semaphore.timed_p
+    let timed_p = T.Mutex.timed_p
     let self () = Ops.self ()
     let fork f = Ops.spawn f
     let join = Ops.join
@@ -163,12 +163,12 @@ let hoare_make pkg : (module Sync_intf.SYNC) =
 
     type mutex = H.monitor
     type condition = { mutable bound : H.cond option }
-    type semaphore = Taos_threads.Semaphore.t
+    type semaphore = Taos_threads.Mutex.t
     type thread = Tid.t
 
     let mutex () = H.monitor ()
     let condition () = { bound = None }
-    let semaphore () = Taos_threads.Semaphore.create pkg
+    let semaphore () = Taos_threads.Mutex.semaphore pkg
     let acquire = H.enter
     let release = H.exit
     let with_lock = H.with_monitor
@@ -186,8 +186,8 @@ let hoare_make pkg : (module Sync_intf.SYNC) =
     (* An unbound condition never had a waiter: both wakes are no-ops. *)
     let signal c = Option.iter H.signal c.bound
     let broadcast c = Option.iter H.broadcast c.bound
-    let p = Taos_threads.Semaphore.p
-    let v = Taos_threads.Semaphore.v
+    let p = Taos_threads.Mutex.p
+    let v = Taos_threads.Mutex.v
     let alert _ = failwith "hoare backend: alerting unsupported"
     let test_alert () = failwith "hoare backend: alerting unsupported"
     let alert_wait _ _ = failwith "hoare backend: alerting unsupported"

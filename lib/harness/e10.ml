@@ -40,10 +40,10 @@ let pv_run ?(certify = false) ?(prefer = false) ~seed () =
         ignore
           (Firefly.Machine.spawn_root machine (fun () ->
                let pkg = Taos_threads.Pkg.create () in
-               let sem = Taos_threads.Semaphore.create pkg in
+               let sem = Taos_threads.Mutex.semaphore pkg in
                (* The semaphore starts unavailable: nothing to consume
                   until the device raises an interrupt. *)
-               Taos_threads.Semaphore.p sem;
+               Taos_threads.Mutex.p sem;
                (* One operation in flight at a time (a binary semaphore is
                   a completion handshake, not a counter). *)
                let command_pending = ref false in
@@ -51,7 +51,7 @@ let pv_run ?(certify = false) ?(prefer = false) ~seed () =
                  for _ = 1 to interrupts_per_run do
                    command_pending := true;
                    Ops.tick 1;
-                   Taos_threads.Semaphore.p sem
+                   Taos_threads.Mutex.p sem
                  done
                in
                let d = Ops.spawn driver in
@@ -66,7 +66,7 @@ let pv_run ?(certify = false) ?(prefer = false) ~seed () =
                  Ops.tick (1 + (i * 3));
                  ignore
                    (Firefly.Machine.spawn_root machine ~interrupt:true
-                      (fun () -> Taos_threads.Semaphore.v sem))
+                      (fun () -> Taos_threads.Mutex.v sem))
                done;
                Ops.join d)))
   in

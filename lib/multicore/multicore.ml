@@ -1,27 +1,7 @@
 exception Alerted = Taos_threads.Sync_intf.Alerted
 
-(* Polymorphic FIFO with arbitrary removal; touched only under the global
-   spin-lock. *)
-module Dq = struct
-  type 'a t = { mutable items : 'a list }
-
-  let create () = { items = [] }
-  let push q x = q.items <- q.items @ [ x ]
-
-  let pop q =
-    match q.items with
-    | [] -> None
-    | x :: rest ->
-      q.items <- rest;
-      Some x
-
-  let pop_all q =
-    let xs = q.items in
-    q.items <- [];
-    xs
-
-  let remove q x = q.items <- List.filter (fun y -> not (y == x)) q.items
-end
+(* The Nub's thread queues, touched only under the global spin-lock. *)
+module Tqueue = Taos_threads.Tqueue
 
 type thread = {
   tid : int;
@@ -85,7 +65,7 @@ module Sync = struct
   type mutex = {
     id : int;
     bit : bool Atomic.t;
-    mq : thread Dq.t;
+    mq : thread Tqueue.t;
     waiters : int Atomic.t;  (* |mq|, written under the nub lock *)
   }
 
@@ -93,7 +73,7 @@ module Sync = struct
     cid : int;
     evc : int Atomic.t;
     interest : int Atomic.t;
-    cq : thread Dq.t;
+    cq : thread Tqueue.t;
     (* Traced runs only, under the nub lock: [window] holds threads
        between their Enqueue event (the eventcount read) and parking or
        noticing staleness — the wakeup-waiting window; [departing] holds
@@ -112,7 +92,7 @@ module Sync = struct
     {
       id = new_obj_id ();
       bit = Atomic.make false;
-      mq = Dq.create ();
+      mq = Tqueue.create ();
       waiters = Atomic.make 0;
     }
 
@@ -123,7 +103,7 @@ module Sync = struct
       cid = new_obj_id ();
       evc = Atomic.make 0;
       interest = Atomic.make 0;
-      cq = Dq.create ();
+      cq = Tqueue.create ();
       window = Hashtbl.create 8;
       departing = Hashtbl.create 8;
     }
@@ -162,12 +142,12 @@ module Sync = struct
       `Alerted
     end
     else begin
-      Dq.push m.mq me;
+      Tqueue.push m.mq me;
       Atomic.incr m.waiters;
       if Atomic.get m.bit then begin
         if alertable then
           Hashtbl.replace cancels me.tid (fun () ->
-              Dq.remove m.mq me;
+              ignore (Tqueue.remove m.mq me);
               Atomic.decr m.waiters;
               me.woken_by_alert <- true;
               Parker.unpark me.parker);
@@ -191,7 +171,7 @@ module Sync = struct
         else slow_lock m ~alertable ~ev ~on_alerted
       end
       else begin
-        Dq.remove m.mq me;
+        ignore (Tqueue.remove m.mq me);
         Atomic.decr m.waiters;
         Spin.release nub;
         if try_bit_ev m ~ev then `Acquired
@@ -218,7 +198,7 @@ module Sync = struct
      end);
     if Atomic.get m.waiters <> 0 then begin
       Spin.acquire nub;
-      (match Dq.pop m.mq with
+      (match Tqueue.pop m.mq with
       | Some t ->
         Atomic.decr m.waiters;
         Hashtbl.remove cancels t.tid;
@@ -298,10 +278,10 @@ module Sync = struct
     end
     else begin
       if traced () then Hashtbl.remove c.window me.tid;
-      Dq.push c.cq me;
+      Tqueue.push c.cq me;
       if alertable then
         Hashtbl.replace cancels me.tid (fun () ->
-            Dq.remove c.cq me;
+            ignore (Tqueue.remove c.cq me);
             if traced () then Hashtbl.replace c.departing me.tid ();
             me.woken_by_alert <- true;
             Parker.unpark me.parker);
@@ -378,8 +358,8 @@ module Sync = struct
         Spin.acquire nub;
         ignore (Atomic.fetch_and_add c.evc 1);
         let woken =
-          if take_all then Dq.pop_all c.cq
-          else match Dq.pop c.cq with Some t -> [ t ] | None -> []
+          if take_all then Tqueue.pop_all c.cq
+          else match Tqueue.pop c.cq with Some t -> [ t ] | None -> []
         in
         List.iter
           (fun t ->
@@ -401,8 +381,8 @@ module Sync = struct
       Spin.acquire nub;
       ignore (Atomic.fetch_and_add c.evc 1);
       let woken =
-        if take_all then Dq.pop_all c.cq
-        else match Dq.pop c.cq with Some t -> [ t ] | None -> []
+        if take_all then Tqueue.pop_all c.cq
+        else match Tqueue.pop c.cq with Some t -> [ t ] | None -> []
       in
       let swept tbl = Hashtbl.fold (fun tid () acc -> tid :: acc) tbl [] in
       let removed =

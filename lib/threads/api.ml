@@ -7,30 +7,33 @@ let make pkg : sync =
   (module struct
     type mutex = Mutex.t
     type condition = Condition.t
-    type semaphore = Semaphore.t
+    type semaphore = Mutex.t
     type thread = Tid.t
 
     let mutex () = Mutex.create pkg
     let condition () = Condition.create pkg
-    let semaphore () = Semaphore.create pkg
+    let semaphore () = Mutex.semaphore pkg
     let acquire = Mutex.acquire
     let release = Mutex.release
     let with_lock = Mutex.with_lock
     let wait m c = Condition.wait c m
     let signal = Condition.signal
     let broadcast = Condition.broadcast
-    let p = Semaphore.p
-    let v = Semaphore.v
+    let p = Mutex.p
+    let v = Mutex.v
     let timed_wait m c ~timeout = Condition.timed_wait c m ~timeout
-    let timed_p = Semaphore.timed_p
+    let timed_p = Mutex.timed_p
 
     let alert target =
       Alerts.alert pkg.Pkg.alerts ~lock:pkg.Pkg.lock ~self:(Ops.self ())
         ~target
 
+    (* Chaos hook: an alert storm targets thread [n] with a real
+       package-level Alert, exercising the cancellation paths. *)
+    let () = Firefly.Machine.Probe.register_chaos "pkg.alert" alert
     let test_alert () = Alerts.test_alert pkg.Pkg.alerts ~self:(Ops.self ())
     let alert_wait m c = Condition.alert_wait c m
-    let alert_p = Semaphore.alert_p
+    let alert_p = Mutex.alert_p
     let self () = Ops.self ()
     let fork f = Ops.spawn f
     let join = Ops.join
@@ -40,13 +43,7 @@ let make pkg : sync =
 let build ?fast_path body machine =
   ignore
     (Firefly.Machine.spawn_root machine (fun () ->
-         let pkg = Pkg.create ?fast_path () in
-         (* Chaos hook: an alert storm targets thread [n] with a real
-            package-level Alert, exercising the cancellation paths. *)
-         Firefly.Machine.Probe.register_chaos "pkg.alert" (fun n ->
-             Alerts.alert pkg.Pkg.alerts ~lock:pkg.Pkg.lock
-               ~self:(Ops.self ()) ~target:n);
-         body (make pkg)))
+         body (make (Pkg.create ?fast_path ()))))
 
 let run ?fast_path ?seed ?strategy ?max_steps ?cost body =
   Firefly.Interleave.run ?max_steps ?strategy ?seed ?cost

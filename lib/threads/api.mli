@@ -14,8 +14,9 @@
 
 type sync = (module Sync_intf.SYNC with type thread = Threads_util.Tid.t)
 
-(** [make pkg] builds the simulator backend over a package instance.
-    Must be called from simulated thread context. *)
+(** [make pkg] builds the simulator backend over a package instance and
+    registers the package's ["pkg.alert"] chaos hook (the fault engine's
+    alert storm).  Must be called from simulated thread context. *)
 val make : Pkg.t -> sync
 
 (** [run ?fast_path ?seed ?strategy ?max_steps body] — create a machine,

@@ -30,7 +30,7 @@ type t = {
   interest : int;
       (* addr; waiters faa it up before Enqueue and down after leaving, so
          the user-space Signal/Broadcast skip (read = 0) is conservative *)
-  q : Tqueue.t;
+  q : Tid.t Tqueue.t;
   window : (Tid.t, unit) Hashtbl.t;
       (* threads between their Enqueue linearization and Block's verdict *)
   departing : (Tid.t, unit) Hashtbl.t;

@@ -4,13 +4,13 @@ module Tid = Threads_util.Tid
 
 type monitor = {
   mutable holder : Tid.t option;
-  entry : Tqueue.t;
-  urgent : Tqueue.t;  (* suspended signallers; priority over entry *)
+  entry : Tid.t Tqueue.t;
+  urgent : Tid.t Tqueue.t;  (* suspended signallers; priority over entry *)
   mutable switch_count : int;
   scratch : int;  (* deschedule word; doubles as the monitor's trace id *)
 }
 
-type cond = { mon : monitor; hq : Tqueue.t; cid : int }
+type cond = { mon : monitor; hq : Tid.t Tqueue.t; cid : int }
 
 (* Condition trace ids are negative so they can never collide with the
    memory addresses that identify monitors (and any other traced object)

@@ -1,9 +1,7 @@
-module Tid = Threads_util.Tid
-
 (* Two-list ("banker's") queue: [front] holds the head in order, [rear]
    holds the tail reversed.  Push and pop are O(1) amortized; the old
    head-first list made every push O(n). *)
-type t = { mutable front : Tid.t list; mutable rear : Tid.t list }
+type 'a t = { mutable front : 'a list; mutable rear : 'a list }
 
 let create () = { front = []; rear = [] }
 let is_empty q = q.front = [] && q.rear = []
@@ -28,13 +26,13 @@ let pop_all q =
   q.rear <- [];
   all
 
+let mem q t = List.memq t q.front || List.memq t q.rear
+
 let remove q t =
-  let present = List.mem t q.front || List.mem t q.rear in
+  let present = mem q t in
   if present then begin
-    let drop = List.filter (fun x -> not (Tid.equal x t)) in
+    let drop = List.filter (fun x -> x != t) in
     q.front <- drop q.front;
     q.rear <- drop q.rear
   end;
   present
-
-let mem q t = List.mem t q.front || List.mem t q.rear

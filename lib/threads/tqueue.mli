@@ -1,27 +1,28 @@
-(** FIFO queues of thread ids with arbitrary removal (for alert
-    cancellation).  These model the Nub's queues of blocked threads; they
-    are plain OCaml state because they are only touched under the global
-    spin-lock (or inside a single atomic simulator step), never
-    concurrently. *)
+(** FIFO queues of blocked threads with arbitrary removal (for alert
+    cancellation).  These model the Nub's queues; they are plain OCaml
+    state because they are only touched under the global spin-lock (or
+    inside a single atomic simulator step), never concurrently.  The
+    simulated packages queue thread ids, the hardware package its thread
+    records; {!remove} and {!mem} compare by physical equality. *)
 
-type t
+type 'a t
 
-val create : unit -> t
-val is_empty : t -> bool
-val length : t -> int
+val create : unit -> 'a t
+val is_empty : 'a t -> bool
+val length : 'a t -> int
 
 (** [push q t] appends at the tail. *)
-val push : t -> Threads_util.Tid.t -> unit
+val push : 'a t -> 'a -> unit
 
 (** [pop q] removes and returns the head, if any. *)
-val pop : t -> Threads_util.Tid.t option
+val pop : 'a t -> 'a option
 
 (** [pop_all q] removes and returns everything, head first. *)
-val pop_all : t -> Threads_util.Tid.t list
+val pop_all : 'a t -> 'a list
 
 (** [remove q t] removes [t] wherever it is; returns whether it was
     present. *)
-val remove : t -> Threads_util.Tid.t -> bool
+val remove : 'a t -> 'a -> bool
 
-val mem : t -> Threads_util.Tid.t -> bool
-val elements : t -> Threads_util.Tid.t list
+val mem : 'a t -> 'a -> bool
+val elements : 'a t -> 'a list

@@ -4,15 +4,15 @@ module Tid = Threads_util.Tid
 
 type sync = (module Sync_intf.SYNC with type thread = Tid.t)
 
-type mu = { mutable holder : Tid.t option; mq : Tqueue.t; mid : int }
+type mu = { mutable holder : Tid.t option; mq : Tid.t Tqueue.t; mid : int }
 
 type cond = {
-  cq : Tqueue.t;
+  cq : Tid.t Tqueue.t;
   departing : (Tid.t, unit) Hashtbl.t;
   cid : int;
 }
 
-type sem = { mutable avail : bool; sq : Tqueue.t; sid : int }
+type sem = { mutable avail : bool; sq : Tid.t Tqueue.t; sid : int }
 
 type state = {
   mutable pending : Tid.Set.t;

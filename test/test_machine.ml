@@ -552,6 +552,63 @@ let test_cycle_pins () =
   Alcotest.(check int) "sim mutex accesses" 1380
     (List.length (Threads_analysis.Analysis.accesses log))
 
+(* The paper: "The implementation of semaphores is identical to mutexes:
+   P is the same as Acquire and V is the same as Release".  Four threads
+   contend through P/V on one semaphore, then through Acquire/Release on
+   one mutex, on the same seed: both runs execute the same instructions
+   on the same schedule, with the fast path and without it.  Only a
+   mutex has a holder, so only the mutex run marks its bit acquired. *)
+let test_semaphore_is_mutex () =
+  let contend ~sem ~fast_path =
+    let acquired = ref [] in
+    let body (sync : sync) =
+      let module Sy = (val sync) in
+      let enter, leave =
+        if sem then
+          let s = Sy.semaphore () in
+          ((fun () -> Sy.p s), fun () -> Sy.v s)
+        else
+          let m = Sy.mutex () in
+          ((fun () -> Sy.acquire m), fun () -> Sy.release m)
+      in
+      let worker () =
+        for _ = 1 to 10 do
+          enter ();
+          Sy.yield ();
+          leave ()
+        done
+      in
+      List.iter Sy.join (List.init 4 (fun _ -> Sy.fork worker))
+    in
+    let r =
+      Firefly.Interleave.run ~seed:5 (fun machine ->
+          M.subscribe machine M.K_access (function
+            | M.Ev_access { kind = M.A_lock_acq; addr; _ } ->
+              acquired := M.word_name machine addr :: !acquired
+            | _ -> ());
+          Taos_threads.Api.build ~fast_path body machine)
+    in
+    let m = r.Firefly.Interleave.machine in
+    ( [ M.total_cycles m; M.total_instructions m; r.Firefly.Interleave.steps;
+        M.counter m "nub.acquire"; M.counter m "nub.release" ],
+      List.filter (fun n -> n <> "nub-lock") !acquired )
+  in
+  List.iter
+    (fun fast_path ->
+      let label what = Printf.sprintf "fast_path=%b: %s" fast_path what in
+      let mutex, held = contend ~sem:false ~fast_path in
+      let sem, sem_held = contend ~sem:true ~fast_path in
+      Alcotest.(check (list int))
+        (label "cycles, instructions, steps, nub.acquire, nub.release")
+        mutex sem;
+      Alcotest.(check bool) (label "the threads contended") true
+        (List.nth mutex 3 > 0 && List.nth mutex 4 > 0);
+      Alcotest.(check int) (label "mutex bit acquired 40 times") 40
+        (List.length held);
+      Alcotest.(check (list string)) (label "no semaphore acquisition") []
+        sem_held)
+    [ true; false ]
+
 (* Schedule-identity pins for the paths the cycle pins above miss: the
    fault engine's idle pick (a stall that takes every runnable thread off
    the processor), the step at which E10's first preempting-mode livelock
@@ -737,6 +794,8 @@ let suite =
         test_spin_declaration;
       Alcotest.test_case "simulated cycle pins" `Quick test_cycle_pins;
       Alcotest.test_case "schedule-identity pins" `Quick test_schedule_pins;
+      Alcotest.test_case "semaphore runs as a mutex" `Quick
+        test_semaphore_is_mutex;
       Alcotest.test_case "allocation budget per step" `Quick
         test_allocation_budget;
       Alcotest.test_case "explorers dispose abandoned machines" `Quick

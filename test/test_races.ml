@@ -263,14 +263,14 @@ let test_interrupt_v_not_lost () =
           ignore
             (Firefly.Machine.spawn_root machine (fun () ->
                  let pkg = Taos_threads.Pkg.create () in
-                 let sem = Taos_threads.Semaphore.create pkg in
-                 Taos_threads.Semaphore.p sem;
+                 let sem = Taos_threads.Mutex.semaphore pkg in
+                 Taos_threads.Mutex.p sem;
                  let d =
-                   Ops.spawn (fun () -> Taos_threads.Semaphore.p sem)
+                   Ops.spawn (fun () -> Taos_threads.Mutex.p sem)
                  in
                  ignore
                    (Firefly.Machine.spawn_root machine ~interrupt:true
-                      (fun () -> Taos_threads.Semaphore.v sem));
+                      (fun () -> Taos_threads.Mutex.v sem));
                  Ops.join d)))
     in
     match r.Firefly.Interleave.verdict with
