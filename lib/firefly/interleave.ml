@@ -19,23 +19,20 @@ type report = { verdict : verdict; steps : int; machine : Machine.t }
    failed TAS (or its counter bump, or a capped backoff's tick) that
    changes nothing — and with no timer armed and no delayed wakeup
    pending, nothing else can change the runnable set either. *)
+let rec all_stuck m ~intr from =
+  match Machine.nth_runnable m ~from ~intr None 0 with
+  | -1 -> true
+  | tid -> (
+    match Machine.spin_word m tid with
+    | Some w -> Machine.word_value m w = 1 && all_stuck m ~intr (tid + 1)
+    | None -> false)
+
 let certificate m strategy spinner ~at_step =
   match Machine.spin_word m spinner with
   | None -> None
   | Some _ when Machine.timers_pending m || Machine.delayed_pending m -> None
   | Some word ->
-    let cand = Sched.candidate strategy m in
-    let stuck tid =
-      (not (cand tid))
-      ||
-      match Machine.spin_word m tid with
-      | Some w -> Machine.word_value m w = 1
-      | None -> false
-    in
-    let rec all_stuck tid =
-      tid >= Machine.thread_count m || (stuck tid && all_stuck (tid + 1))
-    in
-    if all_stuck 0 then
+    if all_stuck m ~intr:(Sched.interrupts_only strategy m) 0 then
       Some
         (Livelock
            { spinner; word; holder = Machine.word_owner m word; at_step })

@@ -33,8 +33,9 @@ type report = {
     [spinner], is a [Livelock] when [m]'s future under [strategy] is a
     spin forever: [spinner] is in a declared spin
     ({!Machine.Probe.spin_on}), no timer is armed, no delayed wakeup is
-    pending, and every {!Sched.candidate} thread is in a declared spin on
-    a word that reads 1.  A declared spinner only retries its TAS, so no
+    pending, and every runnable thread [strategy] can pick
+    ({!Sched.interrupts_only}) is in a declared spin on a word that reads
+    1.  A declared spinner only retries its TAS, so no
     candidate can clear a word, and every remaining step is a failed
     TAS.  The word's owner is a witness, not a premise: a thread
     crash-stopped between {!Machine.Probe.lock_released} and its clearing

@@ -252,17 +252,15 @@ type t = {
    [running] field.  Lets package code (and thunks running inside
    [mem_emit]) record observations as plain function calls — no effect
    performed, no scheduling point added, no cycle charged — which is what
-   keeps an instrumented run cycle-identical to an uninstrumented one.  Each
-   simulated machine is stepped by exactly one domain at a time, but the
-   run-matrix executor steps many machines on parallel domains, so the
-   ambient slot is domain-local state rather than a process global.  The
-   machine's own [slot] is what [step] stores, so entering a step
-   allocates nothing. *)
-let current_key : t option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
+   keeps an instrumented run cycle-identical to an uninstrumented one.  The
+   run-matrix executor steps machines on parallel domains, so the slot is
+   one cell per domain.  [step] reads the cell once, stores the machine's
+   own [slot] and restores the caller's value on both exits: no
+   [Domain.DLS.set] and no allocation per step. *)
+type cell = { mutable cur : t option }
 
-let current () = Domain.DLS.get current_key
-let set_current v = Domain.DLS.set current_key v
+let current_key = Domain.DLS.new_key (fun () -> { cur = None })
+let current () = (Domain.DLS.get current_key).cur
 
 (* Every emission site matches its kind's list before building the event,
    so an unobserved kind costs one test and no allocation. *)
@@ -421,6 +419,24 @@ let is_runnable m tid =
 let thread_count m = m.nthreads
 let runnable_count m = m.nrunnable
 let runnable_interrupts m = m.nrunnable_intr
+
+(* The pickers' one walk: a top-level loop, not a closure, so a pick
+   allocates nothing.  [seen] counts the qualifying threads passed. *)
+let rec nth_from threads n ~intr among i tid seen =
+  if tid >= n then -1 - seen
+  else
+    let t = threads.(tid) in
+    if
+      (match t.status with Runnable -> true | _ -> false)
+      && ((not intr) || t.intr)
+      && match among with None -> true | Some keep -> keep tid
+    then
+      if seen = i then tid
+      else nth_from threads n ~intr among i (tid + 1) (seen + 1)
+    else nth_from threads n ~intr among i (tid + 1) seen
+
+let nth_runnable m ~from ~intr among i =
+  nth_from m.threads m.nthreads ~intr among i from 0
 
 let tids_where m keep =
   let rec go i acc =
@@ -785,16 +801,17 @@ let step m tid =
   | Runnable -> ()
   | Blocked | Finished | Failed _ ->
     failwith (Printf.sprintf "Machine.step: t%d is not runnable" tid));
-  let saved = current () in
-  set_current m.slot;
+  let cell = Domain.DLS.get current_key in
+  let saved = cell.cur in
+  cell.cur <- m.slot;
   m.running <- tid;
   fp m (fp_sched tid) ~w:false;
   match run_paused m t with
   | cost ->
-    set_current saved;
+    cell.cur <- saved;
     cost
   | exception e ->
-    set_current saved;
+    cell.cur <- saved;
     raise e
 
 (* A continuation dropped unresumed keeps its fiber stack for good, so
@@ -805,8 +822,9 @@ let step m tid =
 exception Disposed
 
 let dispose m =
-  let saved = current () in
-  set_current None;
+  let cell = Domain.DLS.get current_key in
+  let saved = cell.cur in
+  cell.cur <- None;
   m.slot <- None;
   let rec unwind t n =
     let paused = t.paused in
@@ -817,7 +835,7 @@ let dispose m =
     | _ -> ()
   in
   for i = 0 to m.nthreads - 1 do unwind m.threads.(i) 64 done;
-  set_current saved
+  cell.cur <- saved
 
 let counter m name =
   let id = counter_id name in

@@ -444,6 +444,15 @@ val runnable_count : t -> int
 val runnable_interrupts : t -> int
 val thread_count : t -> int
 
+(** [nth_runnable m ~from ~intr among i] — what [List.nth_opt] finds at
+    [i] in {!runnable} filtered to tids [>= from], in interrupt context
+    if [intr], that [among] accepts ([None]: all), without allocating;
+    past the end, [-1 - k] for the [k <= i] that qualify (-1 if none,
+    the count if [i = max_int]).  Every pick walks here; [from >= 0]. *)
+val nth_runnable :
+  t -> from:Threads_util.Tid.t -> intr:bool ->
+  (Threads_util.Tid.t -> bool) option -> int -> Threads_util.Tid.t
+
 (** [blocked m] — blocked thread ids, ascending: a deadlock's witnesses. *)
 val blocked : t -> Threads_util.Tid.t list
 

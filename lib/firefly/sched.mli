@@ -29,13 +29,10 @@ val replay : Threads_util.Tid.t list -> t -> t
 val choose :
   ?among:(Threads_util.Tid.t -> bool) -> t -> Machine.t -> Threads_util.Tid.t
 
-(** [candidate strategy machine tid] — can [strategy] pick [tid], now or
-    at any later step, while the runnable set stays what it is?  It may
-    over-approximate but never leave out a thread [choose] could return,
-    whatever the strategy's internal state (random draws, round-robin
-    position, replay prefix): a livelock certificate reasons about
-    exactly these threads.  Under [random], [round_robin] and [replay]
-    every runnable thread is a candidate; under [prefer_interrupts], the
-    runnable interrupt threads when there are any.  Asking does not
-    advance the strategy. *)
-val candidate : t -> Machine.t -> Threads_util.Tid.t -> bool
+(** [interrupts_only strategy machine] — true when [strategy] can pick,
+    now or at any later step while the runnable set stays what it is,
+    only the runnable interrupt-context threads (under
+    [prefer_interrupts], while one is runnable); otherwise any runnable
+    thread, whatever the strategy's state.  A livelock certificate
+    reasons about exactly these threads.  Asking does not advance it. *)
+val interrupts_only : t -> Machine.t -> bool

@@ -645,13 +645,15 @@ let test_schedule_pins () =
     "timed, E2 at 16 threads: sim_cycles, context_switches" [ 231040; 5578 ]
     Firefly.Timed.[ r.sim_cycles; r.context_switches ]
 
-(* Allocation budgets: minor words per simulated step on three runs that
+(* Allocation budgets: minor words per simulated step on four runs that
    stand for the simulator's hot paths — the uncontended fast path on the
-   interleaving driver, a spin livelock run out to its step bound, and
-   the 5-processor timed driver.  Within one build the counts repeat
-   exactly; each bound is 1.25 times the count measured once spec events
-   were built only for a subscriber, so a regression cannot creep in
-   unseen. *)
+   interleaving driver, a spin livelock run out to its step bound, the
+   5-processor timed driver, and bare ticks picked among 16 threads,
+   where a closure in the pick or in [step] would show.  Within one build
+   the counts repeat exactly; each bound is 1.25 times the count measured
+   when the budget was set (the first three once spec events were built
+   only for a subscriber, the fourth before the runnable walk moved into
+   [Machine]), so a regression cannot creep in unseen. *)
 let words_per_step run =
   let w0 = Gc.minor_words () in
   let steps = run () in
@@ -691,6 +693,17 @@ let test_allocation_budget () =
         fun () ->
           (Taos_threads.Api.run_timed ~processors:5 ~seed:7 timed_workers)
             .Firefly.Timed.steps );
+      ( "16 ticking threads, interleaving driver", 1.25 *. 15.03,
+        fun () ->
+          (Firefly.Interleave.run ~seed:3 (fun machine ->
+               for _ = 1 to 16 do
+                 ignore
+                   (M.spawn_root machine (fun () ->
+                        for _ = 1 to 2_000 do
+                          Ops.tick 1
+                        done))
+               done))
+            .Firefly.Interleave.steps );
     ]
 
 (* Both explorers dispose of every machine they abandon.  Every thread of
@@ -761,6 +774,195 @@ let test_explore_disposes () =
       if reading m <> before then Alcotest.fail "disposal changed a checked machine")
     !checked
 
+(* The ambient slot's contract.  Outside any step there is no machine:
+   [Probe.self] is [None] and [Probe.now] is 0.  Inside a step they name
+   the stepping thread and its machine's clock.  A step restores the
+   caller's slot however it ends: after a [K_spec] subscriber raises,
+   after [dispose], and after a step of machine B taken inside a thread of
+   machine A.  Each domain has its own slot. *)
+let test_ambient_slot () =
+  let outside what =
+    Alcotest.(check (option int)) (what ^ ": Probe.self outside") None
+      (M.Probe.self ());
+    Alcotest.(check int) (what ^ ": Probe.now outside") 0 (M.Probe.now ())
+  in
+  outside "before any step";
+  let seen = ref [] in
+  let r =
+    run_rr (fun machine ->
+        for _ = 1 to 3 do
+          ignore
+            (M.spawn_root machine (fun () ->
+                 let me = Ops.self () in
+                 Ops.tick 5;
+                 seen := (me, M.Probe.self (), M.Probe.now ()) :: !seen))
+        done)
+  in
+  Alcotest.(check bool) "three threads ran" true (completed r);
+  List.iter
+    (fun (me, self, now) ->
+      Alcotest.(check (option int)) "Probe.self inside a step" (Some me) self;
+      Alcotest.(check bool) "Probe.now inside a step" true (now > 0))
+    !seen;
+  outside "after a run";
+  (* Machine B, whose only thread is stopped at a [mem_emit] whose thunk
+     publishes to a raising subscriber.  The thunk runs inside [step] but
+     outside the thread, so its exception leaves [step]. *)
+  let raising () =
+    let b = M.create () in
+    M.subscribe b M.K_spec (fun _ -> failwith "subscriber");
+    let t =
+      M.spawn_root b (fun () ->
+          ignore
+            (Ops.mem_emit M.M_none (fun _ ->
+                 M.Probe.emit
+                   Spec_trace.{ self = 0; action = Acquire { m = 1 } })))
+    in
+    ignore (M.step b t);
+    (b, t)
+  in
+  let raises b t =
+    match M.step b t with
+    | _ -> false
+    | exception Failure _ -> true
+  in
+  let b, t = raising () in
+  Alcotest.(check bool) "the subscriber raised" true (raises b t);
+  outside "after a raising step";
+  M.dispose b;
+  outside "after dispose";
+  let inner = ref [] in
+  let r =
+    run_rr (fun a ->
+        ignore (M.spawn_root a (fun () -> Ops.tick 1));
+        ignore
+          (M.spawn_root a (fun () ->
+               let me = Ops.self () in
+               let back what =
+                 inner :=
+                   (what, M.Probe.self () = Some me
+                          && M.Probe.now () = M.total_cycles a)
+                   :: !inner
+               in
+               let b = M.create () in
+               let tb =
+                 M.spawn_root b (fun () ->
+                     Ops.tick 100;
+                     inner := ("inside B", M.Probe.now () = 100) :: !inner)
+               in
+               while M.runnable_count b > 0 do
+                 ignore (M.step b tb)
+               done;
+               back "after stepping B";
+               let b, t = raising () in
+               ignore (raises b t);
+               back "after B's raising step";
+               M.dispose b;
+               back "after disposing B")))
+  in
+  Alcotest.(check bool) "machine A completed" true (completed r);
+  Alcotest.(check (list (pair string bool)))
+    "A's slot is back"
+    [ ("inside B", true); ("after stepping B", true);
+      ("after B's raising step", true); ("after disposing B", true) ]
+    (List.rev !inner);
+  (* Two domains at once: every thread sees its own machine's clock and
+     its own tid, on machines of different sizes, throughout. *)
+  let go = Atomic.make 0 in
+  let own threads () =
+    Atomic.incr go;
+    while Atomic.get go < 2 do Domain.cpu_relax () done;
+    let ok = ref true in
+    let r =
+      Firefly.Interleave.run ~seed:threads (fun machine ->
+          for _ = 1 to threads do
+            ignore
+              (M.spawn_root machine (fun () ->
+                   let me = Ops.self () in
+                   for _ = 1 to 2_000 do
+                     Ops.tick threads;
+                     if
+                       M.Probe.self () <> Some me
+                       || M.Probe.now () <> M.total_cycles machine
+                     then ok := false
+                   done))
+          done)
+    in
+    !ok && completed r
+  in
+  let other = Domain.spawn (own 5) in
+  let here = own 3 () in
+  Alcotest.(check (pair bool bool)) "each domain sees only its machine"
+    (true, true) (here, Domain.join other);
+  outside "after both domains"
+
+(* [Machine.nth_runnable] against a list oracle: over random status mixes
+   of 1-20 threads, the walk finds what [List.nth_opt] finds in the
+   filtered [Machine.runnable] list, for every index and every start tid,
+   with and without the interrupt-only and [among] filters, and past the
+   end reads [-1 - count]. *)
+let test_runnable_walk () =
+  let rng = Threads_util.Rng.create 11 in
+  let mix () =
+    let m = M.create () in
+    let n = 1 + Threads_util.Rng.int rng 20 in
+    for _ = 1 to n do
+      let interrupt = Threads_util.Rng.int rng 3 = 0 in
+      let body, steps =
+        match Threads_util.Rng.int rng 5 with
+        | 0 -> ((fun () -> Ops.tick 1), 0)  (* fresh: runnable *)
+        | 1 -> ((fun () -> Ops.tick 1), 1)  (* at an effect: runnable *)
+        | 2 -> (ignore, 1)  (* finished *)
+        | 3 -> ((fun () -> failwith "mix"), 1)  (* failed *)
+        | _ -> ((fun () -> Ops.deschedule_and_clear 0), 2)
+        (* blocked; an interrupt thread fails instead *)
+      in
+      let tid = M.spawn_root m ~interrupt body in
+      for _ = 1 to steps do
+        if M.is_runnable m tid then ignore (M.step m tid)
+      done
+    done;
+    if Threads_util.Rng.int rng 4 = 0 then
+      M.kill m (Threads_util.Rng.int rng n) ~reason:"mix";
+    (m, n)
+  in
+  let oracle l i =
+    match List.nth_opt l i with Some tid -> tid | None -> -1 - List.length l
+  in
+  let cases = ref 0 in
+  for _ = 1 to 300 do
+    let m, n = mix () in
+    let mask = Threads_util.Rng.int rng (1 lsl n) in
+    List.iter
+      (fun among ->
+        let keep tid = match among with None -> true | Some f -> f tid in
+        List.iter
+          (fun intr ->
+            for from = 0 to n do
+              let l =
+                List.filter
+                  (fun tid ->
+                    tid >= from && keep tid
+                    && ((not intr) || M.is_interrupt m tid))
+                  (M.runnable m)
+              in
+              for i = 0 to n do
+                incr cases;
+                let got = M.nth_runnable m ~from ~intr among i in
+                if got <> oracle l i then
+                  Alcotest.failf
+                    "n=%d from=%d intr=%b among=%b i=%d: walk %d, oracle %d" n
+                    from intr (among <> None) i got (oracle l i)
+              done;
+              Alcotest.(check int) "count" (List.length l)
+                (-1 - M.nth_runnable m ~from ~intr among max_int)
+            done)
+          [ false; true ])
+      [ None; Some (fun tid -> mask land (1 lsl tid) <> 0) ];
+    M.dispose m
+  done;
+  Alcotest.(check bool) "cases ran" true (!cases > 10_000)
+
 let suite =
   ( "machine",
     [
@@ -800,4 +1002,8 @@ let suite =
         test_allocation_budget;
       Alcotest.test_case "explorers dispose abandoned machines" `Quick
         test_explore_disposes;
+      Alcotest.test_case "ambient slot: per step, restored, per domain"
+        `Quick test_ambient_slot;
+      Alcotest.test_case "runnable walk matches the list oracle" `Quick
+        test_runnable_walk;
     ] )
