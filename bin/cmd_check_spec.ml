@@ -4,7 +4,6 @@
 
 open Cmdliner
 module SC = Threads_staticcheck
-module Lint = Threads_analysis.Lint
 
 let read_spec = function
   | None -> ("threads (builtin)", Spec_core.Threads_interface.source)
@@ -31,16 +30,19 @@ let sc_finding_json (f : SC.Finding.t) =
       ("severity",
        Obs.Json.String (SC.Finding.severity_name f.SC.Finding.severity));
       ("where", Obs.Json.String f.SC.Finding.where);
-      ("msg", Obs.Json.String f.SC.Finding.msg) ]
+      ("msg", Obs.Json.String (SC.Finding.text f)) ]
 
 (* The clause-level pass alone (check-spec --lint-only). *)
 let lint_only name iface locs ~out =
-  let findings = Lint.lint ~locs iface in
-  let errs = List.length (Lint.errors findings) in
+  let findings = SC.Lint.lint ~locs iface in
+  let errs = List.length (SC.Finding.errors findings) in
   Cli.write_out ~out
     (String.concat ""
        (List.map
-          (fun f -> Format.asprintf "%s: %a@." name Lint.pp_finding f)
+          (fun (f : SC.Finding.t) ->
+            Printf.sprintf "%s: %s%s: %s: %s\n" name (SC.Finding.pos_prefix f)
+              (SC.Finding.severity_name f.SC.Finding.severity)
+              f.SC.Finding.where f.SC.Finding.msg)
           findings)
     ^ Printf.sprintf "%s: %d procedure(s), %d error(s), %d warning(s)\n" name
         (List.length iface.Spec_core.Proc.i_procs)

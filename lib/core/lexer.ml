@@ -42,13 +42,14 @@ let pp_pos ppf p = Format.fprintf ppf "%d:%d" p.line p.col
 
 exception Lex_error of string * pos
 
-let keywords =
-  [
-    "INTERFACE"; "TYPE"; "INITIALLY"; "VAR"; "EXCEPTION"; "ATOMIC";
-    "PROCEDURE"; "ACTION"; "COMPOSITION"; "OF"; "END"; "REQUIRES";
-    "MODIFIES"; "AT"; "MOST"; "WHEN"; "ENSURES"; "RETURNS"; "RAISES"; "SET";
-    "IN"; "SUBSET"; "UNCHANGED"; "SELF"; "NIL"; "TRUE"; "FALSE";
-  ]
+let is_keyword = function
+  | "INTERFACE" | "TYPE" | "INITIALLY" | "VAR" | "EXCEPTION" | "ATOMIC"
+  | "PROCEDURE" | "ACTION" | "COMPOSITION" | "OF" | "END" | "REQUIRES"
+  | "MODIFIES" | "AT" | "MOST" | "WHEN" | "ENSURES" | "RETURNS" | "RAISES"
+  | "SET" | "IN" | "SUBSET" | "UNCHANGED" | "SELF" | "NIL" | "TRUE" | "FALSE"
+    ->
+    true
+  | _ -> false
 
 let is_word_char c =
   (c >= 'a' && c <= 'z')
@@ -86,12 +87,11 @@ let tokenize src =
         incr i
       done;
       let word = String.sub src start (!i - start) in
-      if List.mem word keywords then emit_at start (KW word)
+      if is_keyword word then emit_at start (KW word)
       else emit_at start (IDENT word)
     end
     else begin
-      let two = if !i + 1 < n then String.sub src !i 2 else "" in
-      if two = "=>" then begin
+      if c = '=' && !i + 1 < n && src.[!i + 1] = '>' then begin
         emit ARROW;
         i := !i + 2
       end

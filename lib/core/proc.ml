@@ -62,6 +62,32 @@ let formal_sort iface p name =
   let f = List.find (fun f -> f.f_name = name) p.p_formals in
   sort_of_type iface f.f_type
 
+let map_proc name f iface =
+  (* Procedure names are unique: the list after the edited one is shared. *)
+  let rec edit = function
+    | [] -> []
+    | p :: rest -> if p.p_name = name then f p :: rest else p :: edit rest
+  in
+  { iface with i_procs = edit iface.i_procs }
+
+let map_action pname aname f =
+  map_proc pname (fun p ->
+      let g a = if a.a_name = aname then f a else a in
+      {
+        p with
+        p_kind =
+          (match p.p_kind with
+          | Atomic a -> Atomic (g a)
+          | Composition l -> Composition (List.map g l));
+      })
+
+let map_case pname aname ci f =
+  map_action pname aname (fun a ->
+      {
+        a with
+        a_cases = List.mapi (fun j c -> if j = ci then f c else c) a.a_cases;
+      })
+
 (* One-state formulas may not mention _post or UNCHANGED. *)
 let rec term_one_state = function
   | Term.Self | Term.Nil_const | Term.Lit _ | Term.Empty_set -> true

@@ -66,6 +66,20 @@ val sort_of_type : interface -> string -> Sort.t
 (** [formal_sort iface p formal_name] — raises [Not_found]. *)
 val formal_sort : interface -> t -> string -> Sort.t
 
+(** {1 Editing an interface}
+
+    Each returns [iface] with one part replaced by [f] of itself; parts
+    that match no name are left alone. *)
+
+(** [map_proc name f iface] edits the procedure [name]. *)
+val map_proc : string -> (t -> t) -> interface -> interface
+
+(** [map_case pname aname ci f iface] edits the 0-based case [ci] of
+    action [aname] of procedure [pname] (an atomic procedure's one action
+    is named like it). *)
+val map_case :
+  string -> string -> int -> (case -> case) -> interface -> interface
+
 (** [well_formed iface] checks static rules and returns the list of
     violations (empty when well-formed):
     - every formal's type and every raised exception is declared;

@@ -137,15 +137,11 @@ let test_alert =
         &&& (post "alerts" === delete (pre "alerts") self));
     ]
 
-let alert_p ~must_raise =
-  let returns_when =
-    let base = pre "s" === available in
-    if must_raise then base &&& not_ (mem self (pre "alerts")) else base
-  in
+let alert_p =
   atomic_proc "AlertP" ~formals:[ var "s" "Semaphore" ] ~raises:[ "Alerted" ]
     ~modifies:[ "s"; "alerts" ]
     [
-      returns_case ~when_:returns_when
+      returns_case ~when_:(pre "s" === available)
         ((post "s" === unavailable) &&& unchanged [ "alerts" ]);
       raises_case "Alerted"
         ~when_:(mem self (pre "alerts"))
@@ -164,42 +160,28 @@ let alert_wait_enqueue =
       ];
   }
 
-(* The four historical shapes of AlertResume; see the .mli. *)
-let alert_resume ~mutex_guard ~must_raise ~unchanged_c =
-  let returns_when =
-    let base = (pre "m" === nil) &&& not_ (mem self (pre "c")) in
-    if must_raise then base &&& not_ (mem self (pre "alerts")) else base
-  in
-  let raises_when =
-    let alerted = mem self (pre "alerts") in
-    if mutex_guard then (pre "m" === nil) &&& alerted else alerted
-  in
-  let raises_ensures =
-    if unchanged_c then
-      (post "m" === self)
-      &&& (post "alerts" === delete (pre "alerts") self)
-      &&& unchanged [ "c" ]
-    else
-      (post "m" === self)
-      &&& (post "c" === delete (pre "c") self)
-      &&& (post "alerts" === delete (pre "alerts") self)
-  in
+let alert_resume =
   {
     a_name = "AlertResume";
     a_cases =
       [
-        returns_case ~when_:returns_when
+        returns_case
+          ~when_:((pre "m" === nil) &&& not_ (mem self (pre "c")))
           ((post "m" === self) &&& unchanged [ "c"; "alerts" ]);
-        raises_case "Alerted" ~when_:raises_when raises_ensures;
+        raises_case "Alerted"
+          ~when_:((pre "m" === nil) &&& mem self (pre "alerts"))
+          ((post "m" === self)
+          &&& (post "c" === delete (pre "c") self)
+          &&& (post "alerts" === delete (pre "alerts") self));
       ];
   }
 
-let alert_wait ~mutex_guard ~must_raise ~unchanged_c =
+let alert_wait =
   composition "AlertWait"
     ~formals:[ var "m" "Mutex"; var "c" "Condition" ]
     ~raises:[ "Alerted" ] ~requires:(pre "m" === self)
     ~modifies:[ "m"; "c"; "alerts" ]
-    [ alert_wait_enqueue; alert_resume ~mutex_guard ~must_raise ~unchanged_c ]
+    [ alert_wait_enqueue; alert_resume ]
 
 (* Timed variants (this reproduction's extension, not in the paper).
    TimedP either takes the semaphore or gives up with the state intact;
@@ -238,7 +220,7 @@ let timed_wait =
     ~modifies:[ "m"; "c" ]
     [ wait_enqueue; timed_resume ]
 
-let make ~mutex_guard ~must_raise ~unchanged_c =
+let final =
   {
     i_name = "Threads";
     i_types = types;
@@ -255,20 +237,40 @@ let make ~mutex_guard ~must_raise ~unchanged_c =
         v_proc;
         alert;
         test_alert;
-        alert_p ~must_raise;
-        alert_wait ~mutex_guard ~must_raise ~unchanged_c;
+        alert_p;
+        alert_wait;
         timed_p;
         timed_wait;
       ];
   }
 
-let final = make ~mutex_guard:true ~must_raise:false ~unchanged_c:false
+(* The three historical variants, each an edit of [final]'s AlertP or
+   AlertResume. *)
 
 let missing_mutex_guard =
-  make ~mutex_guard:false ~must_raise:false ~unchanged_c:false
+  map_case "AlertWait" "AlertResume" 1
+    (fun c -> { c with c_when = mem self (pre "alerts") })
+    final
 
-let must_raise = make ~mutex_guard:true ~must_raise:true ~unchanged_c:false
-let nelson_bug = make ~mutex_guard:true ~must_raise:false ~unchanged_c:true
+let must_raise =
+  let unalerted c =
+    { c with c_when = c.c_when &&& not_ (mem self (pre "alerts")) }
+  in
+  final
+  |> map_case "AlertP" "AlertP" 0 unalerted
+  |> map_case "AlertWait" "AlertResume" 0 unalerted
+
+let nelson_bug =
+  map_case "AlertWait" "AlertResume" 1
+    (fun c ->
+      {
+        c with
+        c_ensures =
+          (post "m" === self)
+          &&& (post "alerts" === delete (pre "alerts") self)
+          &&& unchanged [ "c" ];
+      })
+    final
 
 let variants =
   [
@@ -278,96 +280,4 @@ let variants =
     ("nelson-bug", nelson_bug);
   ]
 
-let source =
-  {|INTERFACE Threads
-
-TYPE Mutex = Thread INITIALLY NIL
-TYPE Condition = SET OF Thread INITIALLY {}
-TYPE Semaphore = (available, unavailable) INITIALLY available
-
-VAR alerts : SET OF Thread INITIALLY {}
-EXCEPTION Alerted
-EXCEPTION TimedOut
-
-ATOMIC PROCEDURE Acquire(VAR m : Mutex)
-  MODIFIES AT MOST [m]
-  WHEN m = NIL
-  ENSURES m_post = SELF
-
-ATOMIC PROCEDURE Release(VAR m : Mutex)
-  REQUIRES m = SELF
-  MODIFIES AT MOST [m]
-  ENSURES m_post = NIL
-
-PROCEDURE Wait(VAR m : Mutex; VAR c : Condition) =
-  COMPOSITION OF Enqueue; Resume END
-  REQUIRES m = SELF
-  MODIFIES AT MOST [m, c]
-  ATOMIC ACTION Enqueue
-    ENSURES (c_post = insert(c, SELF)) & (m_post = NIL)
-  ATOMIC ACTION Resume
-    WHEN (m = NIL) & ~(SELF IN c)
-    ENSURES (m_post = SELF) & UNCHANGED [c]
-
-ATOMIC PROCEDURE Signal(VAR c : Condition)
-  MODIFIES AT MOST [c]
-  ENSURES (c_post = {}) | (c_post SUBSET c)
-
-ATOMIC PROCEDURE Broadcast(VAR c : Condition)
-  MODIFIES AT MOST [c]
-  ENSURES c_post = {}
-
-ATOMIC PROCEDURE P(VAR s : Semaphore)
-  MODIFIES AT MOST [s]
-  WHEN s = available
-  ENSURES s_post = unavailable
-
-ATOMIC PROCEDURE V(VAR s : Semaphore)
-  MODIFIES AT MOST [s]
-  ENSURES s_post = available
-
-ATOMIC PROCEDURE Alert(t : Thread)
-  MODIFIES AT MOST [alerts]
-  ENSURES alerts_post = insert(alerts, t)
-
-ATOMIC PROCEDURE TestAlert() RETURNS (b : bool)
-  MODIFIES AT MOST [alerts]
-  ENSURES (b = (SELF IN alerts)) & (alerts_post = delete(alerts, SELF))
-
-ATOMIC PROCEDURE AlertP(VAR s : Semaphore) RAISES Alerted
-  MODIFIES AT MOST [s, alerts]
-  RETURNS WHEN s = available
-    ENSURES (s_post = unavailable) & UNCHANGED [alerts]
-  RAISES Alerted WHEN SELF IN alerts
-    ENSURES (alerts_post = delete(alerts, SELF)) & UNCHANGED [s]
-
-PROCEDURE AlertWait(VAR m : Mutex; VAR c : Condition) RAISES Alerted =
-  COMPOSITION OF Enqueue; AlertResume END
-  REQUIRES m = SELF
-  MODIFIES AT MOST [m, c, alerts]
-  ATOMIC ACTION Enqueue
-    ENSURES (c_post = insert(c, SELF)) & (m_post = NIL) & UNCHANGED [alerts]
-  ATOMIC ACTION AlertResume
-    RETURNS WHEN (m = NIL) & ~(SELF IN c)
-      ENSURES (m_post = SELF) & UNCHANGED [c, alerts]
-    RAISES Alerted WHEN (m = NIL) & (SELF IN alerts)
-      ENSURES (m_post = SELF) & (c_post = delete(c, SELF)) & (alerts_post = delete(alerts, SELF))
-
-ATOMIC PROCEDURE TimedP(VAR s : Semaphore) RAISES TimedOut
-  MODIFIES AT MOST [s]
-  RETURNS WHEN s = available
-    ENSURES s_post = unavailable
-  RAISES TimedOut ENSURES UNCHANGED [s]
-
-PROCEDURE TimedWait(VAR m : Mutex; VAR c : Condition) RAISES TimedOut =
-  COMPOSITION OF Enqueue; TimedResume END
-  REQUIRES m = SELF
-  MODIFIES AT MOST [m, c]
-  ATOMIC ACTION Enqueue
-    ENSURES (c_post = insert(c, SELF)) & (m_post = NIL)
-  ATOMIC ACTION TimedResume
-    RETURNS WHEN (m = NIL) & ~(SELF IN c)
-      ENSURES (m_post = SELF) & UNCHANGED [c]
-    RAISES TimedOut WHEN (m = NIL)
-      ENSURES (m_post = SELF) & (c_post = delete(c, SELF))
-|}
+let source = Threads_lspec.source

@@ -1,6 +1,7 @@
 (** The formal specification of the Threads synchronization primitives,
     transcribed clause-for-clause from the paper, plus the three historical
-    variants discussed in its "Discussion" section.
+    variants discussed in its "Discussion" section, each an edit of
+    {!final}'s AlertP or AlertResume.
 
     Procedures: [Acquire], [Release], [Wait] (= COMPOSITION OF Enqueue;
     Resume), [Signal], [Broadcast], [P], [V], [Alert], [TestAlert],
@@ -41,7 +42,8 @@ val nelson_bug : Proc.interface
 (** All four, with short tags: [("final", final); ...]. *)
 val variants : (string * Proc.interface) list
 
-(** The concrete-syntax source of {!final}, as shipped in
-    [specs/threads.lspec]; [Parser.interface_of_string source] must equal
-    {!final} (checked in the test suite). *)
+(** The concrete-syntax source of {!final}: the text of
+    [specs/threads.lspec], embedded at build time.
+    [Parser.interface_of_string source] must equal {!final} (checked in
+    the test suite). *)
 val source : string

@@ -105,17 +105,13 @@ let candidates (s : Oracle.scenario) =
 
 (* ---- greedy fixpoint ---- *)
 
-let minimize ?reference backend (scenario : Oracle.scenario) kind =
-  let reference =
-    match reference with
-    | Some _ -> reference
-    | None -> Threads_backend.Backend.find "sim"
-  in
+let minimize backend (scenario : Oracle.scenario) kind =
+  let reference = Threads_backend.Backend.find "sim" in
   (* Liveness kinds need a differential guard: "stranded" must mean the
      {e backend} strands the program, not that shrinking broke the
      policy's coverage invariant and produced a program that deadlocks
      everywhere.  A candidate survives only if the reference conforming
-     backend still completes it. *)
+     backend, [sim], still completes it. *)
   let reference_clean c =
     match kind with
     | Oracle.Violation _ | Oracle.Crashed _ | Oracle.Unexplained -> true

@@ -23,11 +23,9 @@ type step = {
     transcripts and the monotonicity tests).
 
     For the liveness kinds (Stranded, Exhausted) candidates are also run
-    on [reference] (default: the [sim] backend) and accepted only if the
-    reference completes them — so the minimum is a genuine divergence
+    on the [sim] backend and accepted only if it completes them — so the minimum is a genuine divergence
     witness, not a program that shrinking made deadlock everywhere. *)
 val minimize :
-  ?reference:Threads_backend.Backend.t ->
   Threads_backend.Backend.t ->
   Oracle.scenario ->
   Oracle.kind ->

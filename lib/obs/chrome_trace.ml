@@ -1,12 +1,15 @@
 type span = Instrument.span
 
+(* Every event belongs to the one traced process. *)
+let pid = 1
+
 (* Duration events ("B"/"E") must nest properly per tid: each "E" closes
    the most recent open "B" on that track.  The probes are designed so
    spans on one track are sequential or properly nested; the stack walk
    below emits the pairs in an order any trace viewer's stable
    sort-by-timestamp preserves. *)
 
-let b_event ~pid ~cycle_us (s : span) =
+let b_event ~cycle_us (s : span) =
   Json.Obj
     [
       ("name", Json.String s.name);
@@ -17,7 +20,7 @@ let b_event ~pid ~cycle_us (s : span) =
       ("tid", Json.Int s.track);
     ]
 
-let e_event ~pid ~cycle_us (s : span) =
+let e_event ~cycle_us (s : span) =
   Json.Obj
     [
       ("name", Json.String s.name);
@@ -28,7 +31,7 @@ let e_event ~pid ~cycle_us (s : span) =
       ("tid", Json.Int s.track);
     ]
 
-let track_events ~pid ~cycle_us spans =
+let track_events ~cycle_us spans =
   let sorted =
     List.stable_sort
       (fun (a : span) (b : span) -> compare (a.t0, -a.t1) (b.t0, -b.t1))
@@ -42,19 +45,19 @@ let track_events ~pid ~cycle_us spans =
       let rec close () =
         match !stack with
         | top :: rest when top.Instrument.t1 <= s.t0 ->
-          emit (e_event ~pid ~cycle_us top);
+          emit (e_event ~cycle_us top);
           stack := rest;
           close ()
         | _ -> ()
       in
       close ();
-      emit (b_event ~pid ~cycle_us s);
+      emit (b_event ~cycle_us s);
       stack := s :: !stack)
     sorted;
-  List.iter (fun s -> emit (e_event ~pid ~cycle_us s)) !stack;
+  List.iter (fun s -> emit (e_event ~cycle_us s)) !stack;
   List.rev !out
 
-let metadata ~pid ~process_name ~thread_names tracks =
+let metadata ~process_name ~thread_names tracks =
   let process =
     Json.Obj
       [
@@ -82,7 +85,7 @@ let metadata ~pid ~process_name ~thread_names tracks =
   in
   process :: List.map thread tracks
 
-let events ?(pid = 1) ?(cycle_us = 1.0) ?(process_name = "firefly-sim")
+let events ?(cycle_us = 1.0) ?(process_name = "firefly-sim")
     ?(thread_names = []) (snap : Instrument.snapshot) =
   let tracks =
     List.sort_uniq compare
@@ -92,19 +95,19 @@ let events ?(pid = 1) ?(cycle_us = 1.0) ?(process_name = "firefly-sim")
   let span_events =
     List.concat_map
       (fun track ->
-        track_events ~pid ~cycle_us
+        track_events ~cycle_us
           (List.filter (fun (s : span) -> s.track = track) snap.spans))
       tracks
   in
-  metadata ~pid ~process_name ~thread_names tracks @ span_events
+  metadata ~process_name ~thread_names tracks @ span_events
 
-let to_json ?pid ?cycle_us ?process_name ?thread_names snap =
+let to_json ?cycle_us ?process_name ?thread_names snap =
   Json.Obj
     [
       ( "traceEvents",
-        Json.Arr (events ?pid ?cycle_us ?process_name ?thread_names snap) );
+        Json.Arr (events ?cycle_us ?process_name ?thread_names snap) );
       ("displayTimeUnit", Json.String "ms");
     ]
 
-let to_string ?pid ?cycle_us ?process_name ?thread_names snap =
-  Json.to_string (to_json ?pid ?cycle_us ?process_name ?thread_names snap)
+let to_string ?cycle_us ?process_name ?thread_names snap =
+  Json.to_string (to_json ?cycle_us ?process_name ?thread_names snap)

@@ -3,14 +3,13 @@
     Converts an instrument {!Instrument.snapshot} into the JSON object
     format accepted by Perfetto and chrome://tracing: one track per
     simulated thread, a "B"/"E" duration-event pair per completed span,
-    plus process/thread-name metadata events.  Timestamps are
+    plus process/thread-name metadata events, all under pid 1.  Timestamps are
     [cycles * cycle_us] microseconds (pass the simulator's
     [Firefly.Cost.us_per_cycle] for real-time scaling; the default 1.0
     shows raw cycles as microseconds). *)
 
 (** The raw event list (metadata first, then per-track span pairs). *)
 val events :
-  ?pid:int ->
   ?cycle_us:float ->
   ?process_name:string ->
   ?thread_names:(int * string) list ->
@@ -19,7 +18,6 @@ val events :
 
 (** [{"traceEvents": [...], "displayTimeUnit": "ms"}] *)
 val to_json :
-  ?pid:int ->
   ?cycle_us:float ->
   ?process_name:string ->
   ?thread_names:(int * string) list ->
@@ -27,7 +25,6 @@ val to_json :
   Json.t
 
 val to_string :
-  ?pid:int ->
   ?cycle_us:float ->
   ?process_name:string ->
   ?thread_names:(int * string) list ->

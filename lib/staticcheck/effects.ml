@@ -15,7 +15,6 @@
 open Spec_core
 module P = Proc
 module Sem = Semantics
-module Lint = Threads_analysis.Lint
 
 type lockpost =
   | Held  (* every admitted transition leaves the object owned by SELF *)

@@ -10,16 +10,28 @@ type t = {
   cls : string;  (* diagnostic class, kebab-case *)
   severity : severity;
   where : string;  (* scenario or procedure the finding is about *)
+  pos : Spec_core.Lexer.pos option;
+      (* source position, for a lint finding on parsed spec text *)
   msg : string;
 }
 
-let make ?(severity = Error) ~cls ~where msg = { cls; severity; where; msg }
+let make ?(severity = Error) ?pos ~cls ~where msg =
+  { cls; severity; where; pos; msg }
 
 let severity_name = function Error -> "error" | Warning -> "warning"
 
+(* ["LINE:COL: "] when the finding has a position, else [""]. *)
+let pos_prefix f =
+  match f.pos with
+  | Some p -> Format.asprintf "%a: " Spec_core.Lexer.pp_pos p
+  | None -> ""
+
+(* The message with its position in front. *)
+let text f = pos_prefix f ^ f.msg
+
 let pp ppf f =
   Format.fprintf ppf "%s[%s] %s: %s" (severity_name f.severity) f.cls f.where
-    f.msg
+    (text f)
 
 let errors fs = List.filter (fun f -> f.severity = Error) fs
 

@@ -97,7 +97,7 @@ let check iface (scenario : Program.t) =
               (Printf.sprintf "program %d step %d calls undeclared %s" pi si
                  step.Program.proc)
           | proc ->
-            if interrupt && Threads_analysis.Lint.may_delay iface proc then
+            if interrupt && Lint.may_delay iface proc then
               add ~cls:"interrupt-blocking"
                 (Printf.sprintf
                    "program %d is an interrupt handler but step %d (%s) can \

@@ -18,37 +18,6 @@ type t = {
   m_iface : P.interface;
 }
 
-(* ---- AST surgery ---- *)
-
-let map_proc name f (iface : P.interface) =
-  {
-    iface with
-    P.i_procs =
-      List.map
-        (fun (p : P.t) -> if p.P.p_name = name then f p else p)
-        iface.P.i_procs;
-  }
-
-let map_action pname aname f =
-  map_proc pname (fun (p : P.t) ->
-      let g (a : P.action) = if a.P.a_name = aname then f a else a in
-      {
-        p with
-        P.p_kind =
-          (match p.P.p_kind with
-          | P.Atomic a -> P.Atomic (g a)
-          | P.Composition l -> P.Composition (List.map g l));
-      })
-
-(* [ci] is 0-based. *)
-let map_case pname aname ci f =
-  map_action pname aname (fun (a : P.action) ->
-      {
-        a with
-        P.a_cases =
-          List.mapi (fun j c -> if j = ci then f c else c) a.P.a_cases;
-      })
-
 let pre n = Term.Ref (n, Term.Pre)
 let post n = Term.Ref (n, Term.Post)
 let f_and a b = Formula.And (a, b)
@@ -66,7 +35,7 @@ let all =
         "Signal's ENSURES constrains alerts_post without listing alerts \
          in MODIFIES AT MOST";
       m_iface =
-        map_case "Signal" "Signal" 0
+        P.map_case "Signal" "Signal" 0
           (fun c ->
             {
               c with
@@ -83,7 +52,7 @@ let all =
         "Signal's MODIFIES AT MOST gains alerts but no ENSURES constrains \
          it — the spec lets Signal scribble on the alert set";
       m_iface =
-        map_proc "Signal"
+        P.map_proc "Signal"
           (fun p -> { p with P.p_modifies = p.P.p_modifies @ [ "alerts" ] })
           base;
     };
@@ -92,7 +61,7 @@ let all =
       m_expected = "dead-case";
       m_description = "Acquire's WHEN is strengthened into a contradiction";
       m_iface =
-        map_case "Acquire" "Acquire" 0
+        P.map_case "Acquire" "Acquire" 0
           (fun c ->
             {
               c with
@@ -107,7 +76,7 @@ let all =
       m_expected = "unimplementable-case";
       m_description = "V's ENSURES demands two different post values of s";
       m_iface =
-        map_case "V" "V" 0
+        P.map_case "V" "V" 0
           (fun c ->
             {
               c with
@@ -124,7 +93,7 @@ let all =
         "P loses its WHEN s = available guard, so it proceeds on an \
          unavailable semaphore — binary-semaphore mutual exclusion breaks";
       m_iface =
-        map_case "P" "P" 0 (fun c -> { c with P.c_when = Formula.True }) base;
+        P.map_case "P" "P" 0 (fun c -> { c with P.c_when = Formula.True }) base;
     };
     {
       m_name = "missing-mutex-guard";
@@ -133,18 +102,17 @@ let all =
         "AlertResume loses its m = NIL guards (E7a): an alerted waiter \
          seizes the mutex while another thread holds it";
       m_iface =
-        base
-        |> map_case "AlertWait" "AlertResume" 0 (fun c ->
-               {
-                 c with
-                 P.c_when =
-                   Formula.Not (Formula.Member (Term.Self, pre "c"));
-               })
-        |> map_case "AlertWait" "AlertResume" 1 (fun c ->
-               {
-                 c with
-                 P.c_when = Formula.Member (Term.Self, pre "alerts");
-               });
+        (* The historical variant drops only the RAISES case's guard.
+           The RETURNS case loses its m = NIL too: without it, generated
+           programs ([generate --mutants]) cannot tell this mutant from
+           the pristine spec. *)
+        P.map_case "AlertWait" "AlertResume" 0
+          (fun c ->
+            {
+              c with
+              P.c_when = Formula.Not (Formula.Member (Term.Self, pre "c"));
+            })
+          Threads_interface.missing_mutex_guard;
     };
     {
       m_name = "nelson-bug";
@@ -152,21 +120,7 @@ let all =
       m_description =
         "AlertResume's Alerted case keeps UNCHANGED [c] (E7c): the \
          departed thread lingers in the condition queue";
-      m_iface =
-        map_case "AlertWait" "AlertResume" 1
-          (fun c ->
-            {
-              c with
-              P.c_ensures =
-                Formula.conj
-                  [
-                    Formula.Eq (post "m", Term.Self);
-                    Formula.Unchanged [ "c" ];
-                    Formula.Eq
-                      (post "alerts", Term.Delete (pre "alerts", Term.Self));
-                  ];
-            })
-          base;
+      m_iface = Threads_interface.nelson_bug;
     };
     {
       m_name = "resume-requires-alert";
@@ -175,7 +129,7 @@ let all =
         "Wait's Resume additionally demands SELF IN alerts: a delivered \
          signal can no longer wake the waiter";
       m_iface =
-        map_case "Wait" "Resume" 0
+        P.map_case "Wait" "Resume" 0
           (fun c ->
             {
               c with
@@ -192,7 +146,7 @@ let all =
          signaller can never get in, so no interleaving delivers a wakeup \
          (the paper's wakeup-waiting defect)";
       m_iface =
-        map_case "Wait" "Enqueue" 0
+        P.map_case "Wait" "Enqueue" 0
           (fun c ->
             {
               c with
@@ -211,7 +165,7 @@ let all =
         "AlertResume's Alerted case additionally demands ~(SELF IN c): an \
          alerted thread still enqueued can never leave the wait";
       m_iface =
-        map_case "AlertWait" "AlertResume" 1
+        P.map_case "AlertWait" "AlertResume" 1
           (fun c ->
             {
               c with

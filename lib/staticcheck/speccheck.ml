@@ -1,7 +1,7 @@
 (* Driver of the spec model checking pass.
 
-   [check] composes the clause-level linter (re-exported with diagnostic
-   classes) with the abstract engine over the verification suite:
+   [check] composes the clause-level linter ({!Lint}) with the abstract
+   engine over the verification suite:
 
    1. lint: well-formedness, dead cases, unimplementable cases,
       unconstrained MODIFIES — each a class of its own;
@@ -15,9 +15,6 @@
    The pristine Threads interface produces zero findings; each of the
    {!Spec_mutants} corpus produces at least one, led by the mutant's
    expected class. *)
-
-open Spec_core
-module Lint = Threads_analysis.Lint
 
 type model_report = {
   mr_scenario : string;
@@ -34,22 +31,8 @@ type report = {
   rep_findings : Finding.t list;  (* all of the above, in report order *)
 }
 
-let of_lint (f : Lint.finding) =
-  let severity =
-    match f.Lint.f_severity with
-    | Lint.Error -> Finding.Error
-    | Lint.Warning -> Finding.Warning
-  in
-  let msg =
-    match f.Lint.f_pos with
-    | Some p -> Format.asprintf "%a: %s" Lexer.pp_pos p f.Lint.f_msg
-    | None -> f.Lint.f_msg
-  in
-  Finding.make ~severity ~cls:(Lint.kind_name f.Lint.f_kind)
-    ~where:f.Lint.f_proc msg
-
 let check ?locs iface =
-  let lint_findings = List.map of_lint (Lint.lint ?locs iface) in
+  let lint_findings = Lint.lint ?locs iface in
   let lint_has_errors = Finding.errors lint_findings <> [] in
   let covered = Hashtbl.create 64 in
   let ran_any = ref false in

@@ -1,5 +1,5 @@
 (* Validation of the dynamic analyzers (lockset, happens-before,
-   lock-order) and the static spec linter.
+   lock-order).
 
    The seeded mutants pin down the division of labour: the broken
    spinlock is invisible to lockset (its critical sections consistently
@@ -11,7 +11,6 @@
 
 module An = Threads_analysis.Analysis
 module Mu = Threads_analysis.Mutants
-module Lint = Threads_analysis.Lint
 module Bk = Threads_backend.Backend
 module Wl = Threads_backend.Workload
 module M = Firefly.Machine
@@ -334,89 +333,6 @@ let test_held_locks_balanced () =
         [] locks)
     per_thread
 
-(* --- the spec linter --- *)
-
-let test_linter_accepts_threads_spec () =
-  let iface =
-    Spec_core.Parser.interface_of_string Spec_core.Threads_interface.source
-  in
-  let findings = Lint.lint iface in
-  Alcotest.(check (list string))
-    "no errors on the shipped spec" []
-    (List.map
-       (Format.asprintf "%a" Lint.pp_finding)
-       (Lint.errors findings))
-
-let lint_errors_of src =
-  Lint.errors (Lint.lint (Spec_core.Parser.interface_of_string src))
-
-let test_linter_rejects_dead_when () =
-  let errs =
-    lint_errors_of
-      "INTERFACE Bad\n\
-       TYPE Mutex = Thread INITIALLY NIL\n\
-       ATOMIC PROCEDURE Acquire(VAR m: Mutex)\n\
-       MODIFIES AT MOST [m]\n\
-       RETURNS\n\
-       WHEN m = NIL & ~(m = NIL)\n\
-       ENSURES m_post = SELF\n"
-  in
-  Alcotest.(check bool) "dead WHEN reported" true
-    (List.exists
-       (fun (f : Lint.finding) ->
-         contains f.Lint.f_msg "never satisfiable")
-       errs)
-
-let test_linter_rejects_unsatisfiable_ensures () =
-  let errs =
-    lint_errors_of
-      "INTERFACE Bad\n\
-       TYPE Mutex = Thread INITIALLY NIL\n\
-       ATOMIC PROCEDURE Acquire(VAR m: Mutex)\n\
-       MODIFIES AT MOST [m]\n\
-       RETURNS\n\
-       WHEN m = NIL\n\
-       ENSURES m_post = SELF & ~(m_post = SELF)\n"
-  in
-  Alcotest.(check bool) "unimplementable ENSURES reported" true
-    (List.exists
-       (fun (f : Lint.finding) ->
-         contains f.Lint.f_msg "no post state")
-       errs)
-
-let test_linter_rejects_ensures_outside_modifies () =
-  (* ENSURES constrains m_post but no MODIFIES clause names m: a
-     well-formedness violation, reported before any clause checking. *)
-  let errs =
-    lint_errors_of
-      "INTERFACE Bad\n\
-       TYPE Mutex = Thread INITIALLY NIL\n\
-       ATOMIC PROCEDURE Acquire(VAR m: Mutex)\n\
-       RETURNS\n\
-       WHEN m = NIL\n\
-       ENSURES m_post = SELF\n"
-  in
-  Alcotest.(check bool) "ENSURES outside MODIFIES reported" true (errs <> [])
-
-let test_linter_warns_unconstrained_modifies () =
-  let findings =
-    Lint.lint
-      (Spec_core.Parser.interface_of_string
-         "INTERFACE Odd\n\
-          TYPE Mutex = Thread INITIALLY NIL\n\
-          ATOMIC PROCEDURE Poke(VAR m: Mutex)\n\
-          MODIFIES AT MOST [m]\n\
-          RETURNS\n\
-          ENSURES TRUE\n")
-  in
-  Alcotest.(check bool) "no errors" true (Lint.errors findings = []);
-  Alcotest.(check bool) "warning about unconstrained m" true
-    (List.exists
-       (fun (f : Lint.finding) ->
-         f.Lint.f_severity = Lint.Warning
-         && contains f.Lint.f_msg "no ENSURES constrains")
-       findings)
-
 let suite =
   ( "analysis",
     [
@@ -431,16 +347,6 @@ let suite =
         test_recording_identity;
       Alcotest.test_case "held-lock sets balance" `Quick
         test_held_locks_balanced;
-      Alcotest.test_case "linter accepts the Threads spec" `Quick
-        test_linter_accepts_threads_spec;
-      Alcotest.test_case "linter rejects a dead WHEN" `Quick
-        test_linter_rejects_dead_when;
-      Alcotest.test_case "linter rejects unsatisfiable ENSURES" `Quick
-        test_linter_rejects_unsatisfiable_ensures;
-      Alcotest.test_case "linter rejects ENSURES outside MODIFIES" `Quick
-        test_linter_rejects_ensures_outside_modifies;
-      Alcotest.test_case "linter warns on unconstrained MODIFIES" `Quick
-        test_linter_warns_unconstrained_modifies;
       Alcotest.test_case "multicore lock inversion is a cycle" `Quick
         test_multicore_inversion;
     ] )

@@ -1,6 +1,6 @@
 (* Static spec verifier: pristine spec clean, every seeded mutant caught
-   with a distinct diagnostic class, whole-program analysis, and the
-   DPOR soundness cross-check. *)
+   with a distinct diagnostic class, whole-program analysis, the DPOR
+   soundness cross-check, and the clause-level linter. *)
 
 open Spec_core
 module SC = Threads_staticcheck
@@ -128,9 +128,9 @@ let test_effects () =
   check_eff "TimedWait" ~held:true ~post:"held" ~delays:true;
   (* TimedP's timeout case is unguarded: it never delays *)
   Alcotest.(check bool) "TimedP never delays" false
-    (Threads_analysis.Lint.may_delay iface (Proc.find_proc iface "TimedP"));
+    (SC.Lint.may_delay iface (Proc.find_proc iface "TimedP"));
   Alcotest.(check bool) "P may delay" true
-    (Threads_analysis.Lint.may_delay iface (Proc.find_proc iface "P"))
+    (SC.Lint.may_delay iface (Proc.find_proc iface "P"))
 
 (* ---- pass 2: whole-program analysis ---- *)
 
@@ -216,6 +216,86 @@ let test_classify () =
   Alcotest.(check string) "invariant" "invariant"
     (SC.Crossval.classify "foo: invariant bar violated")
 
+(* ---- the clause-level linter ---- *)
+
+let contains = Test_util.contains
+
+let test_linter_accepts_threads_spec () =
+  let iface = Parser.interface_of_string Threads_interface.source in
+  let findings = SC.Lint.lint iface in
+  Alcotest.(check string) "no errors on the shipped spec" ""
+    (pp_findings (SC.Finding.errors findings))
+
+let lint_errors_of src =
+  SC.Finding.errors (SC.Lint.lint (Parser.interface_of_string src))
+
+let test_linter_rejects_dead_when () =
+  let errs =
+    lint_errors_of
+      "INTERFACE Bad\n\
+       TYPE Mutex = Thread INITIALLY NIL\n\
+       ATOMIC PROCEDURE Acquire(VAR m: Mutex)\n\
+       MODIFIES AT MOST [m]\n\
+       RETURNS\n\
+       WHEN m = NIL & ~(m = NIL)\n\
+       ENSURES m_post = SELF\n"
+  in
+  Alcotest.(check bool) "dead WHEN reported" true
+    (List.exists
+       (fun (f : SC.Finding.t) ->
+         contains f.SC.Finding.msg "never satisfiable")
+       errs)
+
+let test_linter_rejects_unsatisfiable_ensures () =
+  let errs =
+    lint_errors_of
+      "INTERFACE Bad\n\
+       TYPE Mutex = Thread INITIALLY NIL\n\
+       ATOMIC PROCEDURE Acquire(VAR m: Mutex)\n\
+       MODIFIES AT MOST [m]\n\
+       RETURNS\n\
+       WHEN m = NIL\n\
+       ENSURES m_post = SELF & ~(m_post = SELF)\n"
+  in
+  Alcotest.(check bool) "unimplementable ENSURES reported" true
+    (List.exists
+       (fun (f : SC.Finding.t) ->
+         contains f.SC.Finding.msg "no post state")
+       errs)
+
+let test_linter_rejects_ensures_outside_modifies () =
+  (* ENSURES constrains m_post but no MODIFIES clause names m: a
+     well-formedness violation, reported before any clause checking. *)
+  let errs =
+    lint_errors_of
+      "INTERFACE Bad\n\
+       TYPE Mutex = Thread INITIALLY NIL\n\
+       ATOMIC PROCEDURE Acquire(VAR m: Mutex)\n\
+       RETURNS\n\
+       WHEN m = NIL\n\
+       ENSURES m_post = SELF\n"
+  in
+  Alcotest.(check bool) "ENSURES outside MODIFIES reported" true (errs <> [])
+
+let test_linter_warns_unconstrained_modifies () =
+  let findings =
+    SC.Lint.lint
+      (Parser.interface_of_string
+         "INTERFACE Odd\n\
+          TYPE Mutex = Thread INITIALLY NIL\n\
+          ATOMIC PROCEDURE Poke(VAR m: Mutex)\n\
+          MODIFIES AT MOST [m]\n\
+          RETURNS\n\
+          ENSURES TRUE\n")
+  in
+  Alcotest.(check bool) "no errors" true (SC.Finding.errors findings = []);
+  Alcotest.(check bool) "warning about unconstrained m" true
+    (List.exists
+       (fun (f : SC.Finding.t) ->
+         f.SC.Finding.severity = SC.Finding.Warning
+         && contains f.SC.Finding.msg "no ENSURES constrains")
+       findings)
+
 let suite =
   ( "staticcheck",
     [
@@ -241,4 +321,14 @@ let suite =
       Alcotest.test_case "lock-order edges" `Quick test_lock_order_edges;
       Alcotest.test_case "crossval sound" `Quick test_crossval_sound;
       Alcotest.test_case "dynamic classification" `Quick test_classify;
+      Alcotest.test_case "linter accepts the Threads spec" `Quick
+        test_linter_accepts_threads_spec;
+      Alcotest.test_case "linter rejects a dead WHEN" `Quick
+        test_linter_rejects_dead_when;
+      Alcotest.test_case "linter rejects unsatisfiable ENSURES" `Quick
+        test_linter_rejects_unsatisfiable_ensures;
+      Alcotest.test_case "linter rejects ENSURES outside MODIFIES" `Quick
+        test_linter_rejects_ensures_outside_modifies;
+      Alcotest.test_case "linter warns on unconstrained MODIFIES" `Quick
+        test_linter_warns_unconstrained_modifies;
     ] )
