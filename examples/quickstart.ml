@@ -105,7 +105,7 @@ let () =
   (* 2. Co-routine backend (the paper's single-process Unix version). *)
   let result = ref (0, 0) in
   ignore
-    (Taos_threads.Uniproc.run ~seed:1 (fun sync ->
+    (Taos_threads.Uniproc.run (fun sync ->
          let module S =
            (val sync : Taos_threads.Sync_intf.SYNC with type thread = Tid.t)
          in

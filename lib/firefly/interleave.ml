@@ -83,11 +83,11 @@ let drive ~max_steps h m =
   { verdict; steps = !steps; machine = m }
 
 let run ?(max_steps = 1_000_000) ?(certify = false) ?strategy ?(seed = 0)
-    ?cost build =
+    build =
   let strategy =
     match strategy with Some s -> s | None -> Sched.random seed
   in
-  let m = Machine.create ?cost () in
+  let m = Machine.create () in
   build m;
   drive ~max_steps
     {

@@ -97,6 +97,5 @@ val run :
   ?certify:bool ->
   ?strategy:Sched.t ->
   ?seed:int ->
-  ?cost:Cost.t ->
   (Machine.t -> unit) ->
   report

@@ -128,13 +128,12 @@ type _ Effect.t +=
   | E_faa : int * int -> int Effect.t
   | E_alloc : int -> int Effect.t
   | E_self : Tid.t Effect.t
-  | E_spawn : (unit -> unit) * int option -> Tid.t Effect.t
+  | E_spawn : (unit -> unit) -> Tid.t Effect.t
   | E_join : Tid.t -> unit Effect.t
   | E_deschedule_and_clear : int -> unit Effect.t
   | E_ready : Tid.t -> unit Effect.t
   | E_tick : int -> unit Effect.t
   | E_counter : int -> unit Effect.t
-  | E_set_priority : int -> unit Effect.t
   | E_yield : unit Effect.t
   | E_mem_emit : mem_op * (int -> unit) -> int Effect.t
 
@@ -164,13 +163,12 @@ module Ops = struct
   let faa a n = Effect.perform (E_faa (a, n))
   let alloc n = Effect.perform (E_alloc n)
   let self () = Effect.perform E_self
-  let spawn ?priority f = Effect.perform (E_spawn (f, priority))
+  let spawn f = Effect.perform (E_spawn f)
   let join t = Effect.perform (E_join t)
   let deschedule_and_clear a = Effect.perform (E_deschedule_and_clear a)
   let ready t = Effect.perform (E_ready t)
   let tick n = Effect.perform (E_tick n)
   let incr_counter id = Effect.perform (E_counter id)
-  let set_priority p = Effect.perform (E_set_priority p)
   let yield () = Effect.perform E_yield
   let mem_emit op thunk = Effect.perform (E_mem_emit (op, thunk))
 end
@@ -188,15 +186,12 @@ type thread = {
   tid : Tid.t;
   mutable status : status;
   mutable paused : paused;
-  mutable prio : int;
   intr : bool;  (* interrupt context: must never block *)
   mutable wakeup_pending : bool;  (* Saltzer's wakeup-waiting switch *)
   mutable epoch : int;
       (* wake-episode counter, bumped at each delivered wake; a delayed
          wakeup captured in an earlier episode is stale and is discarded
          rather than spuriously waking a later block *)
-  mutable instr : int;
-  mutable cycles : int;
   mutable joiners : Tid.t list;
   mutable held : int list;  (* lock ids held, most recently acquired first *)
   mutable spin : int;
@@ -205,7 +200,6 @@ type thread = {
 }
 
 type t = {
-  cost : Cost.t;
   mutable mem : int array;
   mutable mem_used : int;
   mutable threads : thread array;  (* index = tid *)
@@ -294,21 +288,17 @@ let dummy_thread =
     tid = -1;
     status = Finished;
     paused = Gone;
-    prio = 0;
     intr = false;
     wakeup_pending = false;
     epoch = 0;
-    instr = 0;
-    cycles = 0;
     joiners = [];
     held = [];
     spin = -1;
   }
 
-let create ?(cost = Cost.default) () =
+let create () =
   let m =
     {
-      cost;
       mem = Array.make 64 0;
       mem_used = 0;
       threads = Array.make 16 dummy_thread;
@@ -367,7 +357,7 @@ let set_status m t st =
   if t.intr then m.nrunnable_intr <- m.nrunnable_intr + d;
   t.status <- st
 
-let add_thread m ?(priority = 0) ?(interrupt = false) f =
+let add_thread m ?(interrupt = false) f =
   let tid = m.nthreads in
   if tid >= Array.length m.threads then begin
     let bigger = Array.make (2 * Array.length m.threads) dummy_thread in
@@ -379,12 +369,9 @@ let add_thread m ?(priority = 0) ?(interrupt = false) f =
       tid;
       status = Runnable;
       paused = Fresh f;
-      prio = priority;
       intr = interrupt;
       wakeup_pending = false;
       epoch = 0;
-      instr = 0;
-      cycles = 0;
       joiners = [];
       held = [];
       spin = -1;
@@ -394,7 +381,7 @@ let add_thread m ?(priority = 0) ?(interrupt = false) f =
   if interrupt then m.nrunnable_intr <- m.nrunnable_intr + 1;
   tid
 
-let spawn_root ?priority ?interrupt m f = add_thread m ?priority ?interrupt f
+let spawn_root ?interrupt m f = add_thread m ?interrupt f
 
 (* Raise an interrupt from inside running thread code: the ambient
    machine is the one executing the calling thread on this domain.  The
@@ -409,14 +396,11 @@ let spawn_interrupt f =
 
 let is_interrupt m tid = (thread m tid).intr
 
-let priority m tid = (thread m tid).prio
-
 let is_runnable m tid =
   match (thread m tid).status with
   | Runnable -> true
   | Blocked | Finished | Failed _ -> false
 
-let thread_count m = m.nthreads
 let runnable_count m = m.nrunnable
 let runnable_interrupts m = m.nrunnable_intr
 
@@ -576,8 +560,7 @@ let handler m t =
         match eff with
         | E_read _ | E_write _ | E_tas _ | E_clear _ | E_faa _ | E_alloc _
         | E_self | E_spawn _ | E_join _ | E_deschedule_and_clear _
-        | E_ready _ | E_tick _ | E_counter _
-        | E_set_priority _ | E_yield | E_mem_emit _ ->
+        | E_ready _ | E_tick _ | E_counter _ | E_yield | E_mem_emit _ ->
           Some
             (fun (k : (a, unit) Effect.Deep.continuation) ->
               t.paused <- At_effect (eff, k))
@@ -597,11 +580,9 @@ let incr_counter m id =
   end;
   m.counts.(id) <- m.counts.(id) + 1
 
-(* Account one executed instruction of [t]. *)
-let charge m t cost =
-  t.instr <- t.instr + 1;
+(* Account one executed instruction. *)
+let charge m cost =
   m.total_instr <- m.total_instr + 1;
-  t.cycles <- t.cycles + cost;
   m.total_cycles <- m.total_cycles + cost
 
 (* The memory instructions, shared by the plain effects and [mem_emit]:
@@ -610,14 +591,14 @@ let charge m t cost =
 let load m t a =
   fp m a ~w:false;
   record m t.tid a A_load;
-  charge m t m.cost.read;
+  charge m Cost.default.read;
   m.mem.(a)
 
 let store m t a v kind =
   m.mem.(a) <- v;
   fp m a ~w:true;
   record m t.tid a kind;
-  charge m t m.cost.write
+  charge m Cost.default.write
 
 let tas m t a =
   let old = m.mem.(a) in
@@ -626,7 +607,7 @@ let tas m t a =
   (* two constant constructors: [A_tas (old = 0)] would allocate before
      [record] tests for a subscriber *)
   record m t.tid a (if old = 0 then A_tas true else A_tas false);
-  charge m t m.cost.tas;
+  charge m Cost.default.tas;
   old
 
 let faa m t a n =
@@ -634,7 +615,7 @@ let faa m t a n =
   m.mem.(a) <- old + n;
   fp m a ~w:true;
   record m t.tid a A_faa;
-  charge m t m.cost.faa;
+  charge m Cost.default.faa;
   old
 
 (* [t] no longer holds lock [id]. *)
@@ -674,8 +655,8 @@ let execute_effect (type a) m t (eff : a Effect.t)
     fp m fp_alloc ~w:true;
     continue k base
   | E_self -> continue k t.tid
-  | E_spawn (f, prio) ->
-    let tid = add_thread m ?priority:prio f in
+  | E_spawn f ->
+    let tid = add_thread m f in
     fp m fp_spawn ~w:true;
     fp m (fp_sched tid) ~w:true;
     record m t.tid (-1) (A_spawn tid);
@@ -708,7 +689,7 @@ let execute_effect (type a) m t (eff : a Effect.t)
       ignore (prof_take_block_reason m t.tid);
       finish m t
         (Failed (Interrupt_blocked (Printf.sprintf "deschedule@%d" a)));
-      charge m t m.cost.write
+      charge m Cost.default.write
     end
     else if t.wakeup_pending then begin
       t.wakeup_pending <- false;
@@ -717,7 +698,7 @@ let execute_effect (type a) m t (eff : a Effect.t)
       if List.mem a t.held then drop_held m t a;
       record m t.tid a A_clear;
       t.paused <- Resume_unit k;
-      charge m t m.cost.write;
+      charge m Cost.default.write;
       if stats_observed m then
         stat m t.tid (St_count ("machine.wakeup_waiting_saves", 1))
     end
@@ -728,7 +709,7 @@ let execute_effect (type a) m t (eff : a Effect.t)
       record m t.tid a A_clear;
       set_status m t Blocked;
       t.paused <- Resume_unit k;
-      charge m t m.cost.write;
+      charge m Cost.default.write;
       note_block m t target owner
     end
   | E_ready target ->
@@ -747,20 +728,17 @@ let execute_effect (type a) m t (eff : a Effect.t)
       | Drop -> record_fault m (Printf.sprintf "wakeup of t%d dropped" target)));
     continue k ()
   | E_tick n ->
-    charge m t n;
+    charge m n;
     continue k ()
   | E_counter id ->
     incr_counter m id;
-    continue k ()
-  | E_set_priority p ->
-    t.prio <- p;
     continue k ()
   | E_yield -> continue k ()
   | E_mem_emit (op, thunk) ->
     let result =
       match op with
       | M_none ->
-        charge m t m.cost.write;
+        charge m Cost.default.write;
         0
       | M_read a -> load m t a
       | M_tas a -> tas m t a
@@ -841,7 +819,6 @@ let counter m name =
   let id = counter_id name in
   if id < Array.length m.counts then m.counts.(id) else 0
 
-let instructions m tid = (thread m tid).instr
 let total_instructions m = m.total_instr
 let total_cycles m = m.total_cycles
 

@@ -206,8 +206,8 @@ module Ops : sig
 
   val self : unit -> Threads_util.Tid.t
 
-  (** [spawn ?priority f] creates a new runnable thread. *)
-  val spawn : ?priority:int -> (unit -> unit) -> Threads_util.Tid.t
+  (** [spawn f] creates a new runnable thread. *)
+  val spawn : (unit -> unit) -> Threads_util.Tid.t
 
   (** [join t] blocks until thread [t] finishes (normally or by failure). *)
   val join : Threads_util.Tid.t -> unit
@@ -229,8 +229,6 @@ module Ops : sig
   (** [incr_counter c] bumps an interned statistic (zero cost, but one
       scheduling step like every effect). *)
   val incr_counter : counter -> unit
-
-  val set_priority : int -> unit
 
   (** [yield ()] is a zero-cost scheduling point (used by the cooperative
       uniprocessor backend). *)
@@ -407,9 +405,8 @@ end
 
 (** {1 Construction and stepping (driver side)} *)
 
-(** [create ?cost ()] — an empty machine; the cost model defaults to
-    {!Cost.default}. *)
-val create : ?cost:Cost.t -> unit -> t
+(** [create ()] — an empty machine, charging {!Cost.default}. *)
+val create : unit -> t
 
 (** [spawn_root m f] adds a thread before (or during) a run; same semantics
     as {!Ops.spawn} but callable from outside.  A thread spawned with
@@ -417,8 +414,7 @@ val create : ?cost:Cost.t -> unit -> t
     (deschedule or join) fails it with [Failure] — interrupt routines
     cannot protect shared data with a mutex, the paper's stated reason
     semaphores exist. *)
-val spawn_root :
-  ?priority:int -> ?interrupt:bool -> t -> (unit -> unit) -> Threads_util.Tid.t
+val spawn_root : ?interrupt:bool -> t -> (unit -> unit) -> Threads_util.Tid.t
 
 (** [spawn_interrupt f] — raise an interrupt from {e inside} running
     thread code: spawns [f] as an interrupt-context thread
@@ -430,19 +426,16 @@ val spawn_interrupt : (unit -> unit) -> Threads_util.Tid.t
 
 val is_interrupt : t -> Threads_util.Tid.t -> bool
 
-val priority : t -> Threads_util.Tid.t -> int
-
 (** [runnable m] — runnable thread ids, ascending. *)
 val runnable : t -> Threads_util.Tid.t list
 
 (** The runnable set without building it: the machine keeps its size,
     and the size of its interrupt-context part, as threads change
-    status.  Tids run from 0 to [thread_count m - 1]. *)
+    status.  Tids are dense from 0, in spawn order. *)
 
 val is_runnable : t -> Threads_util.Tid.t -> bool
 val runnable_count : t -> int
 val runnable_interrupts : t -> int
-val thread_count : t -> int
 
 (** [nth_runnable m ~from ~intr among i] — what [List.nth_opt] finds at
     [i] in {!runnable} filtered to tids [>= from], in interrupt context
@@ -479,9 +472,6 @@ val subscribe : t -> kind -> (event -> unit) -> unit
 
 (** [counter m name] — the count of [name] on [m], 0 if never bumped. *)
 val counter : t -> string -> int
-
-(** [instructions m t] — instructions executed by thread [t]. *)
-val instructions : t -> Threads_util.Tid.t -> int
 
 val total_instructions : t -> int
 val total_cycles : t -> int

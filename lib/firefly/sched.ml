@@ -48,21 +48,6 @@ let prefer_interrupts inner =
   in
   { pick; prefers_interrupts = true }
 
-let replay prefix fallback =
-  let remaining = ref prefix in
-  let pick m among =
-    match !remaining with
-    | [] -> fallback.pick m among
-    | tid :: rest ->
-      remaining := rest;
-      if tid < 0 || Machine.nth_runnable m ~from:tid ~intr:false among 0 <> tid
-      then
-        failwith
-          (Printf.sprintf "Sched.replay: t%d not runnable at replay point" tid);
-      tid
-  in
-  { pick; prefers_interrupts = false }
-
 let choose ?among strategy m =
   assert (Machine.runnable_count m > 0);
   strategy.pick m among

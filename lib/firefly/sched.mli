@@ -16,12 +16,6 @@ val round_robin : unit -> t
     interrupt-context thread is runnable, pick it (the hardware preempts). *)
 val prefer_interrupts : t -> t
 
-(** [replay prefix fallback] follows the recorded tid choices in [prefix],
-    then defers to [fallback]; it fails if a recorded tid is not runnable
-    at its step.  {!Explore} does not use it: it replays its prefixes with
-    bare {!Machine.step}. *)
-val replay : Threads_util.Tid.t list -> t -> t
-
 (** [choose ?among strategy machine] picks from the machine's runnable
     threads that [among] accepts (default: all), by index in ascending tid
     order: [random] makes the choice [List.nth] would make over

@@ -16,10 +16,10 @@ type proc = {
   mutable busy : int;
 }
 
-let run ~processors ?(seed = 0) ?(cost = Cost.default) ?(max_steps = 1_000_000)
-    build =
+let run ~processors ?(seed = 0) ?(max_steps = 1_000_000) build =
   assert (processors > 0);
-  let m = Machine.create ~cost () in
+  let cost = Cost.default in
+  let m = Machine.create () in
   build m;
   let rng = Threads_util.Rng.create (seed lxor 0x7ead) in
   let procs =
@@ -34,19 +34,19 @@ let run ~processors ?(seed = 0) ?(cost = Cost.default) ?(max_steps = 1_000_000)
     done;
     !found
   in
-  let waiting tid = Machine.is_runnable m tid && not (assigned tid) in
-  (* The best waiting thread, or -1: interrupt context beats priority
-     beats (seeded) arrival order; ties go to the lowest tid. *)
-  let better a b =
-    let ia = Machine.is_interrupt m a and ib = Machine.is_interrupt m b in
-    (ia && not ib) || (ia = ib && Machine.priority m a > Machine.priority m b)
+  (* A waiting thread is a runnable one on no processor. *)
+  let waiting = Some (fun tid -> not (assigned tid)) in
+  (* The first waiting interrupt-context thread, or -1. *)
+  let interrupt_waiting () =
+    if Machine.runnable_interrupts m = 0 then -1
+    else Machine.nth_runnable m ~from:0 ~intr:true waiting 0
   in
+  (* The thread a free processor takes, or -1: interrupt context beats
+     everything else; ties go to the lowest tid. *)
   let pick_waiting () =
-    let best = ref (-1) in
-    for tid = 0 to Machine.thread_count m - 1 do
-      if waiting tid && (!best < 0 || better tid !best) then best := tid
-    done;
-    !best
+    match interrupt_waiting () with
+    | -1 -> Machine.nth_runnable m ~from:0 ~intr:false waiting 0
+    | tid -> tid
   in
   (* The first processor with the smallest clock. *)
   let min_proc () =
@@ -61,12 +61,6 @@ let run ~processors ?(seed = 0) ?(cost = Cost.default) ?(max_steps = 1_000_000)
     p.busy <- p.busy + cost.context_switch;
     p.slice_left <- cost.time_slice;
     incr switches
-  in
-  (* Interrupt context beats everything else, so the best waiting thread
-     is an interrupt one whenever any is waiting. *)
-  let interrupt_waiting () =
-    Machine.runnable_interrupts m > 0
-    && match pick_waiting () with -1 -> false | b -> Machine.is_interrupt m b
   in
   (* The processor policy.  The processor with the smallest clock acts
      until one is about to execute an instruction of its thread: it drops
@@ -85,7 +79,7 @@ let run ~processors ?(seed = 0) ?(cost = Cost.default) ?(max_steps = 1_000_000)
         pick ()
       end
       else if
-        (interrupt_waiting () && not (Machine.is_interrupt m tid))
+        (interrupt_waiting () >= 0 && not (Machine.is_interrupt m tid))
         || (p.slice_left <= 0 && pick_waiting () >= 0)
       then begin
         (* Preempt: thread goes back to the waiting pool. *)

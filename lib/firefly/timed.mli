@@ -1,5 +1,5 @@
 (** Cycle-accurate timed driver: P processors with per-processor clocks,
-    priority scheduling, time slicing and context-switch costs — the
+    time slicing and context-switch costs ({!Cost.default}) — the
     performance driver for throughput/latency experiments.
 
     It is a processor policy over {!Interleave.drive}: the one loop
@@ -7,9 +7,9 @@
     driver only chooses what runs.  The processor with the smallest
     clock acts: it executes one instruction of its current thread,
     preempts it at slice expiry (if another thread is waiting), or picks
-    the highest-priority waiting thread.  Idle processors' clocks chase
-    the busy ones, so cross-processor instruction order approximates
-    true timing order.
+    the first waiting interrupt-context thread, else the lowest waiting
+    tid.  Idle processors' clocks chase the busy ones, so cross-processor
+    instruction order approximates true timing order.
 
     Timers fire on the machine clock, as under every driver (see
     {!Interleave.drive}), so TimedWait and TimedP time out here as they
@@ -31,12 +31,10 @@ type report = {
 (** [run ~processors build] — [build] spawns the root threads.  Default
     [max_steps] 1_000_000; a run that reaches it ends in
     [Interleave.Step_limit].  Interrupt-context threads preempt:
-    whenever one is runnable it is scheduled first regardless of
-    priority. *)
+    whenever one is runnable it is scheduled first. *)
 val run :
   processors:int ->
   ?seed:int ->
-  ?cost:Cost.t ->
   ?max_steps:int ->
   (Machine.t -> unit) ->
   report

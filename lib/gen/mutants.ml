@@ -261,7 +261,7 @@ let kill_table ?(scenarios = 12) ~seed () =
         r_expected = m.Spec_mutants.m_expected;
         r_killed = kill m;
       })
-    Spec_mutants.all
+    (Spec_mutants.all ())
 
 let killed rows =
   List.length (List.filter (fun r -> r.r_killed <> None) rows)

@@ -85,49 +85,12 @@ let sweep run ~waiters =
 (* Exhaustive exploration needs a finite state space; the spin-lock's
    test-and-set retry chains make the Firefly backend unbounded, so we
    explore the co-routine backend (every action is one instruction, every
-   block is a deschedule) running the same naive scheme. *)
+   block is a deschedule) running the same naive scheme: the explore
+   catalogue's naive-broadcast program. *)
 let exhaustive_naive () =
-  let build machine =
-    ignore
-      (Firefly.Machine.spawn_root machine (fun () ->
-           let sync = Taos_threads.Uniproc.make () in
-           let module S =
-             (val sync : Taos_threads.Sync_intf.SYNC
-                with type thread = Threads_util.Tid.t)
-           in
-           let m = S.mutex () in
-           let sem = S.semaphore () in
-           S.p sem;
-           (* the condition's semaphore starts unavailable *)
-           let nwaiters = ref 0 in
-           let flag = ref false in
-           let naive_wait () =
-             incr nwaiters;
-             S.release m;
-             S.p sem;
-             decr nwaiters;
-             S.acquire m
-           in
-           let naive_broadcast () =
-             for _ = 1 to !nwaiters do
-               S.v sem
-             done
-           in
-           let waiter () =
-             S.with_lock m (fun () ->
-                 while not !flag do
-                   naive_wait ()
-                 done)
-           in
-           let w1 = S.fork waiter in
-           let w2 = S.fork waiter in
-           S.with_lock m (fun () -> flag := true);
-           naive_broadcast ();
-           S.join w1;
-           S.join w2))
-  in
+  let scenario = Option.get (Explore_scenarios.find "naive-broadcast") in
   Firefly.Explore.explore ~max_preemptions:2 ~stop_at_first:true
-    ~max_depth:600 ~max_runs:50_000 ~build
+    ~max_depth:scenario.max_depth ~max_runs:50_000 ~build:scenario.build
     (fun outcome ->
       match outcome.Firefly.Explore.verdict with
       | Firefly.Interleave.Deadlock _ -> Some "stranded waiter found"

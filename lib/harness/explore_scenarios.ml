@@ -101,20 +101,6 @@ let invariant_check label counter_name (outcome : Firefly.Explore.outcome) =
 
 (* ---- programs ---- *)
 
-let uniproc_root
-    (body :
-      (module Taos_threads.Sync_intf.SYNC with type thread = Tid.t) -> unit)
-    machine =
-  ignore
-    (M.spawn_root machine (fun () ->
-         let sync = Taos_threads.Uniproc.make () in
-         let module S =
-           (val sync : Taos_threads.Sync_intf.SYNC
-              with type thread = Tid.t)
-         in
-         body
-           (module S : Taos_threads.Sync_intf.SYNC with type thread = Tid.t)))
-
 (* The paper's wakeup-waiting window: Wait releases the mutex in one
    atomic action and blocks in a later instruction, so a Signal can land
    in between; the package must latch it (the "wakeup waiting" bit) or
@@ -122,7 +108,7 @@ let uniproc_root
    exploration proves the latch covers the whole window. *)
 let wakeup_waiting =
   let build =
-    uniproc_root (fun (module S) ->
+    Taos_threads.Uniproc.build (fun (module S) ->
         let m = S.mutex () in
         let c = S.condition () in
         let flag = ref false in
@@ -154,7 +140,7 @@ let wakeup_waiting =
    still hold the mutex (checked by the invariant counter). *)
 let alert_cancellation =
   let build =
-    uniproc_root (fun (module S) ->
+    Taos_threads.Uniproc.build (fun (module S) ->
         let m = S.mutex () in
         let c = S.condition () in
         let flag = ref false in
@@ -192,7 +178,7 @@ let alert_cancellation =
    stranding deadlock (and nothing else). *)
 let naive_broadcast =
   let build =
-    uniproc_root (fun (module S) ->
+    Taos_threads.Uniproc.build (fun (module S) ->
         let m = S.mutex () in
         let sem = S.semaphore () in
         S.p sem;
@@ -276,7 +262,7 @@ let hoare_signal =
    pinned reduction benchmark for CI. *)
 let disjoint_locks =
   let build =
-    uniproc_root (fun (module S) ->
+    Taos_threads.Uniproc.build (fun (module S) ->
         let ma = S.mutex () and mb = S.mutex () in
         let hits = ref 0 in
         let worker m = S.fork (fun () -> S.with_lock m (fun () -> incr hits)) in

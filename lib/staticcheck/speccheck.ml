@@ -144,4 +144,4 @@ let check_mutant (m : Spec_mutants.t) =
     mu_caught = primary_cls = Some m.Spec_mutants.m_expected;
   }
 
-let check_mutants () = List.map check_mutant Spec_mutants.all
+let check_mutants () = List.map check_mutant (Spec_mutants.all ())

@@ -45,9 +45,7 @@ let build ?fast_path body machine =
     (Firefly.Machine.spawn_root machine (fun () ->
          body (make (Pkg.create ?fast_path ()))))
 
-let run ?fast_path ?seed ?strategy ?max_steps ?cost body =
-  Firefly.Interleave.run ?max_steps ?strategy ?seed ?cost
-    (build ?fast_path body)
+let run ?seed body = Firefly.Interleave.run ?seed (build body)
 
 let run_traced ?fast_path ?seed body =
   let sink = Spec_trace.Sink.create () in
@@ -58,5 +56,5 @@ let run_traced ?fast_path ?seed body =
   in
   (report, Spec_trace.Sink.events sink)
 
-let run_timed ~processors ?fast_path ?seed ?cost body =
-  Firefly.Timed.run ~processors ?seed ?cost (build ?fast_path body)
+let run_timed ~processors ?fast_path ?seed body =
+  Firefly.Timed.run ~processors ?seed (build ?fast_path body)

@@ -19,17 +19,9 @@ type sync = (module Sync_intf.SYNC with type thread = Threads_util.Tid.t)
     alert storm).  Must be called from simulated thread context. *)
 val make : Pkg.t -> sync
 
-(** [run ?fast_path ?seed ?strategy ?max_steps body] — create a machine,
-    a package and the backend inside a root thread, then drive with the
-    interleaving driver. *)
-val run :
-  ?fast_path:bool ->
-  ?seed:int ->
-  ?strategy:Firefly.Sched.t ->
-  ?max_steps:int ->
-  ?cost:Firefly.Cost.t ->
-  (sync -> unit) ->
-  Firefly.Interleave.report
+(** [run ?seed body] — create a machine, a package and the backend inside
+    a root thread, then drive with the interleaving driver. *)
+val run : ?seed:int -> (sync -> unit) -> Firefly.Interleave.report
 
 (** [run_traced body] — {!run} with the spec-trace collector
     ({!Firefly.Record.trace}) subscribed to the machine; returns the
@@ -46,7 +38,6 @@ val run_timed :
   processors:int ->
   ?fast_path:bool ->
   ?seed:int ->
-  ?cost:Firefly.Cost.t ->
   (sync -> unit) ->
   Firefly.Timed.report
 

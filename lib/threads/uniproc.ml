@@ -387,9 +387,8 @@ let make () : sync =
     let yield = Ops.yield
   end)
 
-let run ?seed ?strategy ?max_steps body =
-  let strategy =
-    match strategy with Some s -> s | None -> Firefly.Sched.round_robin ()
-  in
-  Firefly.Interleave.run ?max_steps ~strategy ?seed (fun machine ->
-      ignore (Firefly.Machine.spawn_root machine (fun () -> body (make ()))))
+let build body machine =
+  ignore (Firefly.Machine.spawn_root machine (fun () -> body (make ())))
+
+let run body =
+  Firefly.Interleave.run ~strategy:(Firefly.Sched.round_robin ()) (build body)

@@ -22,12 +22,11 @@ type sync = (module Sync_intf.SYNC with type thread = Threads_util.Tid.t)
 (** [make ()] builds a fresh backend instance (thread context). *)
 val make : unit -> sync
 
+(** [build body machine] — spawn the root thread, which runs [body] over
+    a fresh backend instance, on an existing machine (for
+    {!Firefly.Explore}); mirrors {!Api.build}. *)
+val build : (sync -> unit) -> Firefly.Machine.t -> unit
+
 (** [run body] — drive [body] over a fresh machine with the interleaving
-    driver (defaults: round-robin, matching a co-routine scheduler; any
-    strategy is safe). *)
-val run :
-  ?seed:int ->
-  ?strategy:Firefly.Sched.t ->
-  ?max_steps:int ->
-  (sync -> unit) ->
-  Firefly.Interleave.report
+    driver, round-robin like a co-routine scheduler, so no seed enters. *)
+val run : (sync -> unit) -> Firefly.Interleave.report

@@ -230,7 +230,9 @@ let test_checker_states () =
       let nodes = try visited iface program with Term.Eval_error _ -> final in
       List.iter (compare_at iface program) nodes)
     (Threads_interface.variants
-    @ List.map (fun m -> (m.SC.Spec_mutants.m_name, m.m_iface)) SC.Spec_mutants.all
+    @ List.map
+        (fun m -> (m.SC.Spec_mutants.m_name, m.m_iface))
+        (SC.Spec_mutants.all ())
     @ ill_formed);
   Alcotest.(check bool) "evaluation errors compared" true (!eval_errors > 0)
 

@@ -238,16 +238,6 @@ let test_timed_driver () =
   Alcotest.(check bool) "busy cycles counted" true
     (report.Firefly.Timed.busy_cycles >= 2000)
 
-let test_replay_strategy () =
-  (* replay must follow the recorded prefix *)
-  let r =
-    Firefly.Interleave.run
-      ~strategy:(Firefly.Sched.replay [ 0; 0; 0 ] (Firefly.Sched.round_robin ()))
-      (fun machine ->
-        ignore (M.spawn_root machine (fun () -> Ops.tick 1)))
-  in
-  Alcotest.(check bool) "replay run completes" true (completed r)
-
 let test_explore_finds_race () =
   (* Classic lost-update: two threads do read;write with no lock.  The
      explorer must find a schedule where the final value is 1, not 2. *)
@@ -305,7 +295,7 @@ let test_explore_bounded_finds_race () =
   Alcotest.(check (list string)) "found with 1 preemption" [ "lost update" ]
     found
 
-let test_eventcount_sequencer () =
+let test_eventcount () =
   let r =
     run_rr (fun machine ->
         ignore
@@ -314,36 +304,9 @@ let test_eventcount_sequencer () =
                assert (Firefly.Eventcount.read ec = 0);
                assert (Firefly.Eventcount.advance ec = 1);
                assert (Firefly.Eventcount.advance ec = 2);
-               assert (Firefly.Eventcount.read ec = 2);
-               let s = Firefly.Sequencer.create () in
-               assert (Firefly.Sequencer.ticket s = 0);
-               assert (Firefly.Sequencer.ticket s = 1);
-               (* await a target already reached returns immediately *)
-               Firefly.Sequencer.await ec 2)))
+               assert (Firefly.Eventcount.read ec = 2))))
   in
-  Alcotest.(check bool) "eventcount/sequencer" true
-    (completed r && no_failures r)
-
-let test_sequencer_fifo () =
-  (* ticket+eventcount build a FIFO lock: tickets are served in order *)
-  let served = ref [] in
-  let r =
-    Firefly.Interleave.run ~seed:17 (fun machine ->
-        ignore
-          (M.spawn_root machine (fun () ->
-               let seq = Firefly.Sequencer.create () in
-               let ec = Firefly.Eventcount.create () in
-               let worker () =
-                 let my = Firefly.Sequencer.ticket seq in
-                 Firefly.Sequencer.await ec my;
-                 served := my :: !served;
-                 ignore (Firefly.Eventcount.advance ec)
-               in
-               let ts = List.init 4 (fun _ -> Ops.spawn worker) in
-               List.iter Ops.join ts)))
-  in
-  Alcotest.(check bool) "completed" true (completed r);
-  Alcotest.(check (list int)) "FIFO order" [ 0; 1; 2; 3 ] (List.rev !served)
+  Alcotest.(check bool) "eventcount" true (completed r && no_failures r)
 
 (* ---- livelock certificates ---- *)
 
@@ -980,14 +943,11 @@ let suite =
       Alcotest.test_case "mem_emit atomicity" `Quick test_mem_emit_atomicity;
       Alcotest.test_case "seeded determinism" `Quick test_determinism;
       Alcotest.test_case "timed driver" `Quick test_timed_driver;
-      Alcotest.test_case "replay strategy" `Quick test_replay_strategy;
       Alcotest.test_case "explore finds lost update" `Quick
         test_explore_finds_race;
       Alcotest.test_case "bounded explore finds lost update" `Quick
         test_explore_bounded_finds_race;
-      Alcotest.test_case "eventcount + sequencer" `Quick
-        test_eventcount_sequencer;
-      Alcotest.test_case "sequencer FIFO lock" `Quick test_sequencer_fifo;
+      Alcotest.test_case "eventcount" `Quick test_eventcount;
       Alcotest.test_case "certified livelocks replay to step limit" `Quick
         test_certificate_replays_to_step_limit;
       Alcotest.test_case "certificate inert without livelock" `Quick

@@ -1,4 +1,4 @@
-(* The cycle-accurate timed driver: priorities, slicing, limits,
+(* The cycle-accurate timed driver: slicing, preemption, limits,
    utilization — the Nub's scheduling facilities the paper mentions but
    deliberately leaves out of the specification ("our specification is
    independent of these facilities"). *)
@@ -6,44 +6,17 @@
 module M = Firefly.Machine
 module Ops = Firefly.Machine.Ops
 
-let test_priority_preference () =
-  (* With one processor and both threads ready, the high-priority thread
-     must finish first. *)
-  let order = ref [] in
+let test_time_slicing () =
+  (* Two cpu hogs on one processor, each 10 slices long: slicing
+     interleaves them (context switches well above the 2 needed without
+     slicing). *)
   let report =
     Firefly.Timed.run ~processors:1 (fun machine ->
         ignore
           (M.spawn_root machine (fun () ->
-               let lo =
-                 Ops.spawn ~priority:0 (fun () ->
-                     Ops.tick 500;
-                     order := "lo" :: !order)
-               in
-               let hi =
-                 Ops.spawn ~priority:10 (fun () ->
-                     Ops.tick 500;
-                     order := "hi" :: !order)
-               in
-               Ops.join lo;
-               Ops.join hi)))
-  in
-  (match report.Firefly.Timed.verdict with
-  | Firefly.Interleave.Completed -> ()
-  | _ -> Alcotest.fail "did not complete");
-  Alcotest.(check (list string)) "high priority first" [ "lo"; "hi" ]
-    !order
-
-let test_time_slicing () =
-  (* Two equal-priority cpu hogs on one processor: slicing interleaves
-     them (context switches well above the 2 needed without slicing). *)
-  let cost = { Firefly.Cost.default with time_slice = 100 } in
-  let report =
-    Firefly.Timed.run ~processors:1 ~cost (fun machine ->
-        ignore
-          (M.spawn_root machine (fun () ->
                let hog () =
                  for _ = 1 to 50 do
-                   Ops.tick 20
+                   Ops.tick 2_000
                  done
                in
                let a = Ops.spawn hog in
@@ -111,8 +84,8 @@ let test_interrupt_preempts_timed () =
   Alcotest.(check bool) "interrupt ran" true (!fired_at = 0)
 
 let test_timed_threads_package () =
-  (* The full package running under the timed driver with priorities:
-     conformance is schedule-independent. *)
+  (* The full package running under the timed driver: conformance is
+     schedule-independent. *)
   let sink = Spec_trace.Sink.create () in
   let report =
     Firefly.Timed.run ~processors:3 ~seed:5 @@ fun machine ->
@@ -125,8 +98,7 @@ let test_timed_threads_package () =
         let m = S.mutex () in
         let c = S.condition () in
         let buf = ref 0 in
-        let consumer prio () =
-          Ops.set_priority prio;
+        let consumer () =
           for _ = 1 to 20 do
             S.with_lock m (fun () ->
                 while !buf = 0 do
@@ -142,8 +114,8 @@ let test_timed_threads_package () =
                 S.signal c)
           done
         in
-        let c1 = S.fork (consumer 5) in
-        let c2 = S.fork (consumer 0) in
+        let c1 = S.fork consumer in
+        let c2 = S.fork consumer in
         let p = S.fork producer in
         S.join p;
         S.join c1;
@@ -197,7 +169,6 @@ let timed_p_zero_semaphore (module S : Taos_threads.Sync_intf.SYNC
 let suite =
   ( "timed",
     [
-      Alcotest.test_case "priority preference" `Quick test_priority_preference;
       Alcotest.test_case "time slicing" `Quick test_time_slicing;
       Alcotest.test_case "cycle limit" `Quick test_cycle_limit;
       Alcotest.test_case "deadlock detection" `Quick test_deadlock_timed;
