@@ -4,7 +4,6 @@
 open Cmdliner
 module Bk = Threads_backend.Backend
 module Wl = Threads_backend.Workload
-module Tel = Threads_telemetry
 
 (* ---- name lookups ---- *)
 
@@ -176,13 +175,13 @@ let fleet_term =
     $ progress_arg $ fleet_file_arg $ fleet_trace_arg)
 
 (* What [with_fleet] hands a command: the sink to pass as [?telemetry],
-   [phase] to announce a named sub-matrix, and the progress stream
-   itself (for explore's frontier ticks).  Without a telemetry flag
-   they are [None], a no-op and [None]. *)
+   [phase] to announce a named sub-matrix, and the collector itself (for
+   explore's frontier ticks).  Without a telemetry flag they are [None],
+   a no-op and [None]. *)
 type fleet = {
   telemetry : Threads_runner.Telemetry.sink option;
   phase : string -> cells:int -> unit;
-  progress : Tel.Progress.t option;
+  collector : Obs.Fleet.t option;
 }
 
 (* Observability plumbing around a matrix-shaped command.  [total] is
@@ -191,31 +190,30 @@ type fleet = {
    stdout. *)
 let with_fleet ~label ~jobs ~total opts k =
   if opts.fo_progress = None && opts.fo_fleet = None && opts.fo_trace = None
-  then k { telemetry = None; phase = (fun _ ~cells:_ -> ()); progress = None }
+  then k { telemetry = None; phase = (fun _ ~cells:_ -> ()); collector = None }
   else begin
     let dest =
       Option.map
-        (fun p ->
-          if p = "-" then Tel.Progress.Stderr else Tel.Progress.File p)
+        (fun p -> if p = "-" then Obs.Fleet.Stderr else Obs.Fleet.File p)
         opts.fo_progress
     in
-    let p = Tel.Progress.create ?dest ~label ~total ~jobs () in
+    let c = Obs.Fleet.create ?dest ~label ~jobs ~cells:total () in
     let finally () =
-      Tel.Progress.finish p;
-      let rep = Tel.Progress.fleet_report p in
+      Obs.Fleet.finish c;
+      let rep = Obs.Fleet.snapshot c in
       Option.iter
-        (fun f -> write_side_file f (Tel.Fleet.render rep))
+        (fun f -> write_side_file f (Obs.Fleet.render rep))
         opts.fo_fleet;
       Option.iter
         (fun f ->
-          write_side_file f (Obs.Json.to_string (Tel.Fleet.chrome rep) ^ "\n"))
+          write_side_file f (Obs.Json.to_string (Obs.Fleet.chrome rep) ^ "\n"))
         opts.fo_trace
     in
     Fun.protect ~finally (fun () ->
         k
           {
-            telemetry = Some (Tel.Progress.sink p);
-            phase = Tel.Progress.phase p;
-            progress = Some p;
+            telemetry = Some (Obs.Fleet.sink c);
+            phase = Obs.Fleet.phase c;
+            collector = Some c;
           })
   end

@@ -98,7 +98,8 @@ let demo_workload sync =
 let demo_snapshot ~seed =
   let reg = Obs.Instrument.create () in
   ignore
-    (Firefly.Interleave.run ~seed (fun machine ->
+    (Firefly.Interleave.run ~strategy:(Firefly.Sched.random seed)
+       (fun machine ->
          Firefly.Record.instrument reg machine;
          Taos_threads.Api.build demo_workload machine));
   Obs.Instrument.snapshot reg

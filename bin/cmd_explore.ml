@@ -75,12 +75,12 @@ let cmd =
         fl.Cli.phase s.Sc.name ~cells:0;
         let progress =
           Option.map
-            (fun p (st : Ex.dpor_stats) ->
-              Threads_telemetry.Progress.explore_tick p ~scenario:s.Sc.name
+            (fun c (st : Ex.dpor_stats) ->
+              Obs.Fleet.explore_tick c ~scenario:s.Sc.name
                 ~executions:st.Ex.executions
                 ~sleep_blocked:st.Ex.sleep_blocked
                 ~peak_depth:st.Ex.peak_depth)
-            fl.Cli.progress
+            fl.Cli.collector
         in
         let dpor =
           if mode = `Dfs then None

@@ -17,7 +17,7 @@ let completions = 8
 let () =
   let delivered = ref [] in
   let report =
-    Firefly.Interleave.run ~seed:7
+    Firefly.Interleave.run
       ~strategy:(Firefly.Sched.prefer_interrupts (Firefly.Sched.random 7))
       (fun machine ->
         ignore
@@ -92,7 +92,7 @@ let () =
      mutex from interrupt context.  The machine faults the interrupt
      routine the moment it would have to block. *)
   let report =
-    Firefly.Interleave.run ~seed:3 (fun machine ->
+    Firefly.Interleave.run ~strategy:(Firefly.Sched.random 3) (fun machine ->
         ignore
           (Firefly.Machine.spawn_root machine (fun () ->
                let pkg = Taos_threads.Pkg.create () in

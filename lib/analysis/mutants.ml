@@ -34,7 +34,7 @@ let sim_run ~seed body observe =
   let report =
     Firefly.Interleave.run
       ~strategy:(Firefly.Sched.random seed)
-      ~seed ~max_steps:500_000
+      ~max_steps:500_000
       (fun machine ->
         observe machine;
         ignore (M.spawn_root machine body))

@@ -80,7 +80,8 @@ let machine_run build ?(observe = ignore) ~seed (wl : Workload.t) =
   let observable = ref None in
   let sink = Spec_trace.Sink.create () in
   let report =
-    Firefly.Interleave.run ~seed ~max_steps (fun machine ->
+    Firefly.Interleave.run ~strategy:(Firefly.Sched.random seed)
+      ~max_steps (fun machine ->
         Firefly.Record.trace sink machine;
         observe machine;
         ignore

@@ -12,10 +12,6 @@ type t =
   | Implies of t * t
   | Unchanged of string list
 
-let conj = function
-  | [] -> True
-  | f :: fs -> List.fold_left (fun acc g -> And (acc, g)) f fs
-
 let rec term_names = function
   | Term.Self | Term.Nil_const | Term.Lit _ | Term.Result | Term.Empty_set ->
     []

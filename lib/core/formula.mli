@@ -23,9 +23,6 @@ type t =
       (** [UNCHANGED \[x, y\]]: each named VAR formal/global has equal value
           in pre and post states *)
 
-(** [conj fs] is the conjunction of [fs] ([True] when empty). *)
-val conj : t list -> t
-
 (** [names f] is the set of formal/global names referenced (sorted,
     deduplicated); used by well-formedness checks. *)
 val names : t -> string list

@@ -480,9 +480,8 @@ let formula_of_string ?ret src =
   expect st EOF;
   f
 
-let term_of_string ?ret src =
+let term_of_string src =
   let st = make_state src in
-  st.ret <- ret;
   let t = to_term st (parse_expr st) in
   expect st EOF;
   t

@@ -59,5 +59,5 @@ val interface_of_string_located : string -> Proc.interface * locs
     return-formal name resolving to [RESULT], if any. *)
 val formula_of_string : ?ret:string -> string -> Formula.t
 
-(** [term_of_string ?ret src] parses a single term. *)
-val term_of_string : ?ret:string -> string -> Term.t
+(** [term_of_string src] parses a single term. *)
+val term_of_string : string -> Term.t

@@ -12,8 +12,8 @@
     injected fault is recorded in {!Firefly.Machine.faults} for blame
     attribution.  A plan with no
     actions injects nothing and leaves spin-lock backoff off, so its run
-    is the plain {!Firefly.Interleave.run} of the same seed with
-    [~certify:true].
+    is the plain {!Firefly.Interleave.run} under [Sched.random] of the
+    same seed with [~certify:true].
 
     Runs are deterministic: equal (seed, plan, build) yield equal
     schedules, traces and fault records.  A wedged run ends instead of

@@ -82,11 +82,7 @@ let drive ~max_steps h m =
   let verdict = loop () in
   { verdict; steps = !steps; machine = m }
 
-let run ?(max_steps = 1_000_000) ?(certify = false) ?strategy ?(seed = 0)
-    build =
-  let strategy =
-    match strategy with Some s -> s | None -> Sched.random seed
-  in
+let run ?(max_steps = 1_000_000) ?(certify = false) ~strategy build =
   let m = Machine.create () in
   build m;
   drive ~max_steps

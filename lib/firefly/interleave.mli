@@ -78,11 +78,12 @@ type hooks = {
     once that clock reaches it, whichever processor steps next. *)
 val drive : max_steps:int -> hooks -> Machine.t -> report
 
-(** [run ?max_steps ?certify ?strategy build] creates a machine, passes
+(** [run ?max_steps ?certify ~strategy build] creates a machine, passes
     it to [build] (which spawns root threads via {!Machine.spawn_root}),
-    then {!drive}s it, picking threads with [strategy] (default
-    [Sched.random seed]), until completion, deadlock or [max_steps]
-    (default 1_000_000).
+    then {!drive}s it, picking threads with [strategy], until completion,
+    deadlock or [max_steps] (default 1_000_000).  [strategy] is the
+    run's only source of schedule: a strategy that draws carries its
+    own seed ({!Sched.random}).
 
     With [~certify:true] (default [false]) the driver asks
     {!certificate} after each step, and a run whose future is a spin
@@ -95,7 +96,6 @@ val drive : max_steps:int -> hooks -> Machine.t -> report
 val run :
   ?max_steps:int ->
   ?certify:bool ->
-  ?strategy:Sched.t ->
-  ?seed:int ->
+  strategy:Sched.t ->
   (Machine.t -> unit) ->
   report

@@ -16,7 +16,7 @@ type proc = {
   mutable busy : int;
 }
 
-let run ~processors ?(seed = 0) ?(max_steps = 1_000_000) build =
+let run ~processors ?(seed = 0) build =
   assert (processors > 0);
   let cost = Cost.default in
   let m = Machine.create () in
@@ -109,7 +109,7 @@ let run ~processors ?(seed = 0) ?(max_steps = 1_000_000) build =
         pick ()
   in
   let r =
-    Interleave.drive ~max_steps
+    Interleave.drive ~max_steps:1_000_000
       {
         before = ignore;
         pick;

@@ -28,14 +28,13 @@ type report = {
   steps : int;  (** steps of {!Interleave.drive}, clock jumps included *)
 }
 
-(** [run ~processors build] — [build] spawns the root threads.  Default
-    [max_steps] 1_000_000; a run that reaches it ends in
-    [Interleave.Step_limit].  Interrupt-context threads preempt:
-    whenever one is runnable it is scheduled first. *)
+(** [run ~processors build] — [build] spawns the root threads.  A run
+    that takes 1_000_000 steps ends in [Interleave.Step_limit].
+    Interrupt-context threads preempt: whenever one is runnable it is
+    scheduled first. *)
 val run :
   processors:int ->
   ?seed:int ->
-  ?max_steps:int ->
   (Machine.t -> unit) ->
   report
 

@@ -51,9 +51,6 @@ val size : t -> int
     terminate. *)
 val weight : t -> int
 
-(** Backend features the program's ops require. *)
-val needs : t -> Threads_backend.Workload.feature list
-
 (** Drop unreferenced objects and renumber the remaining ones densely
     (first-use order); clamp worker references that point past the last
     worker.  Canonical form makes shrunk programs comparable and keeps
@@ -71,7 +68,7 @@ val decode_op : string -> op option
 val render : Format.formatter -> t -> unit
 
 (** [to_workload ~name p] — the program as a backend-generic workload;
-    [needs] is {!needs}[ p], the observable is a constant (generated
-    programs assert nothing about results — divergence shows up as
-    deadlock or spec violations). *)
+    [needs] lists the backend features its ops require, the observable
+    is a constant (generated programs assert nothing about results —
+    divergence shows up as deadlock or spec violations). *)
 val to_workload : name:string -> t -> Threads_backend.Workload.t

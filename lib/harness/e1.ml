@@ -18,7 +18,7 @@ let iterations = 10_000
 (* The run's statistics go to [reg]. *)
 let sim_numbers ~fast_path reg =
   let report =
-    Firefly.Interleave.run ~seed:1 (fun machine ->
+    Firefly.Interleave.run ~strategy:(Firefly.Sched.random 1) (fun machine ->
         Firefly.Record.instrument reg machine;
         Taos_threads.Api.build ~fast_path
           (fun sync ->

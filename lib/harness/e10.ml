@@ -35,7 +35,7 @@ let pv_run ?(certify = false) ?(prefer = false) ~seed () =
     else Firefly.Sched.random seed
   in
   let report =
-    Firefly.Interleave.run ~seed ~max_steps:200_000 ~certify ~strategy
+    Firefly.Interleave.run ~max_steps:200_000 ~certify ~strategy
       (fun machine ->
         ignore
           (Firefly.Machine.spawn_root machine (fun () ->
@@ -77,7 +77,8 @@ let pv_run ?(certify = false) ?(prefer = false) ~seed () =
    dies holding the Nub spin-lock, the worker spins on that lock forever —
    the same livelock as the preempting mode, with a dead holder. *)
 let anti_pattern_run ?(certify = false) ~seed () =
-  Firefly.Interleave.run ~seed ~certify (fun machine ->
+  Firefly.Interleave.run ~strategy:(Firefly.Sched.random seed)
+    ~certify (fun machine ->
       ignore
         (Firefly.Machine.spawn_root machine (fun () ->
              let pkg = Taos_threads.Pkg.create () in

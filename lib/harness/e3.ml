@@ -16,7 +16,7 @@ module Ops = Firefly.Machine.Ops
 let with_parked ?(observe = ignore) m_waiters ~finale =
   let sink = Spec_trace.Sink.create () in
   let (_ : Firefly.Interleave.report) =
-    Firefly.Interleave.run ~seed:11 (fun machine ->
+    Firefly.Interleave.run ~strategy:(Firefly.Sched.random 11) (fun machine ->
         Firefly.Record.trace sink machine;
         observe machine;
         ignore

@@ -20,7 +20,7 @@ let seeds = 400
 (* Returns the number of waiters left blocked forever. *)
 let naive_run ~seed ~waiters:k =
   let report =
-    Firefly.Interleave.run ~seed (fun machine ->
+    Firefly.Interleave.run ~strategy:(Firefly.Sched.random seed) (fun machine ->
         ignore
           (Firefly.Machine.spawn_root machine (fun () ->
                let pkg = Taos_threads.Pkg.create () in

@@ -74,7 +74,7 @@ let hoare ~seed =
   let rechecks = ref 0 and spurious = ref 0 in
   let switches = ref 0 in
   let report =
-    Firefly.Interleave.run ~seed (fun machine ->
+    Firefly.Interleave.run ~strategy:(Firefly.Sched.random seed) (fun machine ->
         ignore
           (Firefly.Machine.spawn_root machine (fun () ->
                let mon = Taos_threads.Hoare.monitor () in

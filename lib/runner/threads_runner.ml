@@ -11,7 +11,7 @@ let resolve_jobs j = if j <= 0 then recommended_jobs () else j
 
 (* Host-side observation points.  The runner stays clock-free and
    dependency-free: callbacks fire at the named events and the sink (see
-   lib/telemetry) takes its own timestamps.  Callbacks run on the worker
+   Obs.Fleet) takes its own timestamps.  Callbacks run on the worker
    domain that hit the event, concurrently with other workers' callbacks
    — a sink must confine per-worker mutable state to the worker index or
    use atomics. *)

@@ -23,7 +23,7 @@ val resolve_jobs : int -> int
 
     The runner itself stays clock-free: it only announces events (cell
     started, cell finished, producer throttled, …) and a sink — see
-    [lib/telemetry] — timestamps and aggregates them.  Observation is
+    [Obs.Fleet] — timestamps and aggregates them.  Observation is
     strictly host-side: a sink never changes which cells run, in what
     order results are keyed, or anything the simulated machines can
     see, so instrumented runs produce byte-identical reports. *)

@@ -45,14 +45,16 @@ let build ?fast_path body machine =
     (Firefly.Machine.spawn_root machine (fun () ->
          body (make (Pkg.create ?fast_path ()))))
 
-let run ?seed body = Firefly.Interleave.run ?seed (build body)
+let run ?(seed = 0) body =
+  Firefly.Interleave.run ~strategy:(Firefly.Sched.random seed) (build body)
 
-let run_traced ?fast_path ?seed body =
+let run_traced ?(seed = 0) body =
   let sink = Spec_trace.Sink.create () in
   let report =
-    Firefly.Interleave.run ?seed (fun machine ->
+    Firefly.Interleave.run ~strategy:(Firefly.Sched.random seed)
+      (fun machine ->
         Firefly.Record.trace sink machine;
-        build ?fast_path body machine)
+        build body machine)
   in
   (report, Spec_trace.Sink.events sink)
 

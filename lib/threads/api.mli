@@ -20,14 +20,14 @@ type sync = (module Sync_intf.SYNC with type thread = Threads_util.Tid.t)
 val make : Pkg.t -> sync
 
 (** [run ?seed body] — create a machine, a package and the backend inside
-    a root thread, then drive with the interleaving driver. *)
+    a root thread, then drive with the interleaving driver under
+    [Sched.random seed] (default seed 0). *)
 val run : ?seed:int -> (sync -> unit) -> Firefly.Interleave.report
 
 (** [run_traced body] — {!run} with the spec-trace collector
     ({!Firefly.Record.trace}) subscribed to the machine; returns the
     report and the run's linearized actions, in order. *)
 val run_traced :
-  ?fast_path:bool ->
   ?seed:int ->
   (sync -> unit) ->
   Firefly.Interleave.report * Spec_trace.event list

@@ -29,7 +29,7 @@ let uniproc_runner =
       (fun ~seed body ->
         let sink = Spec_trace.Sink.create () in
         let r =
-          Firefly.Interleave.run ~seed ~strategy:(Firefly.Sched.random seed)
+          Firefly.Interleave.run ~strategy:(Firefly.Sched.random seed)
             (fun machine ->
               Firefly.Record.trace sink machine;
               ignore

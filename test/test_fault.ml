@@ -61,7 +61,10 @@ let sim_run driver ~seed (wl : Wl.t) =
   let steps, machine =
     match driver with
     | `Plain | `Filtered ->
-      let r = Firefly.Interleave.run ~seed ~max_steps:2_000_000 build in
+      let r =
+        Firefly.Interleave.run ~strategy:(Firefly.Sched.random seed)
+          ~max_steps:2_000_000 build
+      in
       (r.Firefly.Interleave.steps, r.Firefly.Interleave.machine)
     | `Empty_plan ->
       let o = Engine.run ~seed ~plan:Plan.{ id = -1; actions = [] } build in

@@ -166,7 +166,8 @@ let test_mem_emit_atomicity () =
   for seed = 0 to 50 do
     let sink = Spec_trace.Sink.create () in
     let _ =
-      Firefly.Interleave.run ~seed (fun machine ->
+      Firefly.Interleave.run ~strategy:(Firefly.Sched.random seed)
+        (fun machine ->
           Firefly.Record.trace sink machine;
           ignore
             (M.spawn_root machine (fun () ->
@@ -195,7 +196,8 @@ let test_determinism () =
   let run seed =
     let sink = Spec_trace.Sink.create () in
     let _ =
-      Firefly.Interleave.run ~seed (fun machine ->
+      Firefly.Interleave.run ~strategy:(Firefly.Sched.random seed)
+        (fun machine ->
           Firefly.Record.trace sink machine;
           ignore
             (M.spawn_root machine (fun () ->
@@ -544,7 +546,7 @@ let test_semaphore_is_mutex () =
       List.iter Sy.join (List.init 4 (fun _ -> Sy.fork worker))
     in
     let r =
-      Firefly.Interleave.run ~seed:5 (fun machine ->
+      Firefly.Interleave.run ~strategy:(Firefly.Sched.random 5) (fun machine ->
           M.subscribe machine M.K_access (function
             | M.Ev_access { kind = M.A_lock_acq; addr; _ } ->
               acquired := M.word_name machine addr :: !acquired
@@ -658,7 +660,8 @@ let test_allocation_budget () =
             .Firefly.Timed.steps );
       ( "16 ticking threads, interleaving driver", 1.25 *. 15.03,
         fun () ->
-          (Firefly.Interleave.run ~seed:3 (fun machine ->
+          (Firefly.Interleave.run ~strategy:(Firefly.Sched.random 3)
+             (fun machine ->
                for _ = 1 to 16 do
                  ignore
                    (M.spawn_root machine (fun () ->
@@ -837,7 +840,8 @@ let test_ambient_slot () =
     while Atomic.get go < 2 do Domain.cpu_relax () done;
     let ok = ref true in
     let r =
-      Firefly.Interleave.run ~seed:threads (fun machine ->
+      Firefly.Interleave.run ~strategy:(Firefly.Sched.random threads)
+        (fun machine ->
           for _ = 1 to threads do
             ignore
               (M.spawn_root machine (fun () ->

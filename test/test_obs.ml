@@ -56,7 +56,7 @@ let test_spans () =
 (* The workload's machine, with [observe] subscribed to it. *)
 let run_mutex_workload ?(observe = ignore) ~threads ~seed () =
   let report =
-    Firefly.Interleave.run ~seed (fun machine ->
+    Firefly.Interleave.run ~strategy:(Firefly.Sched.random seed) (fun machine ->
         observe machine;
         Taos_threads.Api.build
           (fun sync ->

@@ -77,7 +77,8 @@ let test_critpath_tiles_makespan () =
 let test_serial_critpath () =
   let p =
     profile (fun observe ->
-        (Firefly.Interleave.run ~seed:1 (fun machine ->
+        (Firefly.Interleave.run ~strategy:(Firefly.Sched.random 1)
+           (fun machine ->
              observe machine;
              ignore
                (M.spawn_root machine (fun () ->

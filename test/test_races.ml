@@ -188,7 +188,8 @@ let test_hoare_guarantee () =
   for seed = 0 to 30 do
     let violated = ref false in
     let r =
-      Firefly.Interleave.run ~seed (fun machine ->
+      Firefly.Interleave.run ~strategy:(Firefly.Sched.random seed)
+        (fun machine ->
           ignore
             (Firefly.Machine.spawn_root machine (fun () ->
                  let mon = Taos_threads.Hoare.monitor () in
@@ -226,8 +227,13 @@ let test_hoare_guarantee () =
    unchanged, only the cost moves. *)
 let test_no_fast_path_conforms () =
   for seed = 0 to 20 do
-    let r, trace =
-      Taos_threads.Api.run_traced ~fast_path:false ~seed (fun sync ->
+    let sink = Spec_trace.Sink.create () in
+    let r =
+      Firefly.Interleave.run ~strategy:(Firefly.Sched.random seed)
+      @@ fun machine ->
+      Firefly.Record.trace sink machine;
+      Taos_threads.Api.build ~fast_path:false
+        (fun sync ->
           let module S =
             (val sync : Taos_threads.Sync_intf.SYNC with type thread = Tid.t)
           in
@@ -245,6 +251,7 @@ let test_no_fast_path_conforms () =
           S.signal c;
           S.broadcast c;
           S.join w)
+        machine
     in
     (match r.Firefly.Interleave.verdict with
     | Firefly.Interleave.Completed -> ()
@@ -252,14 +259,15 @@ let test_no_fast_path_conforms () =
     Alcotest.(check bool)
       (Printf.sprintf "conforms (seed %d)" seed)
       true
-      (conforms trace)
+      (conforms (Spec_trace.Sink.events sink))
   done
 
 (* Interrupt-context V: never lost across seeds. *)
 let test_interrupt_v_not_lost () =
   for seed = 0 to 100 do
     let r =
-      Firefly.Interleave.run ~seed (fun machine ->
+      Firefly.Interleave.run ~strategy:(Firefly.Sched.random seed)
+        (fun machine ->
           ignore
             (Firefly.Machine.spawn_root machine (fun () ->
                  let pkg = Taos_threads.Pkg.create () in
@@ -302,7 +310,8 @@ let test_interest_quiescence () =
   for seed = 0 to 20 do
     let interest_left = ref (-1) in
     let r =
-      Firefly.Interleave.run ~seed (fun machine ->
+      Firefly.Interleave.run ~strategy:(Firefly.Sched.random seed)
+        (fun machine ->
           ignore
             (Firefly.Machine.spawn_root machine (fun () ->
                  let pkg = Taos_threads.Pkg.create () in

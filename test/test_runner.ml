@@ -215,7 +215,6 @@ let test_chaos_stream_parity () =
    every report byte-identical, and the deterministic telemetry totals
    (cells executed) must equal the matrix size at any worker count. *)
 let test_telemetry_reports_identical () =
-  let module Tel = Threads_telemetry in
   let b = Option.get (Bk.find "uniproc") in
   let wl = Option.get (Wl.find "condvar") in
   let bare = summary_fingerprint (Cc.conform ~jobs:1 b wl ~seeds:6) in
@@ -223,27 +222,26 @@ let test_telemetry_reports_identical () =
   List.iter
     (fun jobs ->
       let p =
-        Tel.Progress.create
-          ~dest:(Tel.Progress.Custom ignore)
-          ~label:"test" ~total:6 ~jobs ()
+        Obs.Fleet.create ~dest:(Obs.Fleet.Custom ignore) ~label:"test" ~jobs
+          ~cells:6 ()
       in
-      let telemetry = Tel.Progress.sink p in
+      let telemetry = Obs.Fleet.sink p in
       let observed =
         summary_fingerprint (Cc.conform ~telemetry ~jobs b wl ~seeds:6)
       in
-      Tel.Progress.finish p;
+      Obs.Fleet.finish p;
       Alcotest.(check bool)
         (Printf.sprintf "telemetered conform identical (jobs=%d)" jobs)
         true (observed = bare);
       Alcotest.(check int)
         (Printf.sprintf "telemetry counted every seed (jobs=%d)" jobs)
         6
-        (Tel.Fleet.total_cells (Tel.Progress.fleet_report p));
-      let fl = Tel.Fleet.create ~jobs ~cells:0 () in
+        (Obs.Fleet.total_cells (Obs.Fleet.snapshot p));
+      let fl = Obs.Fleet.create ~label:"test" ~jobs ~cells:0 () in
       let chaos_observed =
         let buf = Buffer.create 4096 in
         let t =
-          Cc.chaos_stream ~telemetry:(Tel.Fleet.sink fl) ~jobs
+          Cc.chaos_stream ~telemetry:(Obs.Fleet.sink fl) ~jobs
             ~emit:(Buffer.add_string buf) b wl ~plans:3 ~seeds:2
         in
         (Buffer.contents buf, t.Cc.ct_classes, t.Cc.ct_failures)

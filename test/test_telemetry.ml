@@ -1,8 +1,8 @@
-(* Fleet observatory: telemetry collectors and progress streams.
+(* Fleet observatory: the fleet collector and its progress stream.
 
    The load-bearing properties:
-   - Attaching a collector or progress sink never changes matrix
-     results (observation is host-side only).
+   - Attaching a collector, with or without a progress stream, never
+     changes matrix results (observation is host-side only).
    - Counter totals are deterministic: total cells = matrix size at any
      worker count, even though per-worker attribution is not.
    - The progress stream is well-formed JSON lines with the documented
@@ -11,8 +11,7 @@
 
 module Matrix = Threads_runner.Matrix
 module T = Threads_runner.Telemetry
-module Fleet = Threads_telemetry.Fleet
-module Progress = Threads_telemetry.Progress
+module Fleet = Obs.Fleet
 module Ex = Firefly.Explore
 module Sc = Threads_harness.Explore_scenarios
 
@@ -31,7 +30,7 @@ let test_fleet_map_noninterference () =
   let plain = Matrix.map ~jobs:1 ~n cell in
   List.iter
     (fun jobs ->
-      let fl = Fleet.create ~jobs ~cells:n () in
+      let fl = Fleet.create ~label:"unit" ~jobs ~cells:n () in
       let got = Matrix.map ~telemetry:(Fleet.sink fl) ~jobs ~n cell in
       Alcotest.(check (array int))
         (Printf.sprintf "map results unchanged (jobs=%d)" jobs)
@@ -48,7 +47,7 @@ let test_fleet_iter_ordered_noninterference () =
   let n = 500 in
   List.iter
     (fun jobs ->
-      let fl = Fleet.create ~jobs ~cells:n () in
+      let fl = Fleet.create ~label:"unit" ~jobs ~cells:n () in
       let seen = ref [] in
       Matrix.iter_ordered ~telemetry:(Fleet.sink fl) ~jobs ~n
         ~f:(fun i -> i * 2)
@@ -124,14 +123,19 @@ let event_name j =
 
 let test_progress_event_stream () =
   let lines = ref [] in
+  (* Each reading of the clock is a second after the last, so every
+     completed cell is past the heartbeat throttle. *)
+  let clk = Atomic.make 0 in
   let p =
-    Progress.create ~interval:0. ~dest:(Progress.Custom (fun l -> lines := l :: !lines))
-      ~label:"unit" ~total:5 ~jobs:2 ()
+    Fleet.create
+      ~now:(fun () -> float_of_int (Atomic.fetch_and_add clk 1))
+      ~dest:(Fleet.Custom (fun l -> lines := l :: !lines))
+      ~label:"unit" ~jobs:2 ~cells:5 ()
   in
-  Progress.phase p "warmup" ~cells:5;
-  ignore (Matrix.map ~telemetry:(Progress.sink p) ~jobs:2 ~n:5 (fun i -> i));
-  Progress.finish p;
-  Progress.finish p (* idempotent *);
+  Fleet.phase p "warmup" ~cells:5;
+  ignore (Matrix.map ~telemetry:(Fleet.sink p) ~jobs:2 ~n:5 (fun i -> i));
+  Fleet.finish p;
+  Fleet.finish p (* idempotent *);
   let evs = parse_lines !lines in
   Alcotest.(check string) "first event is start" "start"
     (event_name (List.hd evs));
@@ -139,7 +143,7 @@ let test_progress_event_stream () =
     (event_name (List.nth evs (List.length evs - 1)));
   Alcotest.(check bool) "phase announced" true
     (List.exists (fun e -> event_name e = "phase") evs);
-  (* interval 0 => one heartbeat per completed cell, with monotone
+  (* one heartbeat per completed cell, with monotone
      non-decreasing done counts ending at the total *)
   let hbs = List.filter (fun e -> event_name e = "heartbeat") evs in
   Alcotest.(check int) "heartbeat per cell" 5 (List.length hbs);
@@ -161,14 +165,15 @@ let test_progress_event_stream () =
 let test_progress_straggler () =
   let clk = ref 0. in
   let lines = ref [] in
+  (* The whole run takes 0.33 s of the fake clock, under the heartbeat
+     throttle: only the straggler path can emit. *)
   let p =
-    Progress.create
+    Fleet.create
       ~now:(fun () -> !clk)
-      ~interval:1e9 (* suppress heartbeats: isolate the straggler path *)
-      ~dest:(Progress.Custom (fun l -> lines := l :: !lines))
-      ~label:"unit" ~total:10 ~jobs:1 ()
+      ~dest:(Fleet.Custom (fun l -> lines := l :: !lines))
+      ~label:"unit" ~jobs:1 ~cells:10 ()
   in
-  let s = Progress.sink p in
+  let s = Fleet.sink p in
   (* Baseline: 8 cells of 10ms each — too fast and too uniform to flag. *)
   for i = 0 to 7 do
     s.T.cell_start ~worker:0 ~cell:i;
@@ -199,14 +204,52 @@ let test_progress_never_stdout () =
   let plain = Matrix.map ~jobs:4 ~n cell in
   let sunk = ref 0 in
   let p =
-    Progress.create ~interval:0.
-      ~dest:(Progress.Custom (fun _ -> incr sunk))
-      ~label:"unit" ~total:n ~jobs:4 ()
+    Fleet.create
+      ~dest:(Fleet.Custom (fun _ -> incr sunk))
+      ~label:"unit" ~jobs:4 ~cells:n ()
   in
-  let got = Matrix.map ~telemetry:(Progress.sink p) ~jobs:4 ~n cell in
-  Progress.finish p;
+  let got = Matrix.map ~telemetry:(Fleet.sink p) ~jobs:4 ~n cell in
+  Fleet.finish p;
   Alcotest.(check (array string)) "results identical" plain got;
   Alcotest.(check bool) "events actually flowed" true (!sunk > 0)
+
+let test_explore_progress_event () =
+  (* Explore ticks share the heartbeat throttle: of three ticks, the
+     second lands 0.2 s after the first and is dropped. *)
+  let clk = ref 0. in
+  let lines = ref [] in
+  let p =
+    Fleet.create
+      ~now:(fun () -> !clk)
+      ~dest:(Fleet.Custom (fun l -> lines := l :: !lines))
+      ~label:"explore" ~jobs:1 ~cells:0 ()
+  in
+  List.iter
+    (fun (at, executions, sleep_blocked, peak_depth) ->
+      clk := at;
+      Fleet.explore_tick p ~scenario:"unit" ~executions ~sleep_blocked
+        ~peak_depth)
+    [ (0.5, 10, 2, 5); (0.7, 25, 6, 7); (1.1, 40, 9, 8) ];
+  let int_field e k =
+    match Obs.Json.find e k with
+    | Some (Obs.Json.Int n) -> n
+    | _ -> Alcotest.fail ("explore event without " ^ k)
+  in
+  let counters =
+    List.filter_map
+      (fun e ->
+        if event_name e = "explore" then
+          Some
+            ( int_field e "executions",
+              int_field e "sleep_blocked",
+              int_field e "peak_depth" )
+        else None)
+      (parse_lines !lines)
+  in
+  Alcotest.(check (list (triple int int int)))
+    "two explore events, cumulative counters"
+    [ (10, 2, 5); (40, 9, 8) ]
+    counters
 
 (* ---- DPOR explore instrumentation ---- *)
 
@@ -254,7 +297,7 @@ let test_explore_telemetry_identical () =
   in
   List.iter
     (fun jobs ->
-      let fl = Fleet.create ~jobs ~cells:0 () in
+      let fl = Fleet.create ~label:"explore" ~jobs ~cells:0 () in
       let ticks = ref 0 in
       let instrumented =
         Ex.explore_dpor_parallel ~max_depth:s.Sc.max_depth ~split_branches:2
@@ -287,4 +330,6 @@ let suite =
         test_explore_progress_monotone;
       Alcotest.test_case "explore telemetry identical" `Quick
         test_explore_telemetry_identical;
+      Alcotest.test_case "explore progress event" `Quick
+        test_explore_progress_event;
     ] )

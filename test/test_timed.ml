@@ -29,16 +29,18 @@ let test_time_slicing () =
 
 let test_cycle_limit () =
   let report =
-    Firefly.Timed.run ~processors:1 ~max_steps:50 (fun machine ->
+    Firefly.Timed.run ~processors:1 (fun machine ->
         ignore
           (M.spawn_root machine (fun () ->
                while true do
                  Ops.tick 100
                done)))
   in
-  match report.Firefly.Timed.verdict with
+  (match report.Firefly.Timed.verdict with
   | Firefly.Interleave.Step_limit -> ()
-  | _ -> Alcotest.fail "expected Step_limit"
+  | _ -> Alcotest.fail "expected Step_limit");
+  Alcotest.(check int) "stopped at the step bound" 1_000_000
+    report.Firefly.Timed.steps
 
 let test_deadlock_timed () =
   let report =
