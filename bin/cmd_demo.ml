@@ -100,7 +100,7 @@ let demo_snapshot ~seed =
   ignore
     (Firefly.Interleave.run ~strategy:(Firefly.Sched.random seed)
        (fun machine ->
-         Firefly.Record.instrument reg machine;
+         Obs.Instrument.record reg machine;
          Taos_threads.Api.build demo_workload machine));
   Obs.Instrument.snapshot reg
 
@@ -147,8 +147,10 @@ let trace =
   let chrome seed out =
     let snap = demo_snapshot ~seed in
     Cli.write_out ~out
-      (Obs.Chrome_trace.to_string ~cycle_us:Firefly.Cost.us_per_cycle
-         ~process_name:"firefly-sim" ~thread_names:(thread_names snap) snap)
+      (Obs.Json.to_string
+         (Obs.Chrome_trace.to_json ~cycle_us:Firefly.Cost.us_per_cycle
+            ~process_name:"firefly-sim" ~thread_names:(thread_names snap)
+            snap.spans))
   in
   let run seed variant format out =
     let iface = Cli.variant variant in

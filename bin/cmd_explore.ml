@@ -69,9 +69,21 @@ let cmd =
           "violations" ]
     in
     let records = ref [] in
+    (* The plain DFS runs before the fleet collector's window opens, so
+       the window times only the DPOR matrices it reports on. *)
+    let dfss =
+      List.map
+        (fun (s : Sc.t) ->
+          if mode = `Dpor then None
+          else
+            Some
+              (Ex.explore ~max_depth:s.Sc.max_depth ~max_runs
+                 ~build:s.Sc.build s.Sc.check))
+        scenarios
+    in
     Cli.with_fleet ~label:"explore" ~jobs ~total:0 fleet (fun fl ->
-    List.iter
-      (fun (s : Sc.t) ->
+    List.iter2
+      (fun (s : Sc.t) dfs ->
         fl.Cli.phase s.Sc.name ~cells:0;
         let progress =
           Option.map
@@ -89,13 +101,6 @@ let cmd =
               (Ex.explore_dpor_parallel ~max_depth:s.Sc.max_depth ~max_runs
                  ~split_branches:split ~jobs ?progress
                  ?telemetry:fl.Cli.telemetry ~build:s.Sc.build s.Sc.check)
-        in
-        let dfs =
-          if mode = `Dpor then None
-          else
-            Some
-              (Ex.explore ~max_depth:s.Sc.max_depth ~max_runs
-                 ~build:s.Sc.build s.Sc.check)
         in
         let found, complete =
           match (dpor, dfs) with
@@ -175,7 +180,7 @@ let cmd =
             | Some p -> [ ("prune_pct", Obs.Json.Float p) ]
             | None -> [])
           :: !records)
-      scenarios);
+      scenarios dfss);
     Cli.write_out ~out
       (match format with
       | `Json ->

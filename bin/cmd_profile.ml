@@ -4,7 +4,7 @@
 open Cmdliner
 module Bk = Threads_backend.Backend
 module Wl = Threads_backend.Workload
-module Pf = Threads_profile.Profile
+module Pf = Obs.Profile
 
 let cmd =
   let backend =
@@ -58,7 +58,7 @@ let cmd =
             (Format.asprintf "%a" Bk.pp_verdict outcome.Bk.verdict)
           ^ Pf.render p
         | `Folded -> Pf.folded p
-        | `Chrome -> Pf.chrome p
+        | `Chrome -> Obs.Json.to_string (Pf.chrome p)
         | `Json -> Obs.Json.to_string (Pf.to_json p) ^ "\n")
   in
   Cmd.v

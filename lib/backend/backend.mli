@@ -27,16 +27,16 @@ type outcome = {
   steps : int option;  (** simulator backends only *)
 }
 
-(** How a backend exposes itself to [lib/analysis] and [lib/profile].
+(** How a backend exposes itself to [lib/analysis] and [Obs.Profile].
     Simulator-hosted backends run the workload on a machine whose
     recording stream [?observe] subscribes to, right after the machine is
     created, and return that machine with its word/lock registries:
     the access log feeds all three dynamic analyzers and the causal-edge
-    fold feeds the profiler.  Observed runs use the same seeds and
-    schedules as [run] (subscribers are host-side, not instructions).
-    A backend with [No_instrument] (multicore, on real hardware) has no
-    machine: lock-order analysis reads the spec trace its [run]
-    returns. *)
+    fold ([Obs.Profile.record]) feeds the profiler.  Observed runs use
+    the same seeds and schedules as [run] (subscribers are host-side,
+    not instructions).  A backend with [No_instrument] (multicore, on
+    real hardware) has no machine: lock-order analysis reads the spec
+    trace its [run] returns. *)
 type instrument =
   | Machine_access of
       (?observe:(Firefly.Machine.t -> unit) ->

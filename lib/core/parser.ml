@@ -473,9 +473,8 @@ let interface_of_string_located src =
 
 let interface_of_string src = fst (interface_of_string_located src)
 
-let formula_of_string ?ret src =
+let formula_of_string src =
   let st = make_state src in
-  st.ret <- ret;
   let f = formula st in
   expect st EOF;
   f

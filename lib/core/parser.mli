@@ -55,9 +55,8 @@ val interface_of_string : string -> Proc.interface
     positions. *)
 val interface_of_string_located : string -> Proc.interface * locs
 
-(** [formula_of_string ?ret src] parses a single formula; [ret] is the
-    return-formal name resolving to [RESULT], if any. *)
-val formula_of_string : ?ret:string -> string -> Formula.t
+(** [formula_of_string src] parses a single formula. *)
+val formula_of_string : string -> Formula.t
 
 (** [term_of_string src] parses a single term. *)
 val term_of_string : string -> Term.t

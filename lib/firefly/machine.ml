@@ -1093,7 +1093,7 @@ module Probe = struct
     | Some m -> record m m.running id A_lock_att
     | None -> ()
 
-  (* ---- causal-profiling probes (lib/profile) ----
+  (* ---- causal-profiling probes (Obs.Profile) ----
 
      [will_block obj] annotates the caller's imminent deschedule with the
      synchronization object it is waiting on; the machine resolves the

@@ -54,9 +54,10 @@ type fault = { f_seq : int; f_cycle : int; f_desc : string }
     A run is observed through one stream of {!event}s.  A consumer
     {!subscribe}s to one {!kind} and folds it itself: the spec-trace
     collector ({!Record.trace}), the access log of [lib/analysis], the
-    causal-profile fold of [lib/profile], the per-step footprints of
-    {!Explore.explore_dpor_parallel} and the statistics registry
-    ({!Record.instrument}).  The machine keeps none of it.  Each emission
+    per-step footprints of {!Explore.explore_dpor_parallel}, and the
+    causal-profile fold and the statistics registry of [lib/obs]
+    ([Obs.Profile.record], [Obs.Instrument.record]).  The machine keeps
+    none of it, and links no observability code.  Each emission
     site first tests whether its kind has a subscriber, so a kind nobody
     observes costs that test and allocates nothing.  Publishing charges
     no cycles, adds no scheduling points and draws no randomness, so an
@@ -294,8 +295,8 @@ module Probe : sig
   (** {2 Statistics}
 
       Each publishes one {!Ev_stat} on the stepping thread's track, and
-      only when {!K_stat} has a subscriber; {!Record.instrument} folds
-      them into a registry. *)
+      only when {!K_stat} has a subscriber; [Obs.Instrument.record]
+      folds them into a registry. *)
 
   (** [counter name n] adds [n]; [counter name 0] materializes the counter
       at 0 so it shows in reports. *)
@@ -307,8 +308,8 @@ module Probe : sig
   (** [gauge_max name v] raises a high-water gauge. *)
   val gauge_max : string -> int -> unit
 
-  (** Spans are keyed by (current thread, name); see
-      {!Obs.Instrument.span_begin}.  [cat] defaults to ["span"]. *)
+  (** Spans are keyed by (current thread, name), as in
+      [Obs.Instrument.span_begin].  [cat] defaults to ["span"]. *)
   val span_begin : ?cat:string -> string -> unit
 
   (** [span_end ?sample name] closes the span; with [sample], the fold
@@ -388,7 +389,7 @@ module Probe : sig
   (** Record a package-level injected fault in the machine's fault log. *)
   val inject_fault : string -> unit
 
-  (** {2 Causal-profiling probes (lib/profile)} *)
+  (** {2 Causal-profiling probes ([Obs.Profile])} *)
 
   (** [will_block obj] annotates the caller's imminent deschedule with the
       synchronization object it waits on; the machine resolves the

@@ -19,7 +19,7 @@ let iterations = 10_000
 let sim_numbers ~fast_path reg =
   let report =
     Firefly.Interleave.run ~strategy:(Firefly.Sched.random 1) (fun machine ->
-        Firefly.Record.instrument reg machine;
+        Obs.Instrument.record reg machine;
         Taos_threads.Api.build ~fast_path
           (fun sync ->
             let module S =

@@ -69,7 +69,7 @@ let run () =
   List.iter
     (fun threads ->
       let observe =
-        if threads = 8 then Firefly.Record.instrument contended else ignore
+        if threads = 8 then Obs.Instrument.record contended else ignore
       in
       let report, throughput, nub, spin =
         run_observed observe ~threads ~cs_len:20 ~think_len:80

@@ -76,7 +76,7 @@ let run () =
   List.iter
     (fun m ->
       let observe =
-        if m = 8 then Firefly.Record.instrument representative else ignore
+        if m = 8 then Obs.Instrument.record representative else ignore
       in
       let sig_calls, sig_trace =
         signaller_cost ~observe m ~broadcast:false

@@ -6,4 +6,4 @@ type t = { id : string; title : string; claim : string; run : unit -> unit }
 let print_metrics ?(header = "--- observability (representative run) ---")
     reg =
   Printf.printf "\n%s\n" header;
-  Obs.Report.print (Obs.Instrument.snapshot reg)
+  print_string (Obs.Report.render (Obs.Instrument.snapshot reg))

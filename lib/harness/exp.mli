@@ -14,7 +14,8 @@ type t = {
 
 (** [print_metrics ?header reg] appends an instrument registry as an
     observability section — fast-path rates, counters, gauges, cycle
-    histograms, span aggregates — to the experiment's output.  The
-    experiment fills [reg] by subscribing it ({!Firefly.Record.instrument})
-    to the machine of its representative run. *)
+    histograms, span aggregates, as {!Obs.Report.render} prints its
+    snapshot — to the experiment's output.  The experiment fills [reg]
+    by subscribing it ({!Obs.Instrument.record}) to the machine of its
+    representative run. *)
 val print_metrics : ?header:string -> Obs.Instrument.t -> unit

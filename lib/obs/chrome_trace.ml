@@ -9,24 +9,13 @@ let pid = 1
    below emits the pairs in an order any trace viewer's stable
    sort-by-timestamp preserves. *)
 
-let b_event ~cycle_us (s : span) =
+let event ~cycle_us ph ts (s : span) =
   Json.Obj
     [
       ("name", Json.String s.name);
       ("cat", Json.String s.cat);
-      ("ph", Json.String "B");
-      ("ts", Json.Float (float_of_int s.t0 *. cycle_us));
-      ("pid", Json.Int pid);
-      ("tid", Json.Int s.track);
-    ]
-
-let e_event ~cycle_us (s : span) =
-  Json.Obj
-    [
-      ("name", Json.String s.name);
-      ("cat", Json.String s.cat);
-      ("ph", Json.String "E");
-      ("ts", Json.Float (float_of_int s.t1 *. cycle_us));
+      ("ph", Json.String ph);
+      ("ts", Json.Float (float_of_int ts *. cycle_us));
       ("pid", Json.Int pid);
       ("tid", Json.Int s.track);
     ]
@@ -45,69 +34,50 @@ let track_events ~cycle_us spans =
       let rec close () =
         match !stack with
         | top :: rest when top.Instrument.t1 <= s.t0 ->
-          emit (e_event ~cycle_us top);
+          emit (event ~cycle_us "E" top.t1 top);
           stack := rest;
           close ()
         | _ -> ()
       in
       close ();
-      emit (b_event ~cycle_us s);
+      emit (event ~cycle_us "B" s.t0 s);
       stack := s :: !stack)
     sorted;
-  List.iter (fun s -> emit (e_event ~cycle_us s)) !stack;
+  List.iter (fun (s : span) -> emit (event ~cycle_us "E" s.t1 s)) !stack;
   List.rev !out
 
-let metadata ~process_name ~thread_names tracks =
-  let process =
-    Json.Obj
-      [
-        ("name", Json.String "process_name");
-        ("ph", Json.String "M");
-        ("pid", Json.Int pid);
-        ("tid", Json.Int 0);
-        ("args", Json.Obj [ ("name", Json.String process_name) ]);
-      ]
-  in
-  let thread track =
-    let name =
-      match List.assoc_opt track thread_names with
-      | Some n -> n
-      | None -> Printf.sprintf "t%d" track
-    in
-    Json.Obj
-      [
-        ("name", Json.String "thread_name");
-        ("ph", Json.String "M");
-        ("pid", Json.Int pid);
-        ("tid", Json.Int track);
-        ("args", Json.Obj [ ("name", Json.String name) ]);
-      ]
-  in
-  process :: List.map thread tracks
+(* A metadata event naming the process (tid 0) or one track. *)
+let metadata kind tid name =
+  Json.Obj
+    [
+      ("name", Json.String kind);
+      ("ph", Json.String "M");
+      ("pid", Json.Int pid);
+      ("tid", Json.Int tid);
+      ("args", Json.Obj [ ("name", Json.String name) ]);
+    ]
 
-let events ?(cycle_us = 1.0) ?(process_name = "firefly-sim")
-    ?(thread_names = []) (snap : Instrument.snapshot) =
+let to_json ?(cycle_us = 1.0) ~process_name ?(thread_names = []) spans =
   let tracks =
     List.sort_uniq compare
-      (List.map (fun (s : span) -> s.track) snap.spans
-      @ List.map fst thread_names)
+      (List.map (fun (s : span) -> s.track) spans @ List.map fst thread_names)
   in
-  let span_events =
-    List.concat_map
-      (fun track ->
-        track_events ~cycle_us
-          (List.filter (fun (s : span) -> s.track = track) snap.spans))
-      tracks
+  let thread_name track =
+    match List.assoc_opt track thread_names with
+    | Some n -> n
+    | None -> Printf.sprintf "t%d" track
   in
-  metadata ~process_name ~thread_names tracks @ span_events
-
-let to_json ?cycle_us ?process_name ?thread_names snap =
+  let track_spans track = List.filter (fun (s : span) -> s.track = track) spans in
   Json.Obj
     [
       ( "traceEvents",
-        Json.Arr (events ?cycle_us ?process_name ?thread_names snap) );
+        Json.Arr
+          (metadata "process_name" 0 process_name
+           :: List.map
+                (fun track -> metadata "thread_name" track (thread_name track))
+                tracks
+          @ List.concat_map
+              (fun track -> track_events ~cycle_us (track_spans track))
+              tracks) );
       ("displayTimeUnit", Json.String "ms");
     ]
-
-let to_string ?cycle_us ?process_name ?thread_names snap =
-  Json.to_string (to_json ?cycle_us ?process_name ?thread_names snap)

@@ -393,19 +393,17 @@ let render r =
    coalesced busy segment, in whole microseconds relative to collector
    creation. *)
 let chrome r =
-  let reg = Instrument.create () in
   let us s = Float.to_int (Float.round (s *. 1e6)) in
-  List.iter
-    (fun w ->
-      List.iter
-        (fun (s0, s1) ->
-          Instrument.span_add reg ~track:w.ws_id ~cat:"fleet" "cells"
-            ~t0:(us s0) ~t1:(us s1))
-        w.ws_segments)
-    r.r_workers;
   Chrome_trace.to_json
     ~process_name:("fleet: " ^ r.r_label)
     ~thread_names:
       (List.map (fun w -> (w.ws_id, Printf.sprintf "worker %d" w.ws_id))
          r.r_workers)
-    (Instrument.snapshot reg)
+    (List.concat_map
+       (fun w ->
+         List.map
+           (fun (s0, s1) ->
+             { Instrument.track = w.ws_id; name = "cells"; cat = "fleet";
+               t0 = us s0; t1 = us s1 })
+           w.ws_segments)
+       r.r_workers)

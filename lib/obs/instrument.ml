@@ -34,11 +34,6 @@ let incr t name n =
   | cur -> Hashtbl.replace t.counters name (cur + n)
   | exception Not_found -> Hashtbl.add t.counters name n
 
-let counter t name =
-  match Hashtbl.find t.counters name with
-  | cur -> cur
-  | exception Not_found -> 0
-
 let sample t name v =
   match Hashtbl.find t.hists name with
   | r -> r := v :: !r
@@ -68,6 +63,23 @@ let span_add t ~track ?(cat = "span") name ~t0 ~t1 =
   add_span t { track; name; cat; t0; t1 }
 
 let open_span_count t = Hashtbl.length t.open_spans
+
+(* The fold of a machine's statistics stream into [reg]. *)
+let record reg m =
+  let module M = Firefly.Machine in
+  M.subscribe m M.K_stat (function
+    | M.Ev_stat { tid = track; t = now; stat } -> (
+      match stat with
+      | M.St_count (name, n) -> incr reg name n
+      | M.St_sample (name, v) -> sample reg name v
+      | M.St_gauge (name, v) -> gauge_max reg name v
+      | M.St_begin (cat, name) -> span_begin reg ~track ~cat name ~now
+      | M.St_end (name, hist) -> (
+        match (span_end reg ~track name ~now, hist) with
+        | Some d, Some hist -> sample reg hist d
+        | _ -> ())
+      | M.St_span (cat, name, t0, t1) -> span_add reg ~track ~cat name ~t0 ~t1)
+    | _ -> ())
 
 type snapshot = {
   counters : (string * int) list;  (* sorted by name *)

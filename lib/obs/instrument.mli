@@ -27,8 +27,6 @@ val create : unit -> t
     so [incr t name 0] materializes the counter). *)
 val incr : t -> string -> int -> unit
 
-val counter : t -> string -> int
-
 (** [sample t name v] — record one histogram sample (a cycle count). *)
 val sample : t -> string -> int -> unit
 
@@ -47,6 +45,11 @@ val span_end : t -> track:int -> string -> now:int -> int option
 val span_add : t -> track:int -> ?cat:string -> string -> t0:int -> t1:int -> unit
 
 val open_span_count : t -> int
+
+(** [record reg m] folds the statistics of [m] ({!Firefly.Machine.K_stat})
+    into [reg], each on its thread's track; subscribe before [m] runs.
+    A run nobody instruments records no statistic. *)
+val record : t -> Firefly.Machine.t -> unit
 
 type snapshot = {
   counters : (string * int) list;  (** sorted by name *)

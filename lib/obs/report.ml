@@ -123,8 +123,6 @@ let render (snap : Instrument.snapshot) =
     Buffer.add_string buf (Table.render t));
   Buffer.contents buf
 
-let print snap = print_string (render snap)
-
 (* Machine-readable form of the same report, for --format=json consumers:
    every section the tables render, as one schema-versioned object. *)
 let to_json (snap : Instrument.snapshot) =

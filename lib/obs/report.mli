@@ -5,7 +5,6 @@
     name, so equal snapshots render byte-identically. *)
 
 val render : Instrument.snapshot -> string
-val print : Instrument.snapshot -> unit
 
 (** The same report as a schema-versioned JSON object (schema_version 1):
     fast-path rates, counters, gauges, histogram summaries and span

@@ -187,7 +187,7 @@ let sync_of = function
   | b -> Alcotest.failf "no package build for backend %s" b
 
 let observed_run ~seed bname (wl : Wl.t) kinds =
-  let module P = Threads_profile.Profile in
+  let module P = Obs.Profile in
   let sink = Spec_trace.Sink.create () and log = An.log () in
   let prof = P.recorder () and footprints = ref [] in
   let reg = Obs.Instrument.create () in
@@ -201,7 +201,7 @@ let observed_run ~seed bname (wl : Wl.t) kinds =
         M.subscribe m M.K_touch (function
           | M.Ev_touch touched -> footprints := touched :: !footprints
           | _ -> ())
-      | M.K_stat -> Firefly.Record.instrument reg m)
+      | M.K_stat -> Obs.Instrument.record reg m)
     kinds;
   let sync = sync_of bname in
   ignore (M.spawn_root m (fun () -> ignore (wl.Wl.body (sync ()))));

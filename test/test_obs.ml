@@ -79,11 +79,11 @@ let run_mutex_workload ?(observe = ignore) ~threads ~seed () =
   in
   report.Firefly.Interleave.machine
 
-(* The statistics of one run, folded by [Firefly.Record.instrument]. *)
+(* The statistics of one run, folded by [Obs.Instrument.record]. *)
 let snapshot_of ~threads ~seed =
   let reg = I.create () in
   ignore
-    (run_mutex_workload ~observe:(Firefly.Record.instrument reg) ~threads
+    (run_mutex_workload ~observe:(Obs.Instrument.record reg) ~threads
        ~seed ());
   I.snapshot reg
 
@@ -123,7 +123,7 @@ let test_zero_sim_cost () =
      instruments. *)
   let reg = I.create () in
   let observed =
-    run_mutex_workload ~observe:(Firefly.Record.instrument reg) ~threads:8
+    run_mutex_workload ~observe:(Obs.Instrument.record reg) ~threads:8
       ~seed:3 ()
   in
   let plain = run_mutex_workload ~threads:8 ~seed:3 () in
@@ -140,8 +140,9 @@ let test_chrome_roundtrip () =
   let snap = snapshot_of ~threads:4 ~seed:11 in
   Alcotest.(check bool) "workload produced spans" true (snap.I.spans <> []);
   let s =
-    Obs.Chrome_trace.to_string ~cycle_us:Firefly.Cost.us_per_cycle
-      ~process_name:"test" snap
+    Obs.Json.to_string
+      (Obs.Chrome_trace.to_json ~cycle_us:Firefly.Cost.us_per_cycle
+         ~process_name:"test" snap.I.spans)
   in
   let j = Obs.Json.of_string s in
   let events =

@@ -15,7 +15,7 @@
 
 module Bk = Threads_backend.Backend
 module Wl = Threads_backend.Workload
-module P = Threads_profile.Profile
+module P = Obs.Profile
 module M = Firefly.Machine
 
 let backend name =
@@ -57,19 +57,19 @@ let test_critpath_tiles_makespan () =
               Alcotest.(check int)
                 (Printf.sprintf "%s/%s seed %d: critpath total = makespan"
                    bname wname seed)
-                p.P.makespan p.P.critpath.Threads_profile.Critpath.total;
+                p.P.makespan p.P.critpath.Obs.Critpath.total;
               (* steps tile [0, makespan]: chronological and abutting *)
               let rec tiles at = function
                 | [] -> at = p.P.makespan
                 | s :: rest ->
-                  s.Threads_profile.Critpath.s_t0 = at
-                  && s.Threads_profile.Critpath.s_t1 >= at
-                  && tiles s.Threads_profile.Critpath.s_t1 rest
+                  s.Obs.Critpath.s_t0 = at
+                  && s.Obs.Critpath.s_t1 >= at
+                  && tiles s.Obs.Critpath.s_t1 rest
               in
               Alcotest.(check bool)
                 (Printf.sprintf "%s/%s seed %d: steps abut" bname wname seed)
                 true
-                (tiles 0 p.P.critpath.Threads_profile.Critpath.steps)
+                (tiles 0 p.P.critpath.Obs.Critpath.steps)
             done)
         [ "mutex"; "condvar"; "semaphore" ])
     [ "sim"; "uniproc"; "naive"; "hoare" ]
@@ -87,14 +87,14 @@ let test_serial_critpath () =
           .Firefly.Interleave.machine)
   in
   Alcotest.(check int) "serial: total = makespan" p.P.makespan
-    p.P.critpath.Threads_profile.Critpath.total;
+    p.P.critpath.Obs.Critpath.total;
   let run, _spin, sched, blocked =
     List.fold_left
       (fun (r, s, d, b) st ->
-        Threads_profile.Critpath.
+        Obs.Critpath.
           (r + st.s_run, s + st.s_spin, d + st.s_sched, b + st.s_blocked))
       (0, 0, 0, 0)
-      p.P.critpath.Threads_profile.Critpath.steps
+      p.P.critpath.Obs.Critpath.steps
   in
   Alcotest.(check int) "serial: path is pure running" p.P.makespan run;
   Alcotest.(check int) "serial: no scheduler wait" 0 sched;
@@ -115,11 +115,11 @@ let test_waitfor_acyclic_clean () =
         Alcotest.(check int)
           (Printf.sprintf "%s/mutex seed %d: no wait-for cycles" bname seed)
           0
-          (List.length p.P.waitfor.Threads_profile.Waitfor.cycles);
+          (List.length p.P.waitfor.Obs.Waitfor.cycles);
         Alcotest.(check int)
           (Printf.sprintf "%s/mutex seed %d: no residual waiters" bname seed)
           0
-          (List.length p.P.waitfor.Threads_profile.Waitfor.final)
+          (List.length p.P.waitfor.Obs.Waitfor.final)
       done)
     [ "sim"; "uniproc" ]
 
@@ -135,7 +135,7 @@ let test_lock_inversion_cycle () =
   let seed = ref 1 in
   while !found = None && !seed <= 50 do
     let p = profile (mutant.Threads_analysis.Mutants.m_run ~seed:!seed) in
-    (match p.P.waitfor.Threads_profile.Waitfor.cycles with
+    (match p.P.waitfor.Obs.Waitfor.cycles with
     | c :: _ -> found := Some (!seed, c)
     | [] -> ());
     incr seed
@@ -144,14 +144,14 @@ let test_lock_inversion_cycle () =
   | None ->
     Alcotest.fail "no seed in 1..50 produced a wait-for cycle snapshot"
   | Some (_, c) ->
-    let members = c.Threads_profile.Waitfor.c_members in
+    let members = c.Obs.Waitfor.c_members in
     Alcotest.(check bool) "cycle has >= 2 members" true
       (List.length members >= 2);
     (* Every member blocked on an object whose owner is the next member:
        the snapshot is a genuine hold-and-wait chain. *)
     List.iter
       (fun e ->
-        match e.Threads_profile.Waitfor.w_owner with
+        match e.Obs.Waitfor.w_owner with
         | Some _ -> ()
         | None -> Alcotest.fail "cycle member with unknown owner")
       members

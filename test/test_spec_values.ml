@@ -168,8 +168,8 @@ let test_formula_iff_truth () =
   let post = State.set_alerts pre Tid.Set.empty in
   let eval = formula [] pre ~post ~result:(Value.Bool true) in
   let f =
-    Parser.formula_of_string ~ret:"b"
-      "(b = (SELF IN alerts)) & (alerts_post = delete(alerts, SELF))"
+    Parser.formula_of_string
+      "(RESULT = (SELF IN alerts)) & (alerts_post = delete(alerts, SELF))"
   in
   Alcotest.(check bool) "TestAlert ensures" true (eval f);
   let eval_false = formula [] pre ~post ~result:(Value.Bool false) in

@@ -311,6 +311,36 @@ let test_explore_telemetry_identical () =
       Alcotest.(check bool) "progress ticked" true (!ticks > 0))
     job_counts
 
+(* [repro explore --mode=both] runs the plain DFS outside the
+   collector's window, so the fleet reports only the DPOR matrices.  On
+   wakeup-waiting the DFS takes 21 722 executions against DPOR's 16, so
+   a window that held it would take nearly the whole process's time. *)
+let test_explore_fleet_window () =
+  let progress = Filename.temp_file "explore_progress" ".jsonl" in
+  let t0 = Unix.gettimeofday () in
+  let code =
+    Sys.command
+      (Printf.sprintf
+         "../bin/repro.exe explore --scenario=wakeup-waiting --mode=both \
+          --jobs=1 --progress=%s > %s"
+         (Filename.quote progress) Filename.null)
+  in
+  let wall = Unix.gettimeofday () -. t0 in
+  let lines = In_channel.with_open_text progress In_channel.input_lines in
+  Sys.remove progress;
+  Alcotest.(check int) "explore exits 0" 0 code;
+  (* [parse_lines] reverses: the file's last event comes first. *)
+  match parse_lines lines with
+  | last :: _ when event_name last = "done" -> (
+    match Obs.Json.find last "elapsed_s" with
+    | Some (Obs.Json.Float window) ->
+      if not (window < wall /. 2.) then
+        Alcotest.failf
+          "collector window %.3f s of a %.3f s run: the DFS ran inside it"
+          window wall
+    | _ -> Alcotest.fail "done event without elapsed_s")
+  | _ -> Alcotest.fail "progress stream does not end with done"
+
 let suite =
   ( "telemetry-observatory",
     [
@@ -332,4 +362,6 @@ let suite =
         test_explore_telemetry_identical;
       Alcotest.test_case "explore progress event" `Quick
         test_explore_progress_event;
+      Alcotest.test_case "explore fleet window holds only dpor" `Quick
+        test_explore_fleet_window;
     ] )
