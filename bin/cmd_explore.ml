@@ -45,6 +45,14 @@ let cmd =
       prerr_string "--min-prune needs --mode=both\n";
       exit 1
     end;
+    (* Plain DFS runs off the executor: a fleet collector would see no
+       cell and report an empty run. *)
+    if mode = `Dfs && Cli.fleet_requested fleet then begin
+      prerr_string
+        "--progress, --fleet and --fleet-trace need --mode=dpor or \
+         --mode=both\n";
+      exit 1
+    end;
     (* Branch depth of the exhaustive frontier split handed to the DPOR
        workers; independent of --jobs, so the results are too. *)
     let split = 2 in

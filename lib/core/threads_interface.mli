@@ -1,7 +1,8 @@
 (** The formal specification of the Threads synchronization primitives,
-    transcribed clause-for-clause from the paper, plus the three historical
-    variants discussed in its "Discussion" section, each an edit of
-    {!final}'s AlertP or AlertResume.
+    as the paper gives it in [specs/threads.lspec] and parsed from that
+    file at build time, plus the three historical variants discussed in
+    its "Discussion" section, each an edit of {!final}'s AlertP or
+    AlertResume.
 
     Procedures: [Acquire], [Release], [Wait] (= COMPOSITION OF Enqueue;
     Resume), [Signal], [Broadcast], [P], [V], [Alert], [TestAlert],
@@ -18,7 +19,8 @@
     available]; global [alerts : SET OF Thread INITIALLY {}]; exceptions
     [Alerted] and [TimedOut]. *)
 
-(** The specification as published (after all three corrections). *)
+(** The specification as published (after all three corrections): the
+    parse of {!source}, made at build time by [lib/core/gen/gen_spec.exe]. *)
 val final : Proc.interface
 
 (** Incident 1 — the original release: AlertResume's RAISES case lacked
@@ -43,7 +45,6 @@ val nelson_bug : Proc.interface
 val variants : (string * Proc.interface) list
 
 (** The concrete-syntax source of {!final}: the text of
-    [specs/threads.lspec], embedded at build time.
-    [Parser.interface_of_string source] must equal {!final} (checked in
-    the test suite). *)
+    [specs/threads.lspec], embedded at build time beside its parse.
+    [check-spec] parses it again at run time for its clause positions. *)
 val source : string

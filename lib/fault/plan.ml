@@ -41,18 +41,11 @@ let by_trigger actions =
   List.stable_sort (fun a b -> compare (trigger a) (trigger b)) actions
 
 (* Seven plan families, cycled by id; the id also seeds the jitter, so
-   plan N is one fixed, reproducible fault sequence everywhere.  With
-   [~seed], the jitter instead draws from an [Rng.cell] stream keyed by
-   (seed, plan_id), so independent matrices (chaos sweeps, generative
-   campaigns) get independent, reproducible plan streams. *)
+   plan N is one fixed, reproducible fault sequence everywhere. *)
 let families = 7
 
-let generate ?seed ~plan_id () =
-  let rng =
-    match seed with
-    | None -> Rng.create (0x0fa517 + (plan_id * 0x9e3779))
-    | Some base -> Rng.cell ~base ~index:plan_id
-  in
+let generate ~plan_id () =
+  let rng = Rng.create (0x0fa517 + (plan_id * 0x9e3779)) in
   let between lo hi = lo + Rng.int rng (hi - lo) in
   let actions =
     match plan_id mod families with

@@ -38,14 +38,10 @@ val describe : t -> string
 (** Number of distinct plan families [generate] cycles through. *)
 val families : int
 
-(** [generate ~plan_id] is a fixed, reproducible plan: equal ids yield
-    equal plans, and consecutive ids cycle through the action families
-    with id-seeded jitter.  With [?seed], the jitter draws from the
-    {!Threads_util.Rng.cell} stream keyed by [(seed, plan_id)] instead of
-    the historical constant base, so independent matrices draw
-    independent, reproducible plan streams; omitting [seed] preserves the
-    original pinned plans byte for byte. *)
-val generate : ?seed:int -> plan_id:int -> unit -> t
+(** [generate ~plan_id ()] is a fixed, reproducible plan: equal ids
+    yield equal plans, and consecutive ids cycle through the action
+    families with id-seeded jitter. *)
+val generate : plan_id:int -> unit -> t
 
 (** [random ~seed ~id] is a free-form plan for generative campaigns: an
     arbitrary-length mix of action families drawn from the

@@ -239,15 +239,6 @@ let test_canonicalize_idempotent () =
         (Gen.Prog.canonicalize p = p))
     (generated_programs 30)
 
-(* ---- plan generator seeding (Rng.cell streams) ---- *)
-
-let test_plan_generate_seeded () =
-  let a = Plan.generate ~seed:3 ~plan_id:1 () in
-  let b = Plan.generate ~seed:3 ~plan_id:1 () in
-  let c = Plan.generate ~seed:4 ~plan_id:1 () in
-  Alcotest.(check bool) "same seed reproduces the plan" true (a = b);
-  Alcotest.(check bool) "different base seed changes the stream" true (a <> c)
-
 let suite =
   ( "gen",
     List.map
@@ -283,6 +274,4 @@ let suite =
           test_replay_roundtrip;
         Alcotest.test_case "canonicalize is idempotent" `Quick
           test_canonicalize_idempotent;
-        Alcotest.test_case "plan generation draws per-cell streams" `Quick
-          test_plan_generate_seeded;
       ] )

@@ -1,8 +1,9 @@
 (* Entry point: every suite in one alcotest binary.
 
    The "spec gate" test is the repository's keystone: the shipped
-   concrete-syntax specification parses to exactly the built-in AST, is
-   well-formed, and survives a print/parse round trip. *)
+   concrete-syntax specification parses at run time to exactly the value
+   generated from it at build time, is well-formed, and survives a
+   print/parse round trip. *)
 
 let spec_gate () =
   let open Spec_core in

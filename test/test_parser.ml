@@ -25,6 +25,10 @@ let test_lex_error () =
     (try ignore (Lexer.tokenize "m = @"); false
      with Lexer.Lex_error (_, { Lexer.line = 1; col = 5 }) -> true)
 
+(* [final] is printed as OCaml by lib/core/gen/gen_spec.exe at build
+   time; parsing [source] at run time must give the same value, so the
+   generator printed the parse faithfully.  The printer's own round trip
+   is [test_roundtrip_all_variants]. *)
 let test_parse_source_equals_builtin () =
   let parsed = Parser.interface_of_string Threads_interface.source in
   Alcotest.(check bool) "parse source = builtin" true
