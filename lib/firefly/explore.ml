@@ -114,8 +114,9 @@ let explore ?(max_preemptions = max_int) ?(stop_at_first = false)
 (* ---- dynamic partial-order reduction (sleep sets + backtrack sets) ----
 
    Flanagan & Godefroid's DPOR, replay-based.  The explorer folds the
-   machine's [Ev_touch] stream into a footprint (list of (address,
-   is-write)) for every step; two steps of different threads are
+   machine's [Ev_touch] stream into a footprint for every step: an
+   [int array] with one entry per touch, [address * 2 + 1] for a write
+   and [address * 2] for a read.  Two steps of different threads are
    dependent iff their footprints conflict ([footprints_conflict]).
    Scheduling causality is part of the footprint via pseudo-addresses
    (every step reads its own scheduler slot; wake/spawn/finish write the
@@ -128,48 +129,110 @@ let explore ?(max_preemptions = max_int) ?(stop_at_first = false)
    steps it has not taken before; a per-address index of the path's
    last accesses finds each new step's race as it happens and seeds a
    backtrack point, and sleep sets prune branches whose first step
-   commutes with everything an already-explored sibling did.  The
-   search never stops at the first error: it collects the set of
-   distinct violation strings, so two runs that explore the space in
-   different orders (or split it across domains) report identical
-   results. *)
+   commutes with everything an already-explored sibling did.  Thread
+   sets are int bitmasks (bit [t] for thread [t]), so an observed step
+   builds no list, set or tuple.  The search never stops at the first
+   error: it collects the set of distinct violation strings, so two runs
+   that explore the space in different orders (or split it across
+   domains) report identical results. *)
 
-type dnode = {
-  d_enabled : Tid.t list;  (* enabled in the pre-state of this step *)
-  mutable d_chosen : Tid.t;  (* branch currently being explored *)
-  mutable d_fp : (int * bool) list;  (* footprint of the chosen step *)
-  mutable d_tried : (Tid.t * (int * bool) list) list;
-      (* footprint of each child step taken from this node, cached so
-         completed siblings can enter the sleep set on later branches;
-         a pending step's footprint is a function of the pre-state,
-         which replays identically, so the cache stays valid *)
-  mutable d_backtrack : Tid.Set.t;
-  mutable d_done : Tid.Set.t;  (* children whose subtrees are explored *)
-  d_sleep : (Tid.t * (int * bool) list) list;  (* sleep set on entry *)
-  mutable d_undo : (int * (int * int)) list;
-      (* race-index entries the chosen step overwrote, newest first *)
-}
+(* A footprint entry's address, and whether it is a write. *)
+let fp_addr e = e asr 1
+let fp_writes e = e land 1 = 1
+
+let rec conflict_from f1 f2 i j =
+  if i = Array.length f1 then false
+  else if j = Array.length f2 then conflict_from f1 f2 (i + 1) 0
+  else
+    let e1 = f1.(i) and e2 = f2.(j) in
+    (fp_addr e1 = fp_addr e2 && fp_writes (e1 lor e2))
+    || conflict_from f1 f2 i (j + 1)
 
 (* Two footprints conflict iff they share an address and at least one
    side writes it: the dependence relation sleep sets are keyed on. *)
-let footprints_conflict f1 f2 =
-  List.exists
-    (fun (a1, w1) ->
-      List.exists (fun (a2, w2) -> a1 = a2 && (w1 || w2)) f2)
-    f1
+let footprints_conflict f1 f2 = conflict_from f1 f2 0 0
 
-(* Subscribe a footprint fold to [m] and return a stepper: [step tid]
-   runs one step of [tid] and returns the (address, is-write) pairs it
-   touched, newest first. *)
-let footprint_stepper m =
-  let fp = ref [] in
-  Machine.subscribe m Machine.K_touch (function
-    | Machine.Ev_touch touched -> fp := touched :: !fp
-    | _ -> ());
-  fun tid ->
-    fp := [];
-    ignore (Machine.step m tid);
-    !fp
+(* Thread sets: bit [t] stands for thread [t]. *)
+let max_threads = Sys.int_size - 1
+let bit t = 1 lsl t
+let mem t s = s land (1 lsl t) <> 0
+let branching s = s land (s - 1) <> 0
+
+(* The lowest thread at or above [t] in [s], which holds one. *)
+let rec lowest_from s t = if mem t s then t else lowest_from s (t + 1)
+let lowest s = lowest_from s 0
+
+(* The highest thread in non-empty [s], at or above [t]. *)
+let rec highest_from s t = if s lsr t <= 1 then t else highest_from s (t + 1)
+
+(* [acc] plus each thread of [s] with its footprint in [fps]. *)
+let rec add_sleepers fps s acc =
+  if s = 0 then acc
+  else
+    let t = lowest s in
+    add_sleepers fps (s land lnot (bit t)) ((t, fps.(t)) :: acc)
+
+(* The runnable threads of [m] from [from] on, as a set. *)
+let rec enabled_from m from acc =
+  let t = Machine.nth_runnable m ~from ~intr:false None 0 in
+  if t < 0 then acc
+  else if t >= max_threads then
+    invalid_arg
+      (Printf.sprintf
+         "Explore: DPOR holds at most %d threads (t0..t%d) in its thread \
+          sets; t%d is runnable"
+         max_threads (max_threads - 1) t)
+  else enabled_from m (t + 1) (acc lor bit t)
+
+(* A sleep set: its members' mask, and each member with the footprint
+   of the step it would take. *)
+type sleepers = (Tid.t * int array) list
+
+let rec mask_of = function [] -> 0 | (t, _) :: rest -> bit t lor mask_of rest
+
+(* [sleepers] less those whose step conflicts with [fp]; [sleepers]
+   itself when none does. *)
+let rec wake fp = function
+  | [] -> []
+  | ((_, f) as e) :: rest as l ->
+    let rest' = wake fp rest in
+    if footprints_conflict f fp then rest'
+    else if rest' == rest then l
+    else e :: rest'
+
+type dnode = {
+  d_enabled : int;  (* enabled in the pre-state of this step *)
+  mutable d_chosen : Tid.t;  (* branch currently being explored *)
+  d_fps : int array array;
+      (* by thread, the footprint of each child step taken from this
+         node, [d_chosen]'s included; cached so completed siblings can
+         enter the sleep set on later branches.  A pending step's
+         footprint is a function of the pre-state, which replays
+         identically, so the cache stays valid *)
+  mutable d_backtrack : int;
+  mutable d_done : int;  (* children whose subtrees are explored *)
+  d_sleep : int;  (* sleep set on entry *)
+  d_sleepers : sleepers;  (* its members' footprints *)
+  mutable d_undo : int;
+      (* length of the race index's undo log before the chosen step *)
+}
+
+let chosen_fp nd = nd.d_fps.(nd.d_chosen)
+
+(* A growable int buffer. *)
+let reserve buf n =
+  if Array.length !buf < n then begin
+    let bigger = Array.make (max n (2 * Array.length !buf)) 0 in
+    Array.blit !buf 0 bigger 0 (Array.length !buf);
+    buf := bigger
+  end
+
+module Slots = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash a = a land max_int
+end)
 
 (* One DPOR search under a frozen [prefix] of steps, entering the depth
    below it with sleep set [sleep]; backtrack points inside the prefix
@@ -183,35 +246,39 @@ let dpor ~max_depth ~max_runs ~prefix ~sleep:sleep0 ?hand_off ?progress
     ~build check =
   let frozen = List.length prefix in
   let prefix = Array.of_list prefix in
+  let sleep0_mask = mask_of sleep0 and splitting = hand_off <> None in
   (* The path from the root, by depth; it persists across replays.
      [branches] counts its branch points. *)
   let nodes = ref [||] and plen = ref 0 and branches = ref 0 in
-  let branching = function _ :: _ :: _ -> true | _ -> false in
-  (* Per address, the depths of the path's last write to it and of its
-     last access of any kind (-1: none).  Each node's [d_undo] restores
-     what its step overwrote when the node is popped or re-chosen. *)
-  let last : (int, int * int) Hashtbl.t = Hashtbl.create 64 in
+  (* The race index.  Each address gets a dense slot on first sight;
+     per slot, the depths of the path's last write to it and of its last
+     access of any kind (-1: none).  [undo] logs, three ints an entry,
+     each slot a step overwrote and its two old depths; a node's
+     [d_undo] is where its step's entries begin, and they are restored
+     when the node is popped or re-chosen. *)
+  let slots = Slots.create 64 in
+  let last_w = ref [||] and last_a = ref [||] in
+  let undo = ref (Array.make 192 0) and undo_len = ref 0 in
+  let entry_slots = ref (Array.make 16 0) in
+  let slot a =
+    match Slots.find slots a with
+    | s -> s
+    | exception Not_found ->
+      let s = Slots.length slots in
+      Slots.add slots a s;
+      if s = Array.length !last_w then begin
+        let grow old = Array.append old (Array.make (max 64 s) (-1)) in
+        last_w := grow !last_w;
+        last_a := grow !last_a
+      end;
+      s
+  in
+  (* The chosen step's footprint, gathered from [Ev_touch]. *)
+  let touched = ref (Array.make 64 0) and ntouched = ref 0 in
   let found = ref [] in
   let executions = ref 0 and sleep_blocked = ref 0 in
   let truncated = ref 0 and steps = ref 0 in
   let peak = ref 0 in
-  (* Sleep set entering the branch below [nd]: inherited sleepers plus
-     fully-explored siblings (their cached footprints come from
-     [d_tried]), minus any whose step conflicts with the step just
-     taken. *)
-  let sleep_below nd =
-    let slept =
-      Tid.Set.fold
-        (fun t acc ->
-          if t = nd.d_chosen || List.mem_assoc t acc then acc
-          else
-            match List.assoc_opt t nd.d_tried with
-            | Some f -> (t, f) :: acc
-            | None -> acc)
-        nd.d_done nd.d_sleep
-    in
-    List.filter (fun (_, f) -> not (footprints_conflict f nd.d_fp)) slept
-  in
   (* Race detection for the step just taken at depth [i]: the most
      recent earlier step it depends on is the latest conflicting access
      in the index.  If that step belongs to another thread, the later
@@ -220,29 +287,43 @@ let dpor ~max_depth ~max_runs ~prefix ~sleep:sleep0 ?hand_off ?progress
      through that step.  Frozen prefix nodes never get backtrack
      points: the caller covers every alternative there. *)
   let race i nd =
-    let j =
-      List.fold_left
-        (fun j (a, w) ->
-          match Hashtbl.find_opt last a with
-          | Some (lw, la) -> max j (if w then la else lw)
-          | None -> j)
-        (-1) nd.d_fp
-    in
-    (if j >= frozen then
-       let nj = !nodes.(j) and p = nd.d_chosen in
+    let fp = chosen_fp nd in
+    let n = Array.length fp in
+    reserve entry_slots n;
+    let j = ref (-1) in
+    for k = 0 to n - 1 do
+      let s = slot (fp_addr fp.(k)) in
+      !entry_slots.(k) <- s;
+      let d = if fp_writes fp.(k) then !last_a.(s) else !last_w.(s) in
+      if d > !j then j := d
+    done;
+    (if !j >= frozen then
+       let nj = !nodes.(!j) and p = nd.d_chosen in
        if nj.d_chosen <> p then
          nj.d_backtrack <-
-           (if List.mem p nj.d_enabled then Tid.Set.add p nj.d_backtrack
-            else
-              Tid.Set.union nj.d_backtrack (Tid.Set.of_int_list nj.d_enabled)));
-    List.iter
-      (fun (a, w) ->
-        let ((lw, _) as prev) =
-          Option.value (Hashtbl.find_opt last a) ~default:(-1, -1)
-        in
-        nd.d_undo <- (a, prev) :: nd.d_undo;
-        Hashtbl.replace last a ((if w then i else lw), i))
-      nd.d_fp
+           nj.d_backtrack
+           lor (if mem p nj.d_enabled then bit p else nj.d_enabled));
+    nd.d_undo <- !undo_len;
+    reserve undo (!undo_len + (3 * n));
+    let u = !undo and lw = !last_w and la = !last_a in
+    for k = 0 to n - 1 do
+      let s = !entry_slots.(k) and o = !undo_len + (3 * k) in
+      u.(o) <- s;
+      u.(o + 1) <- lw.(s);
+      u.(o + 2) <- la.(s);
+      if fp_writes fp.(k) then lw.(s) <- i;
+      la.(s) <- i
+    done;
+    undo_len := !undo_len + (3 * n)
+  in
+  let restore nd =
+    let u = !undo in
+    while !undo_len > nd.d_undo do
+      undo_len := !undo_len - 3;
+      let s = u.(!undo_len) in
+      !last_w.(s) <- u.(!undo_len + 1);
+      !last_a.(s) <- u.(!undo_len + 2)
+    done
   in
   let push nd =
     if !plen = Array.length !nodes then
@@ -255,7 +336,7 @@ let dpor ~max_depth ~max_runs ~prefix ~sleep:sleep0 ?hand_off ?progress
      node changed since the last run, so the path above it replays with
      bare [Machine.step]: its footprints, sleep sets and race-index
      entries are all still recorded.  From the deepest node on, steps
-     are observed, and the run extends by always taking the first
+     are observed, and the run extends by always taking the lowest
      enabled thread not in the sleep set, creating fresh nodes as it
      goes. *)
   let run_one () =
@@ -265,15 +346,30 @@ let dpor ~max_depth ~max_runs ~prefix ~sleep:sleep0 ?hand_off ?progress
       ignore (Machine.step m !nodes.(i).d_chosen)
     done;
     steps := !steps + max 0 (!plen - 1);
-    let step = footprint_stepper m in
-    let sleep = ref [] in
+    Machine.subscribe m Machine.K_touch (function
+      | Machine.Ev_touch (a, w) ->
+        reserve touched (!ntouched + 1);
+        !touched.(!ntouched) <- (2 * a) + Bool.to_int w;
+        incr ntouched
+      | _ -> ());
+    (* The sleep set entering the depth being extended. *)
+    let sleep = ref 0 and sleepers = ref [] in
+    (* Take [nd]'s chosen step at depth [i].  The sleep set below it:
+       inherited sleepers plus fully-explored siblings (their cached
+       footprints come from [d_fps]), minus any whose step conflicts
+       with the step just taken. *)
     let take i nd =
-      nd.d_fp <- step nd.d_chosen;
+      ntouched := 0;
+      ignore (Machine.step m nd.d_chosen);
       incr steps;
-      if not (List.mem_assoc nd.d_chosen nd.d_tried) then
-        nd.d_tried <- (nd.d_chosen, nd.d_fp) :: nd.d_tried;
+      let fp = Array.sub !touched 0 !ntouched in
+      nd.d_fps.(nd.d_chosen) <- fp;
       race i nd;
-      sleep := sleep_below nd
+      sleepers :=
+        wake fp
+          (add_sleepers nd.d_fps (nd.d_done land lnot nd.d_sleep)
+             nd.d_sleepers);
+      sleep := mask_of !sleepers
     in
     if !plen > 0 then take (!plen - 1) !nodes.(!plen - 1);
     let finish verdict =
@@ -281,52 +377,55 @@ let dpor ~max_depth ~max_runs ~prefix ~sleep:sleep0 ?hand_off ?progress
       note found (check { verdict; machine = m })
     in
     let rec extend () =
-      if !plen = frozen then sleep := sleep0;
+      if !plen = frozen then begin
+        sleep := sleep0_mask;
+        sleepers := sleep0
+      end;
       match hand_off with
       | Some (n, give) when !branches = n ->
-        give (List.init !plen (fun i -> !nodes.(i).d_chosen)) !sleep
+        give (List.init !plen (fun i -> !nodes.(i).d_chosen)) !sleepers
       | _ when !plen >= max_depth ->
         incr truncated;
         finish Interleave.Step_limit
-      | _ -> (
-        match Machine.runnable m with
-        | [] -> finish (Interleave.at_rest m)
-        | enabled -> (
-          let choice =
-            if !plen < frozen then begin
-              let c = prefix.(!plen) in
-              if not (List.mem c enabled) then
-                failwith "Explore: stale DPOR prefix";
-              Some c
-            end
-            else
-              List.find_opt (fun t -> not (List.mem_assoc t !sleep)) enabled
-          in
-          match choice with
-          | None ->
+      | _ ->
+        let enabled = enabled_from m 0 0 in
+        if enabled = 0 then finish (Interleave.at_rest m)
+        else
+          let awake = enabled land lnot !sleep in
+          if !plen >= frozen && awake = 0 then begin
             (* Every enabled thread is asleep: any continuation is
                equivalent to an execution already explored. *)
             incr executions;
             incr sleep_blocked
-          | Some c ->
+          end
+          else begin
+            let c =
+              if !plen < frozen then begin
+                let c = prefix.(!plen) in
+                if not (mem c enabled) then
+                  failwith "Explore: stale DPOR prefix";
+                c
+              end
+              else lowest awake
+            in
             let nd =
               {
                 d_enabled = enabled;
                 d_chosen = c;
-                d_fp = [];
-                d_tried = [];
+                d_fps = Array.make (highest_from enabled 0 + 1) [||];
                 d_backtrack =
-                  (if hand_off <> None && branching enabled then
-                     Tid.Set.of_int_list enabled
-                   else Tid.Set.singleton c);
-                d_done = Tid.Set.empty;
+                  (if splitting && branching enabled then enabled
+                   else bit c);
+                d_done = 0;
                 d_sleep = !sleep;
-                d_undo = [];
+                d_sleepers = !sleepers;
+                d_undo = 0;
               }
             in
             push nd;
             take (!plen - 1) nd;
-            extend ()))
+            extend ()
+          end
     in
     extend ();
     Machine.dispose m
@@ -337,29 +436,29 @@ let dpor ~max_depth ~max_runs ~prefix ~sleep:sleep0 ?hand_off ?progress
     if !plen = 0 then false
     else begin
       let nd = !nodes.(!plen - 1) in
-      List.iter (fun (a, prev) -> Hashtbl.replace last a prev) nd.d_undo;
-      nd.d_undo <- [];
-      nd.d_done <- Tid.Set.add nd.d_chosen nd.d_done;
+      restore nd;
+      nd.d_done <- nd.d_done lor bit nd.d_chosen;
       let rec pick () =
-        match Tid.Set.min_elt_opt (Tid.Set.diff nd.d_backtrack nd.d_done) with
-        | None -> None
-        | Some c ->
-          if List.mem_assoc c nd.d_sleep then begin
+        let todo = nd.d_backtrack land lnot nd.d_done in
+        if todo = 0 then false
+        else
+          let c = lowest todo in
+          if mem c nd.d_sleep then begin
             incr sleep_blocked;
-            nd.d_done <- Tid.Set.add c nd.d_done;
+            nd.d_done <- nd.d_done lor bit c;
             pick ()
           end
-          else Some c
+          else begin
+            nd.d_chosen <- c;
+            true
+          end
       in
-      match pick () with
-      | Some c ->
-        nd.d_chosen <- c;
-        nd.d_fp <- [];
-        true
-      | None ->
+      pick ()
+      || begin
         decr plen;
         if branching nd.d_enabled then decr branches;
         backtrack ()
+      end
     end
   in
   let budget_ok = ref true in

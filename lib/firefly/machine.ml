@@ -106,7 +106,7 @@ type event =
       kind : access_kind;
       locks : int list;
     }
-  | Ev_touch of (int * bool)
+  | Ev_touch of int * bool
   | Ev_prof of { tid : Tid.t; t : int; kind : prof_kind }
   | Ev_stat of { tid : Tid.t; t : int; stat : stat }
 

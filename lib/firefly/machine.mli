@@ -145,7 +145,7 @@ type event =
       kind : access_kind;
       locks : int list;  (** lock ids [tid] held at that instant *)
     }  (** a shared-memory instruction or a {!Probe} lock event *)
-  | Ev_touch of (int * bool)
+  | Ev_touch of int * bool
       (** [(address, is_write)] touched by the step in progress: first its
           own scheduler slot (read), then memory words, pseudo-addresses
           for scheduler interactions (waking, spawning, finishing or

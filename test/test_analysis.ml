@@ -199,7 +199,7 @@ let observed_run ~seed bname (wl : Wl.t) kinds =
       | M.K_prof -> P.record prof m
       | M.K_touch ->
         M.subscribe m M.K_touch (function
-          | M.Ev_touch touched -> footprints := touched :: !footprints
+          | M.Ev_touch (a, w) -> footprints := (a, w) :: !footprints
           | _ -> ())
       | M.K_stat -> Obs.Instrument.record reg m)
     kinds;

@@ -672,6 +672,32 @@ let test_allocation_budget () =
             .Firefly.Interleave.steps );
     ]
 
+(* The same budget for DPOR, per step of `repro explore --mode=dpor
+   --jobs=1`, replayed prefixes included: naive-broadcast is the search
+   perfbench's dpor-explore spends its time in, and disjoint-locks the
+   one with the most observed steps per execution.  An observed step
+   allocates its node, its footprint and the machine's touch events,
+   and no list, set or tuple; each bound is 1.25 times the count
+   measured when it was set. *)
+let test_dpor_allocation_budget () =
+  List.iter
+    (fun (name, bound) ->
+      let s = Option.get (Threads_harness.Explore_scenarios.find name) in
+      let w =
+        words_per_step (fun () ->
+            let _, st =
+              Firefly.Explore.explore_dpor_parallel
+                ~max_depth:s.max_depth ~split_branches:2 ~build:s.build
+                s.check
+            in
+            st.Firefly.Explore.dpor_steps)
+      in
+      Printf.printf "DPOR %s: %.2f words per step\n" name w;
+      if w > bound then
+        Alcotest.failf "DPOR %s: %.2f minor words per step, budget %.2f" name
+          w bound)
+    [ ("naive-broadcast", 1.25 *. 35.90); ("disjoint-locks", 1.25 *. 50.88) ]
+
 (* Both explorers dispose of every machine they abandon.  Every thread of
    the scenario runs inside a host-side [Fun.protect] and ends blocked for
    good, so each thread a replay started is unwound exactly once; one more
@@ -964,6 +990,8 @@ let suite =
         test_semaphore_is_mutex;
       Alcotest.test_case "allocation budget per step" `Quick
         test_allocation_budget;
+      Alcotest.test_case "allocation budget per DPOR step" `Quick
+        test_dpor_allocation_budget;
       Alcotest.test_case "explorers dispose abandoned machines" `Quick
         test_explore_disposes;
       Alcotest.test_case "ambient slot: per step, restored, per domain"

@@ -410,6 +410,40 @@ let test_dpor_deterministic () =
   let run () = unsplit_dpor s in
   Alcotest.(check bool) "two runs, same everything" true (run () = run ())
 
+(* DPOR keeps its thread sets as int bitmasks.  A build with one thread
+   more than they hold is refused with the documented [Invalid_argument]
+   before any search, whether the tree is split or not; a build with
+   exactly as many is searched.  Its threads each finish in one step and
+   share no address, so every order is equivalent and one execution
+   covers them all.  The threads are simulated: no domain is started. *)
+let test_dpor_thread_limit () =
+  let limit = Sys.int_size - 1 in
+  let build n m =
+    for _ = 1 to n do
+      ignore (Firefly.Machine.spawn_root m (fun () -> ()))
+    done
+  in
+  let search ~split n =
+    Ex.explore_dpor_parallel ~split_branches:split ~build:(build n)
+      (fun _ -> None)
+  in
+  let v, st = search ~split:0 limit in
+  Alcotest.(check (list string)) "at the limit: no violation" [] v;
+  Alcotest.(check (list int)) "at the limit: executions, steps"
+    [ 1; limit ]
+    [ st.Ex.executions; st.Ex.dpor_steps ];
+  List.iter
+    (fun split ->
+      Alcotest.check_raises
+        (Printf.sprintf "one thread over the limit, split %d" split)
+        (Invalid_argument
+           (Printf.sprintf
+              "Explore: DPOR holds at most %d threads (t0..t%d) in its \
+               thread sets; t%d is runnable"
+              limit (limit - 1) limit))
+        (fun () -> ignore (search ~split (limit + 1))))
+    [ 0; 2 ]
+
 let suite =
   ( "runner-scaleout",
     [
@@ -441,4 +475,5 @@ let suite =
       Alcotest.test_case "dpor parallel jobs parity" `Quick
         test_dpor_parallel_jobs_parity;
       Alcotest.test_case "dpor deterministic" `Quick test_dpor_deterministic;
+      Alcotest.test_case "dpor thread limit" `Quick test_dpor_thread_limit;
     ] )
