@@ -92,7 +92,6 @@ let cmd =
     Cli.with_fleet ~label:"explore" ~jobs ~total:0 fleet (fun fl ->
     List.iter2
       (fun (s : Sc.t) dfs ->
-        fl.Cli.phase s.Sc.name ~cells:0;
         let progress =
           Option.map
             (fun c (st : Ex.dpor_stats) ->
@@ -107,7 +106,9 @@ let cmd =
           else
             Some
               (Ex.explore_dpor_parallel ~max_depth:s.Sc.max_depth ~max_runs
-                 ~split_branches:split ~jobs ?progress
+                 ~split_branches:split ~jobs
+                 ~on_frontier:(fun cells -> fl.Cli.phase s.Sc.name ~cells)
+                 ?progress
                  ?telemetry:fl.Cli.telemetry ~build:s.Sc.build s.Sc.check)
         in
         let found, complete =

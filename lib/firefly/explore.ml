@@ -504,7 +504,8 @@ let dpor ~max_depth ~max_runs ~prefix ~sleep:sleep0 ?hand_off ?progress
    chooses how many domains execute the per-prefix searches. *)
 
 let explore_dpor_parallel ?(max_depth = 4000) ?(max_runs = 1_000_000)
-    ?(split_branches = 2) ?(jobs = 1) ?progress ?telemetry ~build check =
+    ?(split_branches = 2) ?(jobs = 1) ?on_frontier ?progress ?telemetry ~build
+    check =
   let frontier = ref [] in
   let give prefix sleep = frontier := (prefix, sleep) :: !frontier in
   let pre_found, pre =
@@ -512,6 +513,7 @@ let explore_dpor_parallel ?(max_depth = 4000) ?(max_runs = 1_000_000)
       ~hand_off:(split_branches, give) ~build check
   in
   let prefixes = Array.of_list (List.rev !frontier) in
+  Option.iter (fun f -> f (Array.length prefixes)) on_frontier;
   (* Aggregate progress across the per-prefix searches: each search
      reports cumulative counters for its own subtree, so every cell
      keeps a last-seen snapshot and publishes only the delta into the

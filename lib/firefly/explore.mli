@@ -86,17 +86,21 @@ val explore :
     are byte-identical for any worker count.  The split and each
     per-prefix search get their own [max_runs] budget.
 
+    [?on_frontier] is called once, when the split has fixed the
+    frontier, with the number of per-prefix searches (cells) it holds.
     [?progress] is a host-side observation hook called after every
     maximal execution with advisory fleet-wide cumulative counters
     (aggregated across the concurrent per-prefix searches; the
     [dpor_truncated] field of snapshots reads 0).  [?telemetry] attaches
     a {!Threads_runner.Telemetry.sink} to the prefix matrix.  Neither
-    feeds back into the search nor affects the returned results. *)
+    feeds back into the search nor affects the returned results, and
+    neither does [?on_frontier]. *)
 val explore_dpor_parallel :
   ?max_depth:int ->
   ?max_runs:int ->
   ?split_branches:int ->
   ?jobs:int ->
+  ?on_frontier:(int -> unit) ->
   ?progress:(stats -> unit) ->
   ?telemetry:Threads_runner.Telemetry.sink ->
   build:(Machine.t -> unit) ->

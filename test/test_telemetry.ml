@@ -341,6 +341,36 @@ let test_explore_fleet_window () =
     | _ -> Alcotest.fail "done event without elapsed_s")
   | _ -> Alcotest.fail "progress stream does not end with done"
 
+(* Each scenario's phase is announced once the pre-search has fixed its
+   frontier, with that frontier's cell count: wakeup-waiting splits into
+   3 per-prefix searches, the cells the done event counts too. *)
+let test_explore_phase_cells () =
+  let progress = Filename.temp_file "explore_phase" ".jsonl" in
+  let code =
+    Sys.command
+      (Printf.sprintf
+         "../bin/repro.exe explore --scenario=wakeup-waiting --jobs=1 \
+          --progress=%s > %s"
+         (Filename.quote progress) Filename.null)
+  in
+  let lines = In_channel.with_open_text progress In_channel.input_lines in
+  Sys.remove progress;
+  Alcotest.(check int) "explore exits 0" 0 code;
+  let cells event =
+    List.filter_map
+      (fun e ->
+        if event_name e <> event then None
+        else
+          match Obs.Json.find e "cells" with
+          | Some (Obs.Json.Int n) -> Some n
+          | _ -> Alcotest.fail (event ^ " event without cells"))
+      (parse_lines lines)
+  in
+  Alcotest.(check (list int)) "one phase, with the frontier's cells" [ 3 ]
+    (cells "phase");
+  Alcotest.(check (list int)) "done counts the same cells" [ 3 ]
+    (cells "done")
+
 let suite =
   ( "telemetry-observatory",
     [
@@ -364,4 +394,6 @@ let suite =
         test_explore_progress_event;
       Alcotest.test_case "explore fleet window holds only dpor" `Quick
         test_explore_fleet_window;
+      Alcotest.test_case "explore phase carries its frontier's cells" `Quick
+        test_explore_phase_cells;
     ] )
