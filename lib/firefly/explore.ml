@@ -184,10 +184,8 @@ let rec enabled_from m from acc =
          max_threads (max_threads - 1) t)
   else enabled_from m (t + 1) (acc lor bit t)
 
-(* A sleep set: its members' mask, and each member with the footprint
-   of the step it would take. *)
-type sleepers = (Tid.t * int array) list
-
+(* A sleep set is a mask, and each member with the footprint of the
+   step it would take, which only the conflict filter [wake] reads. *)
 let rec mask_of = function [] -> 0 | (t, _) :: rest -> bit t lor mask_of rest
 
 (* [sleepers] less those whose step conflicts with [fp]; [sleepers]
@@ -212,7 +210,7 @@ type dnode = {
   mutable d_backtrack : int;
   mutable d_done : int;  (* children whose subtrees are explored *)
   d_sleep : int;  (* sleep set on entry *)
-  d_sleepers : sleepers;  (* its members' footprints *)
+  d_sleepers : (Tid.t * int array) list;  (* its members' footprints *)
   mutable d_undo : int;
       (* length of the race index's undo log before the chosen step *)
 }
@@ -253,13 +251,12 @@ let dpor ~max_depth ~max_runs ~prefix ~sleep:sleep0 ?hand_off ?progress
   (* The race index.  Each address gets a dense slot on first sight;
      per slot, the depths of the path's last write to it and of its last
      access of any kind (-1: none).  [undo] logs, three ints an entry,
-     each slot a step overwrote and its two old depths; a node's
-     [d_undo] is where its step's entries begin, and they are restored
-     when the node is popped or re-chosen. *)
+     the slot of each footprint entry and its two depths before the
+     step; a node's [d_undo] is where its step's entries begin, and they
+     are restored when the node is popped or re-chosen. *)
   let slots = Slots.create 64 in
   let last_w = ref [||] and last_a = ref [||] in
   let undo = ref (Array.make 192 0) and undo_len = ref 0 in
-  let entry_slots = ref (Array.make 16 0) in
   let slot a =
     match Slots.find slots a with
     | s -> s
@@ -287,14 +284,16 @@ let dpor ~max_depth ~max_runs ~prefix ~sleep:sleep0 ?hand_off ?progress
      through that step.  Frozen prefix nodes never get backtrack
      points: the caller covers every alternative there. *)
   let race i nd =
-    let fp = chosen_fp nd in
+    let fp = chosen_fp nd and base = !undo_len in
     let n = Array.length fp in
-    reserve entry_slots n;
-    let j = ref (-1) in
+    reserve undo (base + (3 * n));
+    let u = !undo and j = ref (-1) in
     for k = 0 to n - 1 do
-      let s = slot (fp_addr fp.(k)) in
-      !entry_slots.(k) <- s;
-      let d = if fp_writes fp.(k) then !last_a.(s) else !last_w.(s) in
+      let s = slot (fp_addr fp.(k)) and o = base + (3 * k) in
+      u.(o) <- s;
+      u.(o + 1) <- !last_w.(s);
+      u.(o + 2) <- !last_a.(s);
+      let d = u.(if fp_writes fp.(k) then o + 2 else o + 1) in
       if d > !j then j := d
     done;
     (if !j >= frozen then
@@ -303,18 +302,13 @@ let dpor ~max_depth ~max_runs ~prefix ~sleep:sleep0 ?hand_off ?progress
          nj.d_backtrack <-
            nj.d_backtrack
            lor (if mem p nj.d_enabled then bit p else nj.d_enabled));
-    nd.d_undo <- !undo_len;
-    reserve undo (!undo_len + (3 * n));
-    let u = !undo and lw = !last_w and la = !last_a in
     for k = 0 to n - 1 do
-      let s = !entry_slots.(k) and o = !undo_len + (3 * k) in
-      u.(o) <- s;
-      u.(o + 1) <- lw.(s);
-      u.(o + 2) <- la.(s);
-      if fp_writes fp.(k) then lw.(s) <- i;
-      la.(s) <- i
+      let s = u.(base + (3 * k)) in
+      if fp_writes fp.(k) then !last_w.(s) <- i;
+      !last_a.(s) <- i
     done;
-    undo_len := !undo_len + (3 * n)
+    nd.d_undo <- base;
+    undo_len := base + (3 * n)
   in
   let restore nd =
     let u = !undo in

@@ -67,6 +67,11 @@ val explore :
     package state, so pruned interleavings are genuinely equivalent to
     explored ones.
 
+    The search keeps its thread sets as int bitmasks, so it holds at
+    most [Sys.int_size - 1] threads: t0 to t61 on a 64-bit host.  A
+    build that makes a higher thread runnable raises [Invalid_argument]
+    with a message that names the limit.
+
     The search runs to completion (or to [max_runs] maximal executions,
     default 1 000 000) and returns the set of distinct violation strings
     produced by [check] (sorted, deduplicated) — identical however the
