@@ -177,11 +177,10 @@ let rec enabled_from m from acc =
   let t = Machine.nth_runnable m ~from ~intr:false None 0 in
   if t < 0 then acc
   else if t >= max_threads then
-    invalid_arg
-      (Printf.sprintf
-         "Explore: DPOR holds at most %d threads (t0..t%d) in its thread \
-          sets; t%d is runnable"
-         max_threads (max_threads - 1) t)
+    Printf.ksprintf invalid_arg
+      "Explore: DPOR holds at most %d threads (t0..t%d) in its thread sets; \
+       t%d is runnable"
+      max_threads (max_threads - 1) t
   else enabled_from m (t + 1) (acc lor bit t)
 
 (* A sleep set is a mask, and each member with the footprint of the
@@ -214,8 +213,6 @@ type dnode = {
   mutable d_undo : int;
       (* length of the race index's undo log before the chosen step *)
 }
-
-let chosen_fp nd = nd.d_fps.(nd.d_chosen)
 
 (* A growable int buffer. *)
 let reserve buf n =
@@ -284,7 +281,7 @@ let dpor ~max_depth ~max_runs ~prefix ~sleep:sleep0 ?hand_off ?progress
      through that step.  Frozen prefix nodes never get backtrack
      points: the caller covers every alternative there. *)
   let race i nd =
-    let fp = chosen_fp nd and base = !undo_len in
+    let fp = nd.d_fps.(nd.d_chosen) and base = !undo_len in
     let n = Array.length fp in
     reserve undo (base + (3 * n));
     let u = !undo and j = ref (-1) in
@@ -309,15 +306,6 @@ let dpor ~max_depth ~max_runs ~prefix ~sleep:sleep0 ?hand_off ?progress
     done;
     nd.d_undo <- base;
     undo_len := base + (3 * n)
-  in
-  let restore nd =
-    let u = !undo in
-    while !undo_len > nd.d_undo do
-      undo_len := !undo_len - 3;
-      let s = u.(!undo_len) in
-      !last_w.(s) <- u.(!undo_len + 1);
-      !last_a.(s) <- u.(!undo_len + 2)
-    done
   in
   let push nd =
     if !plen = Array.length !nodes then
@@ -429,8 +417,14 @@ let dpor ~max_depth ~max_runs ~prefix ~sleep:sleep0 ?hand_off ?progress
   let rec backtrack () =
     if !plen = 0 then false
     else begin
-      let nd = !nodes.(!plen - 1) in
-      restore nd;
+      let nd = !nodes.(!plen - 1) and u = !undo in
+      (* Undo the race-index entries of the chosen step. *)
+      while !undo_len > nd.d_undo do
+        undo_len := !undo_len - 3;
+        let s = u.(!undo_len) in
+        !last_w.(s) <- u.(!undo_len + 1);
+        !last_a.(s) <- u.(!undo_len + 2)
+      done;
       nd.d_done <- nd.d_done lor bit nd.d_chosen;
       let rec pick () =
         let todo = nd.d_backtrack land lnot nd.d_done in
