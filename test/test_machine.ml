@@ -614,11 +614,18 @@ let test_schedule_pins () =
    stand for the simulator's hot paths — the uncontended fast path on the
    interleaving driver, a spin livelock run out to its step bound, the
    5-processor timed driver, and bare ticks picked among 16 threads,
-   where a closure in the pick or in [step] would show.  Within one build
-   the counts repeat exactly; each bound is 1.25 times the count measured
-   when the budget was set (the first three once spec events were built
-   only for a subscriber, the fourth before the runnable walk moved into
-   [Machine]), so a regression cannot creep in unseen. *)
+   where a closure in the pick or in [step] would show.  Two more runs
+   are DPOR searches, `repro explore --mode=dpor --jobs=1` on one
+   scenario, counted per step with replayed prefixes included:
+   naive-broadcast is the search perfbench's dpor-explore spends its time
+   in, and disjoint-locks the one with the most observed steps per
+   execution.  An observed step allocates its node, its footprint and
+   the machine's touch events, and no list, set or tuple.  Within one
+   build the counts repeat exactly; each bound is 1.25 times the count
+   measured when the budget was set (the first three once spec events
+   were built only for a subscriber, the fourth before the runnable walk
+   moved into [Machine], the DPOR two once the search kept its sets as
+   bitmasks), so a regression cannot creep in unseen. *)
 let words_per_step run =
   let w0 = Gc.minor_words () in
   let steps = run () in
@@ -639,6 +646,14 @@ let test_allocation_budget () =
     | _ -> step_limit_seed (seed + 1)
   in
   let livelock = step_limit_seed 0 in
+  let dpor name () =
+    let s = Option.get (Threads_harness.Explore_scenarios.find name) in
+    let _, st =
+      Firefly.Explore.explore_dpor_parallel ~max_depth:s.max_depth
+        ~build:s.build s.check
+    in
+    st.Firefly.Explore.dpor_steps
+  in
   List.iter
     (fun (name, bound, run) ->
       let w = words_per_step run in
@@ -670,33 +685,9 @@ let test_allocation_budget () =
                         done))
                done))
             .Firefly.Interleave.steps );
+      ("DPOR naive-broadcast", 1.25 *. 35.90, dpor "naive-broadcast");
+      ("DPOR disjoint-locks", 1.25 *. 50.88, dpor "disjoint-locks");
     ]
-
-(* The same budget for DPOR, per step of `repro explore --mode=dpor
-   --jobs=1`, replayed prefixes included: naive-broadcast is the search
-   perfbench's dpor-explore spends its time in, and disjoint-locks the
-   one with the most observed steps per execution.  An observed step
-   allocates its node, its footprint and the machine's touch events,
-   and no list, set or tuple; each bound is 1.25 times the count
-   measured when it was set. *)
-let test_dpor_allocation_budget () =
-  List.iter
-    (fun (name, bound) ->
-      let s = Option.get (Threads_harness.Explore_scenarios.find name) in
-      let w =
-        words_per_step (fun () ->
-            let _, st =
-              Firefly.Explore.explore_dpor_parallel
-                ~max_depth:s.max_depth ~split_branches:2 ~build:s.build
-                s.check
-            in
-            st.Firefly.Explore.dpor_steps)
-      in
-      Printf.printf "DPOR %s: %.2f words per step\n" name w;
-      if w > bound then
-        Alcotest.failf "DPOR %s: %.2f minor words per step, budget %.2f" name
-          w bound)
-    [ ("naive-broadcast", 1.25 *. 35.90); ("disjoint-locks", 1.25 *. 50.88) ]
 
 (* Both explorers dispose of every machine they abandon.  Every thread of
    the scenario runs inside a host-side [Fun.protect] and ends blocked for
@@ -990,8 +981,6 @@ let suite =
         test_semaphore_is_mutex;
       Alcotest.test_case "allocation budget per step" `Quick
         test_allocation_budget;
-      Alcotest.test_case "allocation budget per DPOR step" `Quick
-        test_dpor_allocation_budget;
       Alcotest.test_case "explorers dispose abandoned machines" `Quick
         test_explore_disposes;
       Alcotest.test_case "ambient slot: per step, restored, per domain"
